@@ -1,15 +1,13 @@
 //! Chaos campaign: randomized fault churn over many seeds, invariant
-//! oracles after every run, sequential-vs-parallel byte comparison.
+//! oracles after every run.
 //!
 //! Environment:
 //! * `COHFREE_CHAOS_SEED` — base seed (default `0xC4A0`); run `k` of the
 //!   campaign uses `seed + k`.
 //! * `COHFREE_CHAOS_RUNS` — seeds per scenario (default by scale:
 //!   smoke 5, default 25, paper 100).
-//! * `COHFREE_PARALLEL_WORLD` — partition count for the byte-compared
-//!   parallel rerun of every cell (default 4; 1 skips the comparison).
 //!
-//! Exits non-zero if any oracle is violated or any engine pair diverges.
+//! Exits non-zero if any oracle is violated.
 
 use cohfree_bench::chaos;
 use cohfree_bench::Scale;
@@ -26,16 +24,12 @@ fn main() {
     let base_seed = env_u64("COHFREE_CHAOS_SEED", 0xC4A0);
     let runs = env_u64("COHFREE_CHAOS_RUNS", scale.pick(5, 25, 100));
     let accesses = scale.pick(80u64, 200, 500);
-    let parallel = std::env::var("COHFREE_PARALLEL_WORLD")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
     eprintln!(
         "chaos campaign: {runs} seeds x {} scenarios x manager on/off \
-         (base seed {base_seed:#x}, {accesses} accesses/thread, parallel {parallel})",
+         (base seed {base_seed:#x}, {accesses} accesses/thread)",
         chaos::Scenario::ALL.len()
     );
-    let outcomes = chaos::campaign(base_seed, runs, accesses, parallel);
+    let outcomes = chaos::campaign(base_seed, runs, accesses);
     let mut failures = 0usize;
     for o in &outcomes {
         if o.violations.is_empty() {

@@ -6,17 +6,10 @@
 //! # Measure and gate against the checked-in baseline (CI):
 //! cargo run --release -p cohfree-bench --bin perf -- \
 //!     --check crates/bench/perf_baseline.json --tolerance 3.0
-//! # Gate the parallel engine: fail if big_world_par8 is slower than
-//! # big_world_seq (threshold adjustable with --par-min-speedup):
-//! cargo run --release -p cohfree-bench --bin perf -- --par-gate
 //! ```
 //!
 //! With `--check`, exits non-zero if any benchmark regressed past the
 //! tolerance factor. See `cohfree_bench::perf` for the baseline policy.
-//! With `--par-gate`, exits non-zero if the parallel big-world row does not
-//! reach `--par-min-speedup` (default 1.0) times the sequential row — a
-//! host-relative check that needs no baseline, comparing two rows measured
-//! in the same run on the same machine.
 //!
 //! With `--metrics-overhead`, measures the self-profiling registry's cost
 //! on the sequential big-world row (off vs on, same run, same machine) and
@@ -31,8 +24,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut baseline_path: Option<String> = None;
     let mut tolerance = 3.0f64;
-    let mut par_gate = false;
-    let mut par_min_speedup = 1.0f64;
     let mut metrics_gate = false;
     let mut metrics_max_regression = 0.03f64;
     while let Some(arg) = args.next() {
@@ -53,7 +44,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--par-gate" => par_gate = true,
             "--metrics-overhead" => metrics_gate = true,
             "--metrics-max-regression" => {
                 let v = args.next().unwrap_or_else(|| {
@@ -65,21 +55,11 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--par-min-speedup" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--par-min-speedup requires a factor");
-                    std::process::exit(2);
-                });
-                par_min_speedup = v.parse().unwrap_or_else(|e| {
-                    eprintln!("bad speedup floor {v:?}: {e}");
-                    std::process::exit(2);
-                });
-            }
             other => {
                 eprintln!(
                     "unknown argument {other:?} \
-                     (expected --check/--tolerance/--par-gate/--par-min-speedup/\
-                     --metrics-overhead/--metrics-max-regression)"
+                     (expected --check/--tolerance/--metrics-overhead/\
+                     --metrics-max-regression)"
                 );
                 std::process::exit(2);
             }
@@ -95,37 +75,6 @@ fn main() {
     cohfree_bench::report::reset();
     for t in perf::tables(&micro, &mac) {
         t.print();
-    }
-
-    if par_gate {
-        let speedup = perf::par_speedup(&mac).unwrap_or_else(|| {
-            eprintln!("perf: --par-gate needs the big_world_seq/par8 rows");
-            std::process::exit(2);
-        });
-        if speedup < par_min_speedup {
-            eprintln!(
-                "perf: parallel engine too slow: big_world_par8 is {speedup:.2}x \
-                 big_world_seq (floor {par_min_speedup:.2}x)"
-            );
-            cohfree_bench::report::finish();
-            std::process::exit(1);
-        }
-        let serving = perf::serving_par_speedup(&mac).unwrap_or_else(|| {
-            eprintln!("perf: --par-gate needs the serving_seq/par8 rows");
-            std::process::exit(2);
-        });
-        if serving < par_min_speedup {
-            eprintln!(
-                "perf: parallel engine too slow on serving: serving_par8 is {serving:.2}x \
-                 serving_seq (floor {par_min_speedup:.2}x)"
-            );
-            cohfree_bench::report::finish();
-            std::process::exit(1);
-        }
-        println!(
-            "perf: par gate ok — big_world_par8 {speedup:.2}x big_world_seq, \
-             serving_par8 {serving:.2}x serving_seq"
-        );
     }
 
     if metrics_gate {

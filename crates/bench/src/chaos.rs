@@ -14,8 +14,6 @@
 //!    never mint it.
 //! 3. *Snapshot self-consistency*: the JSON document agrees with the
 //!    programmatic counters and its time series is monotonic.
-//! 4. *Engine invariance*: the sequential and windowed-parallel engines
-//!    produce byte-identical observable output under full fault churn.
 //!
 //! The `chaos` bin sweeps this over many seeds (`COHFREE_CHAOS_SEED`,
 //! `COHFREE_CHAOS_RUNS`); the EXT-CHAOS experiment measures what the
@@ -248,30 +246,6 @@ pub fn build_world(spec: ChaosSpec, accesses: u64) -> World {
     w
 }
 
-/// Every observable byte of a finished chaos world, for seq-vs-parallel
-/// comparison: the snapshot document (which embeds the fault log, manager
-/// stats and time series) plus per-thread counters and the engine clock.
-pub fn fingerprint(w: &World) -> String {
-    let mut out = w.snapshot().doc.to_string();
-    out.push('\n');
-    for id in 0..w.threads_spawned() {
-        out.push_str(&format!(
-            "t{id}: {} {} {} {} {}\n",
-            w.thread_completed(id),
-            w.thread_failed(id),
-            w.thread_shed(id),
-            w.thread_nacks(id),
-            w.thread_evacuated_retries(id)
-        ));
-    }
-    out.push_str(&format!(
-        "now={} processed={}",
-        w.now(),
-        w.events_processed()
-    ));
-    out
-}
-
 /// Run the invariant oracles over a drained world. Returns every violation
 /// found (empty = all oracles hold).
 pub fn check_oracles(w: &World) -> Vec<String> {
@@ -389,12 +363,12 @@ pub fn check_oracles(w: &World) -> Vec<String> {
     violations
 }
 
-/// Outcome of one chaos cell (both engines).
+/// Outcome of one chaos cell.
 #[derive(Debug)]
 pub struct CellOutcome {
     /// The cell that ran.
     pub spec: ChaosSpec,
-    /// Oracle violations (empty = pass), including any engine divergence.
+    /// Oracle violations (empty = pass).
     pub violations: Vec<String>,
     /// Total completed accesses.
     pub completed: u64,
@@ -406,25 +380,11 @@ pub struct CellOutcome {
     pub evacuations: u64,
 }
 
-/// Run one chaos cell: sequential engine, oracle checks, then the
-/// `parallel`-partition engine byte-compared against it (skipped when
-/// `parallel <= 1`).
-pub fn run_cell(spec: ChaosSpec, accesses: u64, parallel: usize) -> CellOutcome {
+/// Run one chaos cell to drain and check the oracles.
+pub fn run_cell(spec: ChaosSpec, accesses: u64) -> CellOutcome {
     let mut w = build_world(spec, accesses);
     w.run();
-    let mut violations = check_oracles(&w);
-    let baseline = fingerprint(&w);
-    if parallel > 1 {
-        let mut wp = build_world(spec, accesses);
-        wp.set_parallel(parallel);
-        wp.run();
-        if fingerprint(&wp) != baseline {
-            violations.push(format!(
-                "{}-partition engine diverged from sequential",
-                parallel
-            ));
-        }
-    }
+    let violations = check_oracles(&w);
     let nodes = w.config().topology.num_nodes();
     CellOutcome {
         spec,
@@ -441,7 +401,7 @@ pub fn run_cell(spec: ChaosSpec, accesses: u64, parallel: usize) -> CellOutcome 
 /// Sweep the full campaign: every scenario × manager on/off × `runs`
 /// seeds starting at `base_seed`, in parallel across worker threads.
 /// Returns every cell outcome (callers decide how to report failures).
-pub fn campaign(base_seed: u64, runs: u64, accesses: u64, parallel: usize) -> Vec<CellOutcome> {
+pub fn campaign(base_seed: u64, runs: u64, accesses: u64) -> Vec<CellOutcome> {
     let mut cells = Vec::new();
     for k in 0..runs {
         for scenario in Scenario::ALL {
@@ -454,7 +414,7 @@ pub fn campaign(base_seed: u64, runs: u64, accesses: u64, parallel: usize) -> Ve
             }
         }
     }
-    crate::parallel_map(cells, |spec| run_cell(spec, accesses, parallel))
+    crate::parallel_map(cells, |spec| run_cell(spec, accesses))
 }
 
 #[cfg(test)]
@@ -507,7 +467,6 @@ mod tests {
                     manager,
                 },
                 60,
-                4,
             );
             assert!(
                 out.violations.is_empty(),

@@ -59,7 +59,6 @@ pub fn outstanding(scale: Scale) -> Table {
                 )
             })
             .collect();
-        super::apply_parallel(&mut w);
         w.run();
         let time = ids.iter().map(|&i| w.thread_elapsed(i)).max().unwrap();
         let nacks: u64 = ids.iter().map(|&i| w.thread_nacks(i)).sum();
@@ -170,7 +169,6 @@ pub fn topology(scale: Scale) -> Table {
                 )
             })
             .collect();
-        super::apply_parallel(&mut w);
         w.run();
         let time = ids.iter().map(|&i| w.thread_elapsed(i)).max().unwrap();
         vec![
@@ -479,7 +477,6 @@ pub fn reliability(scale: Scale) -> Table {
                 )
             })
             .collect();
-        super::apply_parallel(&mut w);
         w.run();
         let time = ids.iter().map(|&i| w.thread_elapsed(i)).max().unwrap();
         // Sum recovery counters across every client RMC, not just node 1's:

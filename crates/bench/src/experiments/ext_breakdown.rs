@@ -151,7 +151,6 @@ fn fig7_like(scale: Scale, threads: u64) -> (Row, World) {
             SimTime::ZERO,
         );
     }
-    super::apply_parallel(&mut w);
     w.run();
     let (txs, mean, shares) = attribution(&w);
     let row = Row {

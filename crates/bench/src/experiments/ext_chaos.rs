@@ -165,7 +165,6 @@ fn run_one(
             )
         })
         .collect();
-    super::apply_parallel(&mut w);
     w.run();
 
     let samples = w.samples();

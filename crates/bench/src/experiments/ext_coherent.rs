@@ -73,7 +73,6 @@ fn run_one(coherent_members: usize, accesses: u64) -> Row {
     } else {
         w.spawn_thread(spec, SimTime::ZERO)
     };
-    super::apply_parallel(&mut w);
     w.run();
     let elapsed = w.thread_elapsed(id);
     let bystanders = coherent_members.saturating_sub(2).max(1) as f64;

@@ -55,7 +55,6 @@ fn calibrate(accesses: u64) -> SimDuration {
     let mut w = World::new(base_cfg(16));
     let resv = w.reserve_remote(super::n(1), ZONE_FRAMES, Some(super::n(2)));
     let ids = spawn_pair(&mut w, (resv.prefixed_base, resv.frames * 4096), accesses);
-    super::apply_parallel(&mut w);
     w.run();
     ids.iter().map(|&i| w.thread_elapsed(i)).max().unwrap()
 }
@@ -96,7 +95,6 @@ fn run_one(
     let resv = w.reserve_remote(super::n(1), ZONE_FRAMES, Some(super::n(2)));
     w.enable_sampling(super::sample_interval(scale));
     let ids = spawn_pair(&mut w, (resv.prefixed_base, resv.frames * 4096), accesses);
-    super::apply_parallel(&mut w);
     w.run();
 
     // Reconstruct the throughput timeline from the sampling probe's

@@ -57,7 +57,6 @@ fn phase_time(rmc: RmcConfig, threads: u64, total_lines: u64, compute: SimDurati
             )
         })
         .collect();
-    super::apply_parallel(&mut w);
     w.run();
     ids.iter()
         .map(|&i| w.thread_elapsed(i))

@@ -164,7 +164,6 @@ fn run_one(scale: Scale, crash: bool, record: bool) -> Vec<Row> {
     // (a healthy-but-slow lane would alternate empty fine-grained windows).
     w.enable_sampling(super::sample_interval(scale).max(SimDuration::us(10)));
     let installed = serving::install(&mut w, &tenants(scale));
-    super::apply_parallel(&mut w);
     w.run();
     if record {
         crate::report::record_slo(&format!("ext_serving/{cell}"), &w);

@@ -62,7 +62,6 @@ fn run_tenants(count: usize, accesses_per_thread: u64) -> (f64, f64, f64) {
         }
         ids.push(tenant_ids);
     }
-    super::apply_parallel(&mut w);
     w.run();
     let per_tenant: Vec<f64> = ids
         .iter()

@@ -72,7 +72,6 @@ fn run_config(
             )
         })
         .collect();
-    super::apply_parallel(&mut w);
     w.run();
     let t = ids
         .iter()

@@ -86,7 +86,6 @@ fn run_config(
             );
         }
     }
-    super::apply_parallel(&mut w);
     w.run();
     if stress_nodes == STRESS.len() {
         crate::report::record_snapshot(

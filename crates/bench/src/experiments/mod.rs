@@ -10,7 +10,6 @@ pub mod ext_db;
 pub mod ext_failover;
 pub mod ext_locality;
 pub mod ext_parallel;
-pub mod ext_parprof;
 pub mod ext_serving;
 pub mod ext_tenants;
 pub mod fig10;
@@ -20,7 +19,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 
-use cohfree_core::{ClusterConfig, NodeId, SimDuration, World};
+use cohfree_core::{ClusterConfig, NodeId, SimDuration};
 
 /// The standard experiment cluster (the 16-node prototype).
 pub fn cluster() -> ClusterConfig {
@@ -30,31 +29,6 @@ pub fn cluster() -> ClusterConfig {
 /// Shorthand node constructor.
 pub fn n(i: u16) -> NodeId {
     NodeId::new(i)
-}
-
-/// The `--parallel-world` knob: partition count for the conservative
-/// parallel engine inside each thread-driven experiment world, read from
-/// `COHFREE_PARALLEL_WORLD` (default 1 = the sequential engine). The
-/// parallel engine is output-invariant — any partition count produces
-/// byte-identical reports — so the knob only changes wall-clock time on
-/// multi-core hosts.
-///
-/// # Panics
-/// Panics with the typed [`cohfree_core::EnvKnobError`] message when the
-/// variable is set but not a positive integer — a silently ignored typo
-/// here would quietly benchmark the wrong engine.
-pub fn parallel_world() -> usize {
-    use cohfree_core::envknob;
-    envknob::lookup("COHFREE_PARALLEL_WORLD", envknob::parse_positive)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .map_or(1, |p: u64| p as usize)
-}
-
-/// Apply the `--parallel-world` knob to a world about to `run()`. Worlds
-/// that cannot parallelize (a coherent domain, a single node) degrade to
-/// sequential via [`World::set_parallel`]'s clamping.
-pub fn apply_parallel(w: &mut World) {
-    w.set_parallel(parallel_world());
 }
 
 /// Interval for the cluster-wide sampling probe, scaled so each tier keeps

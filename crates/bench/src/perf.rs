@@ -167,45 +167,32 @@ pub fn macro_suite() -> Vec<MacroResult> {
         events_per_sec,
     });
 
-    // Big-world engine rows: the same 256-node swap-heavy world run on the
-    // sequential engine and on the conservative parallel engine with 8
-    // partitions. The parallel engine is output-invariant, so these rows
-    // differ only in wall clock; `big_world_seq` guards the sequential
-    // default against regression and `big_world_par8` guards the parallel
-    // path (its baseline, like every row, is host-relative — on multi-core
-    // machines it lands well below `big_world_seq`).
-    for (name, parts) in [("macro/big_world_seq", 1), ("macro/big_world_par8", 8)] {
-        let (wall_ms, events_per_sec) = best_of(|| {
-            let mut w = big_world();
-            w.set_parallel(parts);
-            w.run();
-            w.events_processed()
-        });
-        out.push(MacroResult {
-            name: name.into(),
-            wall_ms,
-            events_per_sec,
-        });
-    }
+    // Big-world engine row: a 256-node swap-heavy world.
+    let (wall_ms, events_per_sec) = best_of(|| {
+        let mut w = big_world();
+        w.run();
+        w.events_processed()
+    });
+    out.push(MacroResult {
+        name: "macro/big_world_seq".into(),
+        wall_ms,
+        events_per_sec,
+    });
 
-    // Open-loop serving rows: the same 256-node multi-tenant serving world
-    // on the sequential and the 8-partition engine. Serving threads stress
-    // paths the closed-loop big world never touches — arrival-clamped
-    // wakes, zipf addressing, per-request latency histograms — so they get
-    // their own seq/par row pair in the baseline and the parallel gate.
-    for (name, parts) in [("macro/serving_seq", 1), ("macro/serving_par8", 8)] {
-        let (wall_ms, events_per_sec) = best_of(|| {
-            let mut w = serving_world();
-            w.set_parallel(parts);
-            w.run();
-            w.events_processed()
-        });
-        out.push(MacroResult {
-            name: name.into(),
-            wall_ms,
-            events_per_sec,
-        });
-    }
+    // Open-loop serving row: a 256-node multi-tenant serving world. Serving
+    // threads stress paths the closed-loop big world never touches —
+    // arrival-clamped wakes, zipf addressing, per-request latency
+    // histograms — so they get their own row.
+    let (wall_ms, events_per_sec) = best_of(|| {
+        let mut w = serving_world();
+        w.run();
+        w.events_processed()
+    });
+    out.push(MacroResult {
+        name: "macro/serving_seq".into(),
+        wall_ms,
+        events_per_sec,
+    });
 
     // Recovery-manager chaos cell: a crash-storm world with the manager
     // enabled, guarding the observation/decision loop and the proactive
@@ -231,18 +218,11 @@ pub fn macro_suite() -> Vec<MacroResult> {
     out
 }
 
-/// The ≥256-node world behind the `macro/big_world_*` rows: a 16×16 mesh
+/// The ≥256-node world behind the `macro/big_world_seq` row: a 16×16 mesh
 /// with 128 swap-heavy client threads spread across the machine, each
 /// hammering a zone borrowed from a distant donor. Every node is either a
-/// client or a donor, so traffic crosses partition boundaries constantly
-/// and the event density keeps each conservative window full.
+/// client or a donor.
 pub fn big_world() -> World {
-    big_world_with(625)
-}
-
-/// [`big_world`] with a custom per-thread access count, so EXT-PARPROF can
-/// shrink or grow the same workload shape by scale tier.
-pub fn big_world_with(accesses: u64) -> World {
     let mut cfg = cohfree_core::ClusterConfig::prototype();
     cfg.topology = cohfree_core::Topology::Mesh2D {
         width: 16,
@@ -257,7 +237,7 @@ pub fn big_world_with(accesses: u64) -> World {
             cohfree_core::world::ThreadSpec {
                 node: client,
                 zones: vec![(resv.prefixed_base, resv.frames * 4096)],
-                accesses,
+                accesses: 625,
                 bytes: 64,
                 write_fraction: 0.3,
                 think: SimDuration::ns(5),
@@ -269,12 +249,11 @@ pub fn big_world_with(accesses: u64) -> World {
     w
 }
 
-/// The 256-node world behind the `macro/serving_*` rows: sixteen open-loop
+/// The 256-node world behind the `macro/serving_seq` row: sixteen open-loop
 /// tenants (alternating zipf point-KV and sequential columnar-scan mixes)
 /// spread across a 16×16 mesh, each folding a quarter-million simulated
 /// users into a Poisson arrival stream over four serving lanes. Clients
-/// and donors sit in different mesh rows, so traffic crosses partition
-/// boundaries constantly, like the big world.
+/// and donors sit in different mesh rows.
 pub fn serving_world() -> World {
     use cohfree_workloads::serving::{ArrivalSpec, RequestMix, TenantSpec};
     let mut cfg = cohfree_core::ClusterConfig::prototype();
@@ -347,12 +326,8 @@ pub fn metrics_overhead() -> (f64, f64) {
     (off, on)
 }
 
-/// Render the suites as report tables (recorded via [`Table::print`]): the
-/// two gated `PERF — ` tables plus a derived table with cross-row ratios
-/// such as the parallel-engine speedup. The derived table's title
-/// deliberately does *not* start with `PERF — `, so the regression gate
-/// ([`metrics_from_document`]) never reads it — ratios are compared by the
-/// dedicated `--par-gate` check instead of the per-row tolerance bound.
+/// Render the suites as the two gated `PERF — ` report tables (recorded
+/// via [`Table::print`]).
 pub fn tables(micro: &[BenchResult], mac: &[MacroResult]) -> Vec<Table> {
     let mut tm = Table::new(
         "PERF — microbenchmarks (batched, median of samples)",
@@ -381,43 +356,7 @@ pub fn tables(micro: &[BenchResult], mac: &[MacroResult]) -> Vec<Table> {
             },
         ]);
     }
-    let mut td = Table::new(
-        "PERF derived — parallel engine (informational, not gated)",
-        &["name", "value", "note"],
-    );
-    if let Some(s) = par_speedup(mac) {
-        td.row(vec![
-            "speedup_par/seq".into(),
-            format!("{s:.2}x"),
-            "big_world_seq wall / big_world_par8 wall".into(),
-        ]);
-    }
-    if let Some(s) = serving_par_speedup(mac) {
-        td.row(vec![
-            "serving_speedup_par/seq".into(),
-            format!("{s:.2}x"),
-            "serving_seq wall / serving_par8 wall".into(),
-        ]);
-    }
-    vec![tm, tg, td]
-}
-
-/// Wall-clock ratio of a sequential row over its parallel twin (`> 1` =
-/// parallel wins). `None` if either row is missing.
-fn speedup(mac: &[MacroResult], seq_name: &str, par_name: &str) -> Option<f64> {
-    let wall = |n: &str| mac.iter().find(|r| r.name == n).map(|r| r.wall_ms);
-    Some(wall(seq_name)? / wall(par_name)?.max(1e-9))
-}
-
-/// Wall-clock speedup of the parallel big-world row over the sequential
-/// one (`> 1` = parallel wins). `None` if either row is missing.
-pub fn par_speedup(mac: &[MacroResult]) -> Option<f64> {
-    speedup(mac, "macro/big_world_seq", "macro/big_world_par8")
-}
-
-/// Wall-clock speedup of the parallel serving row over the sequential one.
-pub fn serving_par_speedup(mac: &[MacroResult]) -> Option<f64> {
-    speedup(mac, "macro/serving_seq", "macro/serving_par8")
+    vec![tm, tg]
 }
 
 /// `(name, headline-metric)` pairs for the regression gate: median ns for
@@ -575,44 +514,28 @@ mod tests {
                 events_per_sec: 1e6,
             },
             MacroResult {
-                name: "macro/big_world_par8".into(),
+                name: "macro/serving_seq".into(),
                 wall_ms: 21.0,
                 events_per_sec: 2e6,
             },
         ];
         let ts = tables(&micro, &mac);
-        assert_eq!(ts.len(), 3, "micro + macro + derived");
-        // The derived table carries the speedup ratio...
-        assert_eq!(ts[2].rows()[0][0], "speedup_par/seq");
-        assert_eq!(ts[2].rows()[0][1], "2.00x");
+        assert_eq!(ts.len(), 2, "micro + macro");
         let doc = Json::obj([("tables", Json::Arr(ts.iter().map(Table::to_json).collect()))]);
         let parsed = metrics_from_document(&doc).unwrap();
-        // ...but the regression gate only reads the two `PERF — ` tables:
-        // the ratio row must never be compared against the tolerance bound.
         assert_eq!(parsed.len(), 3);
         assert_eq!(parsed[0], ("micro/x".to_string(), 12.5));
         assert_eq!(parsed[1], ("macro/big_world_seq".to_string(), 42.0));
-        assert_eq!(parsed[2], ("macro/big_world_par8".to_string(), 21.0));
-        assert!(parsed.iter().all(|(n, _)| n != "speedup_par/seq"));
+        assert_eq!(parsed[2], ("macro/serving_seq".to_string(), 21.0));
+        // A non-`PERF — ` table is never read by the gate.
+        let mut other = Table::new("notes", &["name", "value"]);
+        other.row(vec!["macro/x".into(), "1.0".into()]);
+        let doc = Json::obj([(
+            "tables",
+            Json::Arr(ts.iter().chain([&other]).map(Table::to_json).collect()),
+        )]);
+        assert_eq!(metrics_from_document(&doc).unwrap(), parsed);
         // The gate compares like for like.
         assert!(compare(&parsed, &parsed, 1.0).is_empty());
-    }
-
-    #[test]
-    fn par_speedup_reads_the_big_world_rows() {
-        let mac = vec![
-            MacroResult {
-                name: "macro/big_world_seq".into(),
-                wall_ms: 30.0,
-                events_per_sec: 1e6,
-            },
-            MacroResult {
-                name: "macro/big_world_par8".into(),
-                wall_ms: 10.0,
-                events_per_sec: 3e6,
-            },
-        ];
-        assert_eq!(par_speedup(&mac), Some(3.0));
-        assert_eq!(par_speedup(&mac[..1]), None);
     }
 }

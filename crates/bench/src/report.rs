@@ -88,8 +88,7 @@ pub fn record_snapshot(name: &str, snap: ClusterSnapshot) {
 ///
 /// Everything here is computed from simulation state only — virtual time,
 /// deterministic histograms — never from the self-profiling registry, so
-/// the block is byte-identical across engines, partition counts and
-/// metrics tiers.
+/// the block is byte-identical across runs and metrics tiers.
 pub fn slo_json(world: &World) -> Json {
     let trace = world.trace();
     let mut phases = Vec::new();

@@ -1,7 +1,6 @@
 //! Request-conservation oracle for the open-loop serving generator under
 //! chaos-harness fault plans: every generated request ends exactly one of
-//! completed / shed / failed — for every tenant, under a crash storm, on
-//! both engines — and the engines agree byte for byte.
+//! completed / shed / failed — for every tenant, under a crash storm.
 
 use cohfree_bench::chaos::{self, Scenario};
 use cohfree_core::{
@@ -15,7 +14,7 @@ fn n(i: u16) -> NodeId {
 
 /// Two serving tenants (zipf point-KV on node 1, columnar scan on node 2)
 /// under a seeded crash-storm plan with the recovery manager live.
-fn build(seed: u64, parallel: usize) -> (World, Vec<Tenant>) {
+fn build(seed: u64) -> (World, Vec<Tenant>) {
     let mut cfg = ClusterConfig::prototype();
     cfg.faults = chaos::scenario_plan(&cfg, Scenario::CrashStorm, seed);
     cfg.manager = ManagerConfig::enabled();
@@ -66,15 +65,14 @@ fn build(seed: u64, parallel: usize) -> (World, Vec<Tenant>) {
             },
         ],
     );
-    w.set_parallel(parallel);
     w.run();
     (w, tenants)
 }
 
 #[test]
-fn serving_requests_conserved_under_crash_storm_seq_and_parallel() {
+fn serving_requests_conserved_under_crash_storm() {
     for seed in [0xDEAD_0001u64, 0xDEAD_0002, 0xDEAD_0003] {
-        let (w, tenants) = build(seed, 1);
+        let (w, tenants) = build(seed);
         let violations = chaos::check_oracles(&w);
         assert!(
             violations.is_empty(),
@@ -92,21 +90,5 @@ fn serving_requests_conserved_under_crash_storm_seq_and_parallel() {
             );
             assert_eq!(t.latency(&w).count(), t.completed(&w));
         }
-        let baseline = chaos::fingerprint(&w);
-
-        let (wp, par_tenants) = build(seed, 4);
-        let par_violations = chaos::check_oracles(&wp);
-        assert!(
-            par_violations.is_empty(),
-            "seed {seed:#x} (parallel): {par_violations:?}"
-        );
-        for t in &par_tenants {
-            assert!(t.conserved(&wp), "seed {seed:#x} parallel: {}", t.name);
-        }
-        assert_eq!(
-            chaos::fingerprint(&wp),
-            baseline,
-            "seed {seed:#x}: 4-partition serving run diverged from sequential"
-        );
     }
 }

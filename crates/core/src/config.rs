@@ -89,68 +89,6 @@ impl TraceConfig {
     }
 }
 
-/// How the parallel engine maps lanes onto shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParPlacement {
-    /// Align shard boundaries with fabric proximity (mesh/torus rows), so
-    /// cross-shard hop distances — and hence pairwise lookahead — are
-    /// maximised. Falls back to contiguous splitting on topologies with no
-    /// row structure. The default.
-    #[default]
-    Proximity,
-    /// Plain contiguous lane-id splitting (the original PR-6 behaviour).
-    Contiguous,
-}
-
-/// Tuning knobs of the conservative parallel engine. None of these change
-/// observable output — the engine is byte-identical to sequential at any
-/// setting — only how much work each coordinator round batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParTuning {
-    /// Number of lookahead windows each shard may execute between
-    /// coordinator synchronizations (the epoch length `k`). 1 reproduces
-    /// the old lock-step barrier-per-window behaviour.
-    pub epoch: u64,
-    /// Lane-to-shard placement policy.
-    pub placement: ParPlacement,
-}
-
-impl Default for ParTuning {
-    fn default() -> Self {
-        ParTuning {
-            epoch: 64,
-            placement: ParPlacement::default(),
-        }
-    }
-}
-
-impl ParTuning {
-    /// Read the tuning from `COHFREE_PAR_EPOCH` / `COHFREE_PAR_PLACEMENT`,
-    /// defaulting each unset knob.
-    ///
-    /// # Errors
-    /// Returns [`crate::envknob::EnvKnobError`] when a set variable does not
-    /// parse (non-positive epoch, unknown placement name).
-    pub fn from_env() -> Result<ParTuning, crate::envknob::EnvKnobError> {
-        use crate::envknob;
-        let mut t = ParTuning::default();
-        if let Some(k) = envknob::lookup("COHFREE_PAR_EPOCH", envknob::parse_positive)? {
-            t.epoch = k;
-        }
-        if let Some(ix) = envknob::lookup("COHFREE_PAR_PLACEMENT", |name, raw| {
-            envknob::parse_choice(
-                name,
-                raw,
-                &["proximity", "contiguous"],
-                "one of: proximity, contiguous",
-            )
-        })? {
-            t.placement = [ParPlacement::Proximity, ParPlacement::Contiguous][ix];
-        }
-        Ok(t)
-    }
-}
-
 /// Full description of a simulated cluster.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {

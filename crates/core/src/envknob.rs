@@ -1,14 +1,10 @@
 //! Typed parsing for `COHFREE_*` environment knobs.
 //!
-//! Every runtime tuning knob (`COHFREE_PAR_WORKERS`,
-//! `COHFREE_PARALLEL_WORLD`, `COHFREE_PAR_EPOCH`,
-//! `COHFREE_PAR_PLACEMENT`, `COHFREE_METRICS`) goes through this module so
-//! a garbage value
-//! produces one clear, typed [`EnvKnobError`] at startup instead of being
-//! silently ignored (the old `parse().unwrap_or(0)` behaviour) or panicking
-//! deep inside the worker pool. Parsing is split from environment lookup so
-//! both the accept and reject paths are unit-testable without mutating the
-//! process environment.
+//! Runtime knobs (`COHFREE_METRICS`, the `COHFREE_SERVING_*` overrides) go
+//! through this module so a garbage value produces one clear, typed
+//! [`EnvKnobError`] at startup instead of being silently ignored. Parsing is
+//! split from environment lookup so both the accept and reject paths are
+//! unit-testable without mutating the process environment.
 
 use std::fmt;
 
@@ -43,13 +39,6 @@ fn err(name: &str, value: &str, expected: &'static str) -> EnvKnobError {
     }
 }
 
-/// Parse a non-negative integer knob value (0 allowed).
-pub fn parse_usize(name: &str, raw: &str) -> Result<usize, EnvKnobError> {
-    raw.trim()
-        .parse()
-        .map_err(|_| err(name, raw, "a non-negative integer"))
-}
-
 /// Parse a strictly positive integer knob value.
 pub fn parse_positive(name: &str, raw: &str) -> Result<u64, EnvKnobError> {
     match raw.trim().parse() {
@@ -80,20 +69,6 @@ pub fn metrics_export_path() -> Option<String> {
     lookup("COHFREE_METRICS", parse_path).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Parse a choice knob: returns the index of `raw` in `choices`
-/// (ASCII-case-insensitive).
-pub fn parse_choice(
-    name: &str,
-    raw: &str,
-    choices: &'static [&'static str],
-    expected: &'static str,
-) -> Result<usize, EnvKnobError> {
-    choices
-        .iter()
-        .position(|c| c.eq_ignore_ascii_case(raw.trim()))
-        .ok_or_else(|| err(name, raw, expected))
-}
-
 /// Look `name` up in the environment and parse it with `parse`;
 /// `Ok(None)` when unset.
 pub fn lookup<T>(
@@ -112,33 +87,22 @@ mod tests {
 
     #[test]
     fn accepts_well_formed_values() {
-        assert_eq!(parse_usize("COHFREE_PAR_WORKERS", "0"), Ok(0));
-        assert_eq!(parse_usize("COHFREE_PAR_WORKERS", " 3 "), Ok(3));
-        assert_eq!(parse_positive("COHFREE_PARALLEL_WORLD", "8"), Ok(8));
+        assert_eq!(parse_positive("COHFREE_SERVING_USERS", "8"), Ok(8));
+        assert_eq!(parse_positive("COHFREE_SERVING_USERS", " 3 "), Ok(3));
         assert_eq!(
             parse_path("COHFREE_METRICS", "/tmp/metrics.prom"),
             Ok("/tmp/metrics.prom".to_string())
-        );
-        assert_eq!(parse_positive("COHFREE_PAR_EPOCH", "1"), Ok(1));
-        assert_eq!(
-            parse_choice(
-                "COHFREE_PAR_PLACEMENT",
-                "Proximity",
-                &["proximity", "contiguous"],
-                "proximity|contiguous"
-            ),
-            Ok(0)
         );
     }
 
     #[test]
     fn rejects_garbage_with_a_typed_error() {
-        let e = parse_usize("COHFREE_PAR_WORKERS", "three").unwrap_err();
-        assert_eq!(e.name, "COHFREE_PAR_WORKERS");
+        let e = parse_positive("COHFREE_SERVING_USERS", "three").unwrap_err();
+        assert_eq!(e.name, "COHFREE_SERVING_USERS");
         assert_eq!(e.value, "three");
         let msg = e.to_string();
         assert!(
-            msg.contains("COHFREE_PAR_WORKERS") && msg.contains("three"),
+            msg.contains("COHFREE_SERVING_USERS") && msg.contains("three"),
             "{msg}"
         );
 
@@ -147,17 +111,8 @@ mod tests {
         let e = parse_path("COHFREE_METRICS", "").unwrap_err();
         assert_eq!(e.name, "COHFREE_METRICS");
 
-        // Zero partitions is meaningless for the world knob: typed reject,
-        // not the old silent fall-back to sequential.
-        assert!(parse_positive("COHFREE_PARALLEL_WORLD", "0").is_err());
-        assert!(parse_positive("COHFREE_PARALLEL_WORLD", "-4").is_err());
-        assert!(parse_positive("COHFREE_PAR_EPOCH", "1e3").is_err());
-        assert!(parse_choice(
-            "COHFREE_PAR_PLACEMENT",
-            "nearby",
-            &["proximity", "contiguous"],
-            "proximity|contiguous"
-        )
-        .is_err());
+        assert!(parse_positive("COHFREE_SERVING_LANES", "0").is_err());
+        assert!(parse_positive("COHFREE_SERVING_LANES", "-4").is_err());
+        assert!(parse_positive("COHFREE_SERVING_SEED", "1e3").is_err());
     }
 }

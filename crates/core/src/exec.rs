@@ -1,22 +1,20 @@
-//! Engine-agnostic execution of *lane* events.
+//! Execution of *lane* events.
 //!
 //! The world's events fall into two classes:
 //!
 //! * **Lane events** (`Hop`, `MemDone`, `ThreadWake`, `Timeout`) touch the
 //!   state of exactly one node — the event's *lane* — plus cluster-shared
 //!   read-only state. They are handled here, against a [`LaneCtx`] that
-//!   borrows either the whole world (sequential engine) or one partition's
-//!   shard (parallel engine, `crate::par`).
-//! * **Global events** (`Sample`, `Fault`, `Suspect`) may touch anything.
-//!   They stay ordinary `&mut World` methods in `crate::world`; the parallel
-//!   engine merges its shards back into the world before running one.
+//!   borrows the world's fields.
+//! * **Global events** (`Sample`, `Fault`, `Suspect`, `Manager`) may touch
+//!   anything. They stay ordinary `&mut World` methods in `crate::world`.
 //!
 //! ## Content-determined event keys
 //!
-//! Byte-identical output across engines requires that both pop events in the
-//! same total `(time, key)` order, which in turn requires the *key* of an
-//! event to be a pure function of the computation — never of engine-specific
-//! scheduling order. [`make_key`] packs, from most to least significant:
+//! Events pop in `(time, key)` order, and the *key* of an event is a pure
+//! function of the computation — never of the order in which the queue
+//! happened to receive it. [`make_key`] packs, from most to least
+//! significant:
 //!
 //! ```text
 //! [ lane:16 | gen:8 | parent lane:16 | parent index:48 | child ordinal:16 ]
@@ -30,15 +28,15 @@
 //!   1`, so it sorts after the parent's siblings of the same generation.
 //! * `parent lane`/`parent index` — which event scheduled this one: the
 //!   parent's lane and its per-lane execution ordinal (or `0`/a global
-//!   sequence number for setup- and global-context scheduling, which both
-//!   engines perform identically).
+//!   sequence number for setup- and global-context scheduling).
 //! * `child ordinal` — position among the parent's same-call children.
 //!
-//! Both engines derive identical keys for identical events, so the parallel
-//! engine's windowed merge reproduces the sequential pop order exactly.
+//! This layout decides every same-instant tie-break, so changing it (or the
+//! per-lane ordinals in `World::exec_counts`, or [`suspect_delay`]) changes
+//! every report and the pinned golden fingerprints.
 
 use crate::config::ClusterConfig;
-use crate::world::{CohState, Ev, NodeCtx, Owner, PendingTx, Thread};
+use crate::world::{CohState, Ev, NodeCtx, Owner, PendingTx, Resolution, Thread};
 use cohfree_fabric::{
     step_row, FabricCounters, FabricRow, FabricShared, Message, MsgKind, NodeId, Step,
 };
@@ -47,9 +45,13 @@ use cohfree_sim::span::{Phase, TraceSink};
 use cohfree_sim::{EventQueue, FastMap, SimDuration, SimTime};
 
 /// Lane number of global (whole-world) events; sorts before every node lane.
+/// Part of the `(time, key)` tie-break order: changing it changes every
+/// report and the pinned golden fingerprints.
 pub(crate) const GLOBAL_LANE: u16 = 0;
 
-/// Pack a content-determined event ordering key (see the module docs).
+/// Pack a content-determined event ordering key (see the module docs). The
+/// layout decides every same-instant tie-break: changing it changes every
+/// report and the pinned golden fingerprints.
 #[inline]
 pub(crate) fn make_key(lane: u16, gen: u8, parent_lane: u16, parent_idx: u64, child: u16) -> u128 {
     debug_assert!(parent_idx < 1 << 48, "per-lane execution ordinal overflow");
@@ -93,9 +95,9 @@ pub(crate) const BACKOFF_CEILING: SimDuration = SimDuration::secs(1);
 /// event queue, and the absolute ceiling keeps timer instants finite (see
 /// [`BACKOFF_CEILING`]).
 ///
-/// The jitter is a pure function of `(cluster seed, tag, attempt)` —
-/// engine- and partition-independent, so the parallel engine reproduces it
-/// byte-identically. Tags encode the issuing node in their high bits, so
+/// The jitter is a pure function of `(cluster seed, tag, attempt)`, so
+/// retries replay exactly from the seed. Tags encode the issuing node in
+/// their high bits, so
 /// clients whose retries a shared outage synchronized spread back out
 /// instead of re-saturating the restored fabric in one wave.
 #[inline]
@@ -120,9 +122,11 @@ pub(crate) fn backoff_delay(cfg: &ClusterConfig, tag: u64, attempt: u32) -> SimD
 }
 
 /// Delay between a requester exhausting its retry budget and the suspect
-/// declaration taking effect cluster-wide ([`Ev::Suspect`]): one fabric
-/// lookahead window, so the declaration is a strictly-future global event
-/// under any partitioning (and a well-defined one on a zero-latency fabric).
+/// declaration taking effect cluster-wide ([`Ev::Suspect`]): one minimum hop
+/// latency (1 ns on a zero-latency fabric), so the declaration is a
+/// strictly-future global event. The deferral decides where the declaration
+/// lands among other events: changing it changes every fault-plan report
+/// and the pinned golden fingerprints.
 #[inline]
 pub(crate) fn suspect_delay(shared: &FabricShared) -> SimDuration {
     let w = shared.min_hop_latency();
@@ -134,257 +138,31 @@ pub(crate) fn suspect_delay(shared: &FabricShared) -> SimDuration {
 }
 
 // ---------------------------------------------------------------------------
-// Trace log-and-replay
-// ---------------------------------------------------------------------------
-
-/// One deferred [`TraceSink`] call (owned data only, so shards are `'static`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TraceOp {
-    Begin {
-        tx: u64,
-        node: u16,
-        t: SimTime,
-    },
-    Push {
-        tx: u64,
-        phase: Phase,
-        node: u16,
-        t0: SimTime,
-        t1: SimTime,
-        attr: Option<(&'static str, u64)>,
-    },
-    Finish {
-        tx: u64,
-        t: SimTime,
-        failed: bool,
-    },
-    FailFast {
-        node: u16,
-        t: SimTime,
-    },
-}
-
-impl TraceOp {
-    fn apply(self, sink: &mut TraceSink) {
-        match self {
-            TraceOp::Begin { tx, node, t } => sink.begin(tx, node, t),
-            TraceOp::Push {
-                tx,
-                phase,
-                node,
-                t0,
-                t1,
-                attr,
-            } => sink.push_attr(tx, phase, node, t0, t1, attr),
-            TraceOp::Finish { tx, t, failed } => sink.finish(tx, t, failed),
-            TraceOp::FailFast { node, t } => sink.fail_fast(node, t),
-        }
-    }
-}
-
-/// A deferred trace call stamped with its emitting event's `(time, key)` and
-/// intra-event ordinal, so a merged batch can be replayed against the real
-/// sink in exactly the order the sequential engine would have made the calls.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TraceRec {
-    pub(crate) at: SimTime,
-    pub(crate) key: u128,
-    pub(crate) opseq: u32,
-    pub(crate) op: TraceOp,
-}
-
-/// Per-shard buffer of deferred trace calls.
-#[derive(Debug, Default)]
-pub(crate) struct TraceLog {
-    pub(crate) enabled: bool,
-    pub(crate) buf: Vec<TraceRec>,
-    at: SimTime,
-    key: u128,
-    opseq: u32,
-}
-
-impl TraceLog {
-    pub(crate) fn new(enabled: bool) -> TraceLog {
-        TraceLog {
-            enabled,
-            ..TraceLog::default()
-        }
-    }
-
-    /// Start logging under a new executing event's `(time, key)`.
-    #[inline]
-    pub(crate) fn set_event(&mut self, at: SimTime, key: u128) {
-        self.at = at;
-        self.key = key;
-        self.opseq = 0;
-    }
-
-    #[inline]
-    fn log(&mut self, op: TraceOp) {
-        if self.enabled {
-            self.buf.push(TraceRec {
-                at: self.at,
-                key: self.key,
-                opseq: self.opseq,
-                op,
-            });
-            self.opseq += 1;
-        }
-    }
-}
-
-/// Sort a batch of deferred trace calls into global event order and apply
-/// them to the sink. Calls are replayed *between* windows and *before* any
-/// merged-world global event runs, so direct calls made by global handlers
-/// interleave correctly (every logged call strictly precedes them in event
-/// order).
-pub(crate) fn replay_trace(sink: &mut TraceSink, mut recs: Vec<TraceRec>) {
-    // Self-profiling (out-of-band): replay volume tells a parallel-engine
-    // PR how much deferred-trace work merges and flushes are moving.
-    if cohfree_sim::metrics::enabled() {
-        cohfree_sim::metrics::counter_add("cohfree_par_trace_replays_total", 1);
-        cohfree_sim::metrics::counter_add("cohfree_par_trace_records_total", recs.len() as u64);
-    }
-    recs.sort_unstable_by_key(|r| (r.at, r.key, r.opseq));
-    for r in recs {
-        r.op.apply(sink);
-    }
-}
-
-/// Where a lane context's trace calls go: straight into the world's sink
-/// (sequential — and, for global handlers, the merged world), or into a
-/// shard's deferred log (parallel workers).
-pub(crate) enum TraceCtx<'a> {
-    Direct(&'a mut TraceSink),
-    Log(&'a mut TraceLog),
-}
-
-impl TraceCtx<'_> {
-    /// Whether tracing is on at all. Lane code gates on this instead of the
-    /// sink's per-transaction `is_traced` (which a deferred log cannot
-    /// answer); the sink ignores calls for untraced ids in every mode, so
-    /// the two gates produce identical output.
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        match self {
-            TraceCtx::Direct(s) => s.enabled(),
-            TraceCtx::Log(l) => l.enabled,
-        }
-    }
-
-    #[inline]
-    fn begin(&mut self, tx: u64, node: u16, t: SimTime) {
-        match self {
-            TraceCtx::Direct(s) => s.begin(tx, node, t),
-            TraceCtx::Log(l) => l.log(TraceOp::Begin { tx, node, t }),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, tx: u64, phase: Phase, node: u16, t0: SimTime, t1: SimTime) {
-        self.push_attr(tx, phase, node, t0, t1, None);
-    }
-
-    #[inline]
-    fn push_attr(
-        &mut self,
-        tx: u64,
-        phase: Phase,
-        node: u16,
-        t0: SimTime,
-        t1: SimTime,
-        attr: Option<(&'static str, u64)>,
-    ) {
-        match self {
-            TraceCtx::Direct(s) => s.push_attr(tx, phase, node, t0, t1, attr),
-            TraceCtx::Log(l) => l.log(TraceOp::Push {
-                tx,
-                phase,
-                node,
-                t0,
-                t1,
-                attr,
-            }),
-        }
-    }
-
-    #[inline]
-    fn finish(&mut self, tx: u64, t: SimTime, failed: bool) {
-        match self {
-            TraceCtx::Direct(s) => s.finish(tx, t, failed),
-            TraceCtx::Log(l) => l.log(TraceOp::Finish { tx, t, failed }),
-        }
-    }
-
-    #[inline]
-    fn fail_fast(&mut self, node: u16, t: SimTime) {
-        match self {
-            TraceCtx::Direct(s) => s.fail_fast(node, t),
-            TraceCtx::Log(l) => l.log(TraceOp::FailFast { node, t }),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scheduling sink
-// ---------------------------------------------------------------------------
-
-/// Where a lane context's scheduled events go. Sequential: one queue holds
-/// everything. Parallel: events for this shard's own lanes go to its local
-/// queue; cross-partition (and global) events go to the outbox, which the
-/// coordinator routes at the window barrier.
-pub(crate) enum SchedSink<'a> {
-    Seq(&'a mut EventQueue<Ev>),
-    Par {
-        queue: &'a mut EventQueue<Ev>,
-        outbox: &'a mut Vec<(SimTime, u128, u16, Ev)>,
-        lo: u16,
-        hi: u16,
-        /// Lazy min-heap of loss-recovery timer instants armed on this
-        /// shard's own lanes. The coordinator's global-event bound (see
-        /// `par::run_parallel`) needs a lower bound on the earliest
-        /// `Timeout` a shard holds without scanning its queue, so every
-        /// locally-scheduled timer also pushes its instant here; entries go
-        /// stale when the timer fires or is superseded, and stale entries
-        /// are simply *early* — the bound stays conservative.
-        timeout_lb: &'a mut std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
-    },
-}
-
-// ---------------------------------------------------------------------------
 // Lane context
 // ---------------------------------------------------------------------------
 
-/// Mutable view of one contiguous lane range `[first, first + nodes.len())`
-/// plus the cluster-shared state a lane event may touch. The sequential
-/// engine builds one over the whole world per event; the parallel engine
-/// builds one over a shard.
+/// Mutable view of the world's per-node state plus the cluster-shared state
+/// a lane event may touch, built by `World::handle` for each lane event.
 pub(crate) struct LaneCtx<'a> {
     pub(crate) cfg: &'a ClusterConfig,
-    /// First node id covered by the per-lane slices below (1 = whole world).
-    pub(crate) first: u16,
+    /// Per-node state (index `node.index()`).
     pub(crate) nodes: &'a mut [NodeCtx],
-    /// Threads homed on this context's lanes (all threads, sequentially).
     pub(crate) threads: &'a mut [Thread],
-    /// Global thread id -> (shard, local slot); `None` = identity.
-    pub(crate) tmap: Option<&'a [(u16, u32)]>,
-    /// This context's shard index (0 sequentially).
-    pub(crate) shard: u16,
-    /// In-flight transactions whose source lane lies in this context.
+    /// In-flight transactions.
     pub(crate) pending: &'a mut FastMap<u64, PendingTx>,
-    /// Per-lane evacuation remap tables (index `lane - first`).
+    /// Per-node evacuation remap tables (index `node.index()`).
     pub(crate) evac_remaps: &'a mut [Vec<(u64, u64, u64)>],
-    /// Per-lane fabric router rows (index `lane - first`).
+    /// Fabric router rows (index `node.get()`; row 0 is a placeholder).
     pub(crate) rows: &'a mut [FabricRow],
     pub(crate) fab_shared: &'a FabricShared,
     pub(crate) fab_counters: &'a mut FabricCounters,
-    /// Cluster-wide crash flags (absolute index `node.index()`).
+    /// Cluster-wide crash flags (index `node.index()`).
     pub(crate) dead: &'a [bool],
-    /// Coherent-DSM baseline state; `None` in parallel contexts (a coherent
-    /// domain forces the sequential engine).
-    pub(crate) coh: Option<(&'a mut FastMap<u64, CohState>, &'a [NodeId])>,
-    pub(crate) trace: TraceCtx<'a>,
-    pub(crate) sink: SchedSink<'a>,
+    /// Coherent-DSM baseline: per-transaction home state and the domain.
+    pub(crate) coh: &'a mut FastMap<u64, CohState>,
+    pub(crate) coh_domain: &'a [NodeId],
+    pub(crate) trace: &'a mut TraceSink,
+    pub(crate) queue: &'a mut EventQueue<Ev>,
     /// Blocking-driver completion slot (`Owner::Sync`); failure declaration
     /// is global-only, so there is no failure slot here.
     pub(crate) sync_done: &'a mut Option<(u64, SimTime)>,
@@ -402,25 +180,7 @@ pub(crate) struct LaneCtx<'a> {
 impl LaneCtx<'_> {
     #[inline]
     fn node_mut(&mut self, id: NodeId) -> &mut NodeCtx {
-        &mut self.nodes[(id.get() - self.first) as usize]
-    }
-
-    #[inline]
-    fn thread_mut(&mut self, id: usize) -> &mut Thread {
-        let slot = match self.tmap {
-            None => id,
-            Some(m) => {
-                let (shard, slot) = m[id];
-                debug_assert_eq!(shard, self.shard, "thread {id} handled off-shard");
-                slot as usize
-            }
-        };
-        &mut self.threads[slot]
-    }
-
-    #[inline]
-    fn evac_remap(&self, node: NodeId) -> &[(u64, u64, u64)] {
-        &self.evac_remaps[(node.get() - self.first) as usize]
+        &mut self.nodes[id.index()]
     }
 
     /// Schedule `ev` on `lane` at `at` under its content-determined key.
@@ -439,25 +199,7 @@ impl LaneCtx<'_> {
             at > self.now || key > self.cur_key,
             "same-instant event scheduled into the past of the canonical order"
         );
-        match &mut self.sink {
-            SchedSink::Seq(q) => q.schedule_keyed(at, key, ev),
-            SchedSink::Par {
-                queue,
-                outbox,
-                lo,
-                hi,
-                timeout_lb,
-            } => {
-                if lane >= *lo && lane <= *hi {
-                    if matches!(ev, Ev::Timeout { .. }) {
-                        timeout_lb.push(std::cmp::Reverse(at));
-                    }
-                    queue.schedule_keyed(at, key, ev);
-                } else {
-                    outbox.push((at, key, lane, ev));
-                }
-            }
-        }
+        self.queue.schedule_keyed(at, key, ev);
     }
 }
 
@@ -474,9 +216,6 @@ pub(crate) fn exec_event(ctx: &mut LaneCtx<'_>, now: SimTime, key: u128, idx: u6
     ctx.cur_key = key;
     ctx.cur_idx = idx;
     ctx.child = 0;
-    if let TraceCtx::Log(l) = &mut ctx.trace {
-        l.set_event(now, key);
-    }
     match ev {
         // A message at a crashed router vanishes with the router.
         Ev::Hop { at, .. } if ctx.dead[at.index()] => {}
@@ -496,7 +235,7 @@ fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
     let (step, queued) = step_row(
         ctx.fab_shared,
         ctx.fab_counters,
-        &mut ctx.rows[(at.get() - ctx.first) as usize],
+        &mut ctx.rows[at.get() as usize],
         now,
         at,
         &msg,
@@ -525,8 +264,8 @@ fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
             }
             MsgKind::ProbeResp => {
                 let done = ctx.node_mut(msg.dst).server.on_probe_response(t);
-                let (coh, _) = ctx.coh.as_mut().expect("probe outside a coherent domain");
-                let st = coh
+                let st = ctx
+                    .coh
                     .get_mut(&msg.tag)
                     .expect("probe response for unknown coherent transaction");
                 st.awaiting_probes -= 1;
@@ -541,13 +280,13 @@ fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
                     .access(issue.issue_at, issue.local_addr, issue.bytes);
                 ctx.sched(done, home.get(), Ev::MemDone { msg, arrived: t });
                 // Broadcast snoops to every other domain member.
-                let (coh, domain) = ctx.coh.as_mut().expect("coherent read outside a domain");
-                let members: Vec<NodeId> = domain
+                let members: Vec<NodeId> = ctx
+                    .coh_domain
                     .iter()
                     .copied()
                     .filter(|&m| m != home && m != msg.src)
                     .collect();
-                coh.insert(
+                ctx.coh.insert(
                     msg.tag,
                     CohState {
                         awaiting_probes: members.len(),
@@ -610,8 +349,8 @@ fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
 
 fn mem_done(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, arrived: SimTime) {
     if matches!(msg.kind, MsgKind::CohReadReq { .. }) {
-        let (coh, _) = ctx.coh.as_mut().expect("coherent memory completion");
-        let st = coh
+        let st = ctx
+            .coh
             .get_mut(&msg.tag)
             .expect("memory completion for unknown coherent transaction");
         st.mem_done = Some(now);
@@ -640,14 +379,11 @@ fn mem_done(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, arrived: SimTime)
 /// Release a coherent response once both the DRAM read and every snoop
 /// response are in.
 fn try_finish_coherent(ctx: &mut LaneCtx<'_>, tag: u64, now: SimTime) {
-    let st = {
-        let (coh, _) = ctx.coh.as_mut().expect("coherent state map");
-        let st = coh.get(&tag).expect("coherent state exists");
-        if st.awaiting_probes != 0 || st.mem_done.is_none() {
-            return;
-        }
-        coh.remove(&tag).expect("checked above")
-    };
+    let st = ctx.coh.get(&tag).expect("coherent state exists");
+    if st.awaiting_probes != 0 || st.mem_done.is_none() {
+        return;
+    }
+    let st = ctx.coh.remove(&tag).expect("checked above");
     let (resp, inject_at) = ctx
         .node_mut(st.req.dst)
         .server
@@ -665,29 +401,7 @@ fn try_finish_coherent(ctx: &mut LaneCtx<'_>, tag: u64, now: SimTime) {
 fn complete(ctx: &mut LaneCtx<'_>, comp: Completion) {
     ctx.trace.finish(comp.tag, comp.done_at, false);
     match ctx.pending.remove(&comp.tag).map(|p| p.owner) {
-        Some(Owner::Thread(id)) => {
-            let (wake, node, finished) = {
-                let th = ctx.thread_mut(id);
-                th.completed += 1;
-                // Serving threads record the end-to-end latency a user
-                // sees: arrival (or first offer) to completion.
-                if let Some(since) = th.inflight_since.take() {
-                    if let Some(h) = th.latency.as_deref_mut() {
-                        h.record(comp.done_at.since(since));
-                    }
-                }
-                (
-                    th.next_issue_at(comp.done_at),
-                    th.spec.node,
-                    th.resolved() == th.spec.accesses,
-                )
-            };
-            if finished {
-                ctx.thread_mut(id).finished = Some(comp.done_at);
-            } else {
-                ctx.sched(wake, node.get(), Ev::ThreadWake { id });
-            }
-        }
+        Some(Owner::Thread(id)) => resolve(ctx, comp.done_at, id, Resolution::Completed),
         Some(Owner::Sync) => {
             *ctx.sync_done = Some((comp.tag, comp.done_at));
         }
@@ -746,43 +460,12 @@ fn on_timeout(ctx: &mut LaneCtx<'_>, now: SimTime, tag: u64, attempt: u32) {
     arm_timeout(ctx, inject_at, tag, new_attempt);
 }
 
-/// Record one failed access for thread `id` and either finish it or
-/// schedule its next step.
-fn thread_access_failed(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
-    let (wake, node, finished) = {
-        let th = ctx.thread_mut(id);
-        th.failed += 1;
-        th.inflight_since = None;
-        (
-            th.next_issue_at(now),
-            th.spec.node,
-            th.resolved() == th.spec.accesses,
-        )
-    };
-    if finished {
-        ctx.thread_mut(id).finished = Some(now);
-    } else {
-        ctx.sched(wake, node.get(), Ev::ThreadWake { id });
-    }
-}
-
-/// Record one shed (admission-dropped) open-loop request for thread `id`
-/// and either finish it or schedule its next arrival — the serving twin of
-/// [`thread_access_failed`], with its own terminal counter so the
-/// conservation oracle reads `completed + failed + shed == accesses`.
-fn thread_shed(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
-    let (wake, node, finished) = {
-        let th = ctx.thread_mut(id);
-        th.shed += 1;
-        (
-            th.next_issue_at(now),
-            th.spec.node,
-            th.resolved() == th.spec.accesses,
-        )
-    };
-    if finished {
-        ctx.thread_mut(id).finished = Some(now);
-    } else {
+/// Record one terminal outcome of thread `id` at `now` and schedule its
+/// next wake, unless that was its last access.
+fn resolve(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize, how: Resolution) {
+    let th = &mut ctx.threads[id];
+    let node = th.spec.node;
+    if let Some(wake) = th.resolve(now, how) {
         ctx.sched(wake, node.get(), Ev::ThreadWake { id });
     }
 }
@@ -791,7 +474,7 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     // A wake-up for a thread that died (its node crashed) or already
     // finished (e.g. its last access failed) is stale.
     let node = {
-        let th = ctx.thread_mut(id);
+        let th = &mut ctx.threads[id];
         if th.finished.is_some() {
             return;
         }
@@ -802,7 +485,7 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     }
     // Take the pending (NACKed or evacuated) access or generate a fresh one.
     let (dst, kind, addr) = {
-        let th = ctx.thread_mut(id);
+        let th = &mut ctx.threads[id];
         if let Some(p) = th.pending.take() {
             p
         } else {
@@ -877,11 +560,10 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     // The instant the access was *first* offered to the RMC — NACK wake-ups
     // re-offer the same access, and the serialization stall is measured from
     // the very first attempt.
-    let first_offer = ctx.thread_mut(id).pending_since.take().unwrap_or(now);
+    let first_offer = ctx.threads[id].pending_since.take().unwrap_or(now);
     // Accesses into an evacuated zone follow it to its new home
     // (pre-evacuation NACKed pendings, pre-rewrite generated addresses).
-    let (dst, addr) = match ctx
-        .evac_remap(node)
+    let (dst, addr) = match ctx.evac_remaps[node.index()]
         .iter()
         .copied()
         .find(|&(old, _, frames)| addr >= old && addr < old + frames * 4096)
@@ -897,7 +579,7 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     // fails instead of burning a retry budget each time.
     if ctx.node_mut(node).client.is_suspect(dst) {
         ctx.trace.fail_fast(node.get(), now);
-        thread_access_failed(ctx, now, id);
+        resolve(ctx, now, id, Resolution::Failed);
         return;
     }
     // Admission control: the recovery manager has load-shed this target.
@@ -906,21 +588,20 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     // the transaction's eventual Stall phase, and re-admission is
     // guaranteed because backlogs are time-to-drain values that decay.
     // Lane code only *reads* the shed set here — it is mutated solely by
-    // global manager events, the same partition-safety contract as the
-    // suspect set.
+    // global manager events.
     if ctx.node_mut(node).client.is_shed(dst) {
         // Open-loop serving threads drop the request instead of deferring:
         // an arrival-driven client cannot hold back load, so shedding is a
         // terminal outcome (counted, never retried). Closed-loop threads
         // keep the defer-and-retry discipline.
-        if !ctx.thread_mut(id).arrivals.is_empty() {
+        if !ctx.threads[id].arrivals.is_empty() {
             ctx.trace.fail_fast(node.get(), now);
-            thread_shed(ctx, now, id);
+            resolve(ctx, now, id, Resolution::Shed);
             return;
         }
         let wake = now + ctx.cfg.manager.tick.max(SimDuration::ns(1));
         {
-            let th = ctx.thread_mut(id);
+            let th = &mut ctx.threads[id];
             th.pending = Some((dst, kind, addr));
             th.pending_since = Some(first_offer);
         }
@@ -931,7 +612,7 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
     match ctx.node_mut(node).client.submit(now, dst, kind, addr) {
         Submit::Accepted { msg, inject_at } => {
             {
-                let th = ctx.thread_mut(id);
+                let th = &mut ctx.threads[id];
                 if th.latency.is_some() {
                     // End-to-end serving latency runs from the request's
                     // first offer (its arrival, for open-loop threads).
@@ -946,12 +627,19 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
                     attempt: 0,
                 },
             );
-            trace_submitted(ctx, first_offer, now, &msg, inject_at);
+            trace_submitted(
+                ctx.trace,
+                ctx.cfg.rmc.proc_time,
+                first_offer,
+                now,
+                &msg,
+                inject_at,
+            );
             ctx.sched(inject_at, node.get(), Ev::Hop { msg, at: node });
             arm_timeout(ctx, inject_at, msg.tag, 0);
         }
         Submit::Nacked { retry_at } => {
-            let th = ctx.thread_mut(id);
+            let th = &mut ctx.threads[id];
             th.pending = Some((dst, kind, addr));
             th.pending_since = Some(first_offer);
             th.nack_retries += 1;
@@ -962,26 +650,26 @@ fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
 
 /// Open a trace for an accepted submission and attribute its stall,
 /// client-queue and issue phases. `first_offer` is when the core first
-/// wanted the access out (may precede `accepted_at` by NACK rounds).
+/// wanted the access out (may precede `accepted_at` by NACK rounds);
+/// `proc_time` is the client RMC's per-request processing time.
 pub(crate) fn trace_submitted(
-    ctx: &mut LaneCtx<'_>,
+    trace: &mut TraceSink,
+    proc_time: SimDuration,
     first_offer: SimTime,
     accepted_at: SimTime,
     msg: &Message,
     inject_at: SimTime,
 ) {
-    if !ctx.trace.enabled() {
+    if !trace.enabled() {
         return;
     }
     let node = msg.src.get();
     let tag = msg.tag;
-    ctx.trace.begin(tag, node, first_offer);
-    ctx.trace
-        .push(tag, Phase::Stall, node, first_offer, accepted_at);
-    let svc_start = inject_at - ctx.cfg.rmc.proc_time;
-    ctx.trace
-        .push(tag, Phase::ClientQueue, node, accepted_at, svc_start);
-    ctx.trace.push(
+    trace.begin(tag, node, first_offer);
+    trace.push(tag, Phase::Stall, node, first_offer, accepted_at);
+    let svc_start = inject_at - proc_time;
+    trace.push(tag, Phase::ClientQueue, node, accepted_at, svc_start);
+    trace.push(
         tag,
         Phase::Issue,
         node,

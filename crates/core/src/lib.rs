@@ -50,12 +50,11 @@ pub mod config;
 pub mod envknob;
 mod exec;
 pub mod fault;
-mod par;
 pub mod trace;
 pub mod world;
 
 pub use backend::{AllocPolicy, LocalMachine, MemSpace, RemoteMemorySpace, SwapSpace};
-pub use config::{ClusterConfig, OsTiming, ParPlacement, ParTuning, TraceConfig};
+pub use config::{ClusterConfig, OsTiming, TraceConfig};
 pub use envknob::EnvKnobError;
 pub use fault::{EvacuationPolicy, FaultEvent, FaultPlan, RecoveryConfig, MAX_FAULT_EVENTS};
 pub use world::{

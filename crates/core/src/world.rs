@@ -30,7 +30,7 @@ use crate::config::ClusterConfig;
 use crate::envknob;
 use crate::exec;
 use crate::fault::{EvacuationPolicy, FaultEvent};
-use cohfree_fabric::{Fabric, FabricRow, Message, MsgKind, NodeId};
+use cohfree_fabric::{Fabric, Message, MsgKind, NodeId};
 use cohfree_mem::NodeMemory;
 use cohfree_os::directory::Directory;
 use cohfree_os::frames::FrameAllocator;
@@ -79,8 +79,7 @@ pub(crate) enum Ev {
     /// `observer`'s client RMC exhausted its retry budget against `dead`
     /// and declares it failed. Declaration touches cluster-wide state
     /// (directory, evacuation, doomed-transaction sweep), so it runs as a
-    /// global event one fabric lookahead window after the exhaustion —
-    /// keeping it mergeable under any partitioning.
+    /// global event one minimum hop latency after the exhaustion.
     Suspect {
         /// The node giving up.
         observer: NodeId,
@@ -90,8 +89,7 @@ pub(crate) enum Ev {
     /// Recovery-manager control-loop tick ([`crate::ManagerConfig`]):
     /// observe the cluster, decide, act. Touches cluster-wide state
     /// (directory, regions, per-client shed sets), so it runs as a global
-    /// event on the fully merged world — partition-safe by construction.
-    /// Re-arms only while threads are unfinished or transactions are in
+    /// event. Re-arms only while threads are unfinished or transactions are in
     /// flight, so a draining run still terminates.
     Manager,
 }
@@ -123,14 +121,11 @@ struct Sampler {
     samples: Vec<Sample>,
 }
 
-/// Assemble one [`Sample`] from lane-ordered node borrows. Shared between
-/// the sequential sampler and the parallel engine's merged *view* (which
-/// holds the nodes split across shards), so both record byte-identical
-/// observations. `nodes[i]` is node `i + 1`; `events_queued` is the
-/// engine-queue depth excluding the probe itself.
-pub(crate) fn build_sample(
+/// Assemble one [`Sample`]. `nodes[i]` is node `i + 1`; `events_queued` is
+/// the engine-queue depth excluding the probe itself.
+fn build_sample(
     at: SimTime,
-    nodes: &[&NodeCtx],
+    nodes: &[NodeCtx],
     max_link_backlog_ns: f64,
     events_queued: usize,
 ) -> Sample {
@@ -350,11 +345,21 @@ pub(crate) struct Thread {
     /// completion can record the end-to-end latency a user would see.
     pub(crate) inflight_since: Option<SimTime>,
     /// Per-request end-to-end latency (arrival to completion), recorded for
-    /// serving threads only; deterministic, so engine-invariant.
+    /// serving threads only.
     pub(crate) latency: Option<Box<LatencyHistogram>>,
     pub(crate) started: SimTime,
     pub(crate) finished: Option<SimTime>,
     pub(crate) nack_retries: u64,
+}
+
+/// How one access of a traffic thread ended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Resolution {
+    Completed,
+    /// Its home node was declared failed (or no evacuation took it in).
+    Failed,
+    /// Admission control dropped an open-loop request.
+    Shed,
 }
 
 impl Thread {
@@ -362,6 +367,31 @@ impl Thread {
     /// reaches its access budget.
     pub(crate) fn resolved(&self) -> u64 {
         self.completed + self.failed + self.shed
+    }
+
+    /// Record one terminal outcome at `now`: bump its counter, close the
+    /// in-flight request (a completion records the end-to-end latency a
+    /// user sees, for serving threads), then either finish the thread or
+    /// return the instant of its next wake. `None` means finished; the
+    /// caller schedules the wake through its own context.
+    pub(crate) fn resolve(&mut self, now: SimTime, how: Resolution) -> Option<SimTime> {
+        let since = self.inflight_since.take();
+        match how {
+            Resolution::Completed => {
+                self.completed += 1;
+                if let (Some(since), Some(h)) = (since, self.latency.as_deref_mut()) {
+                    h.record(now.since(since));
+                }
+            }
+            Resolution::Failed => self.failed += 1,
+            Resolution::Shed => self.shed += 1,
+        }
+        if self.resolved() == self.spec.accesses {
+            self.finished = Some(now);
+            None
+        } else {
+            Some(self.next_issue_at(now))
+        }
     }
 
     /// Earliest instant the thread may offer its next fresh access after
@@ -436,14 +466,13 @@ pub struct World {
     pub(crate) evac_remaps: Vec<Vec<(u64, u64, u64)>>,
     /// Per-transaction span tracer (mode per [`crate::TraceConfig`]).
     pub(crate) trace: TraceSink,
-    /// Sequence number for global-context scheduling keys ([`World::gsched`]):
-    /// both engines perform these calls in the same order, so the keys agree.
-    pub(crate) gseq: u64,
+    /// Sequence number for global-context scheduling keys ([`World::gsched`]).
+    gseq: u64,
     /// Lane events executed so far per lane (index `i` is node `i + 1`); an
-    /// event's per-lane ordinal feeds its children's ordering keys.
-    pub(crate) exec_counts: Vec<u64>,
-    /// Worker-partition count for [`World::run`] (1 = sequential engine).
-    pub(crate) parallel: usize,
+    /// event's per-lane ordinal feeds its children's ordering keys, so these
+    /// counts decide same-instant tie-breaks: changing how they advance
+    /// changes every report and the pinned golden fingerprints.
+    exec_counts: Vec<u64>,
 }
 
 impl World {
@@ -468,7 +497,7 @@ impl World {
         // `COHFREE_METRICS=<path>` asks for a Prometheus export at exit;
         // flip the engine self-profiling registry on once per process so
         // every engine run records. The registry is out-of-band: enabling
-        // it never changes simulation output (the differential suite
+        // it never changes simulation output (the golden-fingerprint suite
         // pins that), so this cannot perturb a world mid-experiment.
         static METRICS_FROM_ENV: std::sync::Once = std::sync::Once::new();
         METRICS_FROM_ENV.call_once(|| {
@@ -542,7 +571,6 @@ impl World {
             queue: EventQueue::new(),
             gseq: 0,
             exec_counts: vec![0; n as usize],
-            parallel: 1,
             cfg,
         };
         let faults: Vec<FaultEvent> = world.cfg.faults.events().collect();
@@ -586,15 +614,12 @@ impl World {
         if self.sampler.is_none() {
             return;
         }
-        let sample = {
-            let refs: Vec<&NodeCtx> = self.nodes.iter().collect();
-            build_sample(
-                now,
-                &refs,
-                self.fabric.max_link_backlog(now).as_ns_f64(),
-                self.queue.len(),
-            )
-        };
+        let sample = build_sample(
+            now,
+            &self.nodes,
+            self.fabric.max_link_backlog(now).as_ns_f64(),
+            self.queue.len(),
+        );
         let sampler = self.sampler.as_mut().expect("checked above");
         let interval = sampler.interval;
         sampler.samples.push(sample);
@@ -604,26 +629,6 @@ impl World {
         if !self.queue.is_empty() {
             self.gsched(now + interval, Ev::Sample);
         }
-    }
-
-    /// The sampling interval, when [`World::enable_sampling`] armed the
-    /// probe (parallel-engine view path).
-    pub(crate) fn sampler_interval(&self) -> Option<SimDuration> {
-        self.sampler.as_ref().map(|s| s.interval)
-    }
-
-    /// Record one externally-assembled sample (parallel-engine view path).
-    pub(crate) fn push_sample(&mut self, sample: Sample) {
-        self.sampler
-            .as_mut()
-            .expect("sampling enabled")
-            .samples
-            .push(sample);
-    }
-
-    /// Whether the online recovery manager is configured.
-    pub(crate) fn has_manager(&self) -> bool {
-        self.manager.is_some()
     }
 
     /// Configure the coherent-DSM baseline: every `CohReadReq` transaction
@@ -646,37 +651,7 @@ impl World {
             return Err(WorldConfigError::FaultyCoherentDomain);
         }
         self.coherent_domain = domain;
-        // The snoop choreography mutates cross-node protocol state at one
-        // instant; it only runs on the sequential engine.
-        self.parallel = 1;
         Ok(())
-    }
-
-    /// Set the worker-partition count for [`World::run`]. `1` (the default)
-    /// runs the sequential engine; `n > 1` partitions the nodes into `n`
-    /// contiguous lane ranges driven by worker threads in conservative time
-    /// windows bounded by the fabric's minimum hop latency — producing
-    /// byte-identical results to the sequential engine.
-    ///
-    /// The count is clamped to the node count, and forced back to `1` when
-    /// a coherent domain is configured (its snoop choreography is cross-node
-    /// within one instant) or the fabric's minimum hop latency is zero (no
-    /// conservative lookahead window exists).
-    pub fn set_parallel(&mut self, workers: usize) {
-        let n = self.cfg.topology.num_nodes() as usize;
-        let clamped = workers.clamp(1, n);
-        self.parallel = if !self.coherent_domain.is_empty()
-            || self.fabric.shared_ref().min_hop_latency().is_zero()
-        {
-            1
-        } else {
-            clamped
-        };
-    }
-
-    /// The worker-partition count [`World::run`] will use.
-    pub fn parallel(&self) -> usize {
-        self.parallel
     }
 
     /// The configuration in force.
@@ -804,23 +779,11 @@ impl World {
 
     /// Global-context scheduling: every schedule performed *outside* a lane
     /// event's execution (setup, the blocking/posted drivers, global
-    /// handlers) goes through here. Both engines make these calls in the
-    /// same order, so the resulting keys — and therefore the total event
-    /// order — agree across engines.
-    pub(crate) fn gsched(&mut self, at: SimTime, ev: Ev) {
-        let key = self.next_gkey(&ev);
-        self.queue.schedule_keyed(at, key, ev);
-    }
-
-    /// Allocate the next global-context ordering key for `ev` without
-    /// scheduling it — the parallel engine's view path re-arms probes into
-    /// its own holding queue but must burn the same `gseq` values in the
-    /// same order as the sequential engine.
-    pub(crate) fn next_gkey(&mut self, ev: &Ev) -> u128 {
-        let lane = self.lane_of(ev);
-        let key = exec::make_key(lane, 0, 0, self.gseq, 0);
+    /// handlers) goes through here, keyed by a global sequence number.
+    fn gsched(&mut self, at: SimTime, ev: Ev) {
+        let key = exec::make_key(self.lane_of(&ev), 0, 0, self.gseq, 0);
         self.gseq += 1;
-        key
+        self.queue.schedule_keyed(at, key, ev);
     }
 
     /// The node lane that processes `ev` (0 = global).
@@ -835,10 +798,8 @@ impl World {
     }
 
     /// Dispatch one popped event. Global events run directly against the
-    /// whole world; lane events run through the shared lane executor over a
-    /// full-range context (the parallel engine drives the same executor
-    /// over per-shard contexts).
-    pub(crate) fn handle(&mut self, now: SimTime, key: u128, ev: Ev) {
+    /// whole world; lane events run through the lane executor.
+    fn handle(&mut self, now: SimTime, key: u128, ev: Ev) {
         match ev {
             Ev::Sample => self.take_sample(now),
             Ev::Fault(fault) => self.apply_fault(now, fault),
@@ -851,20 +812,18 @@ impl World {
                 let (shared, counters, rows) = self.fabric.decompose();
                 let mut ctx = exec::LaneCtx {
                     cfg: &self.cfg,
-                    first: 1,
                     nodes: &mut self.nodes,
                     threads: &mut self.threads,
-                    tmap: None,
-                    shard: 0,
                     pending: &mut self.pending,
                     evac_remaps: &mut self.evac_remaps,
-                    rows: &mut rows[1..],
+                    rows,
                     fab_shared: shared,
                     fab_counters: counters,
                     dead: &self.dead,
-                    coh: Some((&mut self.coh, &self.coherent_domain)),
-                    trace: exec::TraceCtx::Direct(&mut self.trace),
-                    sink: exec::SchedSink::Seq(&mut self.queue),
+                    coh: &mut self.coh,
+                    coh_domain: &self.coherent_domain,
+                    trace: &mut self.trace,
+                    queue: &mut self.queue,
                     sync_done: &mut self.sync_done,
                     now,
                     cur_lane: 0,
@@ -924,7 +883,7 @@ impl World {
             self.evacuate(now, observer, dead);
         }
         // Sweep in tag order: the map's iteration order depends on insertion
-        // history, which differs across engines after a shard merge.
+        // history and must not leak into output.
         let mut doomed: Vec<(u64, PendingTx)> = self
             .pending
             .iter()
@@ -1046,27 +1005,11 @@ impl World {
     /// liveness, reachability, suspicion, queue pressure, spare capacity and
     /// whether anyone's zones are homed on the node.
     fn observe(&self, now: SimTime) -> Vec<NodeObservation> {
-        let nodes: Vec<&NodeCtx> = self.nodes.iter().collect();
-        let rows = self.fabric.row_refs();
-        self.observe_parts(now, &nodes, &rows)
-    }
-
-    /// [`World::observe`] over lane-ordered borrows of the per-node state —
-    /// the parallel engine's merged *view* passes shard borrows here so a
-    /// manager tick can decide without tearing the shards down. `nodes[i]` /
-    /// `rows[i]` belong to node `i + 1`; directory, liveness and suspicion
-    /// state stay on the world across a split, so they are read from `self`.
-    pub(crate) fn observe_parts(
-        &self,
-        now: SimTime,
-        nodes: &[&NodeCtx],
-        rows: &[&FabricRow],
-    ) -> Vec<NodeObservation> {
         let isolated = self.fabric.isolated_nodes();
         (1..=self.cfg.topology.num_nodes())
             .map(|i| {
                 let id = NodeId::new(i);
-                let hosts_zones = nodes.iter().enumerate().any(|(j, nc)| {
+                let hosts_zones = self.nodes.iter().enumerate().any(|(j, nc)| {
                     j != id.index() && nc.region.segments().iter().any(|s| s.home == id)
                 });
                 NodeObservation {
@@ -1074,8 +1017,8 @@ impl World {
                     dead: self.dead[id.index()],
                     isolated: isolated[i as usize],
                     suspected: self.suspected[id.index()],
-                    server_backlog: nodes[id.index()].server.engine_backlog(now),
-                    link_backlog: rows[id.index()].max_backlog(now),
+                    server_backlog: self.nodes[id.index()].server.engine_backlog(now),
+                    link_backlog: self.fabric.node_link_backlog(now, id),
                     free_frames: self.directory.free_frames(id),
                     hosts_zones,
                 }
@@ -1090,37 +1033,12 @@ impl World {
     /// would keep the sampler and the manager alive through each other
     /// forever.
     fn manager_tick(&mut self, now: SimTime) {
-        if self.manager.is_none() {
+        let Some(mut mgr) = self.manager.take() else {
             return;
-        }
-        let tick = self.cfg.manager.tick;
+        };
         let obs = self.observe(now);
-        let actions = self.manager_decide(&obs).expect("checked above");
-        self.manager_apply(now, &actions);
-        if self.threads.iter().any(|t| t.finished.is_none()) || !self.pending.is_empty() {
-            self.gsched(now + tick, Ev::Manager);
-        }
-    }
-
-    /// Run the manager's pure policy pass over `obs` and return its actions
-    /// (`None` when no manager is configured). Mutates nothing but the
-    /// manager's own hysteresis state — the parallel engine calls this
-    /// against a merged *view* and only pays for a full shard merge when
-    /// the returned actions are non-empty.
-    pub(crate) fn manager_decide(&mut self, obs: &[NodeObservation]) -> Option<Vec<ManagerAction>> {
-        let mut mgr = self.manager.take()?;
-        let actions = mgr.tick(obs);
-        self.manager = Some(mgr);
-        Some(actions)
-    }
-
-    /// Apply a batch of manager actions decided by [`World::manager_decide`].
-    /// Requires the fully-merged world (rehoming touches regions, the
-    /// directory and every thread's zone table).
-    pub(crate) fn manager_apply(&mut self, now: SimTime, actions: &[ManagerAction]) {
-        let mgr = self.manager.take().expect("manager configured");
         let tick = self.cfg.manager.tick;
-        for &action in actions {
+        for action in mgr.tick(&obs) {
             match action {
                 ManagerAction::Shed { target } => {
                     for nc in &mut self.nodes {
@@ -1148,6 +1066,9 @@ impl World {
             }
         }
         self.manager = Some(mgr);
+        if self.threads.iter().any(|t| t.finished.is_none()) || !self.pending.is_empty() {
+            self.gsched(now + tick, Ev::Manager);
+        }
     }
 
     /// Proactively migrate every zone homed on `from` to a load-aware donor
@@ -1288,22 +1209,7 @@ impl World {
                 delay += self.cfg.os.fault_overhead;
             }
             self.gsched(now + delay, Ev::ThreadWake { id });
-        } else {
-            self.thread_access_failed(now, id);
-        }
-    }
-
-    /// Record one failed access for thread `id` and either finish it or
-    /// schedule its next step (global-context twin of the lane executor's
-    /// version, for the failure-declaration and crash sweeps).
-    fn thread_access_failed(&mut self, now: SimTime, id: usize) {
-        let th = &mut self.threads[id];
-        th.failed += 1;
-        th.inflight_since = None;
-        if th.resolved() == th.spec.accesses {
-            th.finished = Some(now);
-        } else {
-            let wake = th.next_issue_at(now);
+        } else if let Some(wake) = self.threads[id].resolve(now, Resolution::Failed) {
             self.gsched(wake, Ev::ThreadWake { id });
         }
     }
@@ -1479,7 +1385,14 @@ impl World {
                             attempt: 0,
                         },
                     );
-                    self.trace_submitted(t_first, t, &msg, inject_at);
+                    exec::trace_submitted(
+                        &mut self.trace,
+                        self.cfg.rmc.proc_time,
+                        t_first,
+                        t,
+                        &msg,
+                        inject_at,
+                    );
                     self.gsched(inject_at, Ev::Hop { msg, at: src });
                     self.arm_timeout(inject_at, msg.tag, 0);
                     break;
@@ -1540,7 +1453,14 @@ impl World {
                             attempt: 0,
                         },
                     );
-                    self.trace_submitted(t_first, t, &msg, inject_at);
+                    exec::trace_submitted(
+                        &mut self.trace,
+                        self.cfg.rmc.proc_time,
+                        t_first,
+                        t,
+                        &msg,
+                        inject_at,
+                    );
                     self.gsched(inject_at, Ev::Hop { msg, at: src });
                     self.arm_timeout(inject_at, msg.tag, 0);
                     return inject_at;
@@ -1710,10 +1630,7 @@ impl World {
         id
     }
 
-    /// Run the event loop until every event has drained (all threads done),
-    /// on the sequential engine or — after [`World::set_parallel`] with
-    /// more than one worker — the windowed parallel engine. Both produce
-    /// byte-identical results.
+    /// Run the event loop until every event has drained (all threads done).
     ///
     /// # Panics
     /// Panics if the loop exceeds a safety limit proportional to the total
@@ -1722,50 +1639,46 @@ impl World {
         let total_accesses: u64 = self.threads.iter().map(|t| t.spec.accesses).sum();
         // Generous bound: hops + retries per access.
         let limit = 1_000 + total_accesses.saturating_mul(2_000);
-        if self.parallel > 1 {
-            crate::par::run_parallel(self, limit);
-        } else {
-            // Engine self-profiling (out-of-band, cohfree_sim::metrics):
-            // sample queue depth and events/sec every PROF_STRIDE events.
-            // The tier check is one cached bool, so the disabled path adds
-            // a single predictable branch per event.
-            const PROF_STRIDE: u64 = 1 << 16;
-            let prof = cohfree_sim::metrics::enabled();
-            let prof_start = self.queue.processed();
-            let mut prof_next = prof_start + PROF_STRIDE;
-            let mut prof_last = std::time::Instant::now();
-            while let Some((at, key, ev)) = self.queue.pop_entry() {
-                self.handle(at, key, ev);
-                assert!(
-                    self.queue.processed() <= limit,
-                    "event budget exceeded: livelock at {at}"
-                );
-                if prof && self.queue.processed() >= prof_next {
-                    let processed = self.queue.processed();
-                    let dt = prof_last.elapsed().as_secs_f64();
-                    prof_last = std::time::Instant::now();
-                    if dt > 0.0 {
-                        cohfree_sim::metrics::series_push(
-                            "cohfree_seq_events_per_sec",
-                            processed,
-                            PROF_STRIDE as f64 / dt,
-                        );
-                    }
+        // Engine self-profiling (out-of-band, cohfree_sim::metrics):
+        // sample queue depth and events/sec every PROF_STRIDE events.
+        // The tier check is one cached bool, so the disabled path adds
+        // a single predictable branch per event.
+        const PROF_STRIDE: u64 = 1 << 16;
+        let prof = cohfree_sim::metrics::enabled();
+        let prof_start = self.queue.processed();
+        let mut prof_next = prof_start + PROF_STRIDE;
+        let mut prof_last = std::time::Instant::now();
+        while let Some((at, key, ev)) = self.queue.pop_entry() {
+            self.handle(at, key, ev);
+            assert!(
+                self.queue.processed() <= limit,
+                "event budget exceeded: livelock at {at}"
+            );
+            if prof && self.queue.processed() >= prof_next {
+                let processed = self.queue.processed();
+                let dt = prof_last.elapsed().as_secs_f64();
+                prof_last = std::time::Instant::now();
+                if dt > 0.0 {
                     cohfree_sim::metrics::series_push(
-                        "cohfree_seq_queue_depth",
+                        "cohfree_seq_events_per_sec",
                         processed,
-                        self.queue.len() as f64,
+                        PROF_STRIDE as f64 / dt,
                     );
-                    prof_next = processed + PROF_STRIDE;
                 }
-            }
-            if prof {
-                cohfree_sim::metrics::counter_add("cohfree_seq_runs_total", 1);
-                cohfree_sim::metrics::counter_add(
-                    "cohfree_seq_events_total",
-                    self.queue.processed() - prof_start,
+                cohfree_sim::metrics::series_push(
+                    "cohfree_seq_queue_depth",
+                    processed,
+                    self.queue.len() as f64,
                 );
+                prof_next = processed + PROF_STRIDE;
             }
+        }
+        if prof {
+            cohfree_sim::metrics::counter_add("cohfree_seq_runs_total", 1);
+            cohfree_sim::metrics::counter_add(
+                "cohfree_seq_events_total",
+                self.queue.processed() - prof_start,
+            );
         }
         // Close the time series with a drain-time sample so the tail of the
         // run (after the last whole interval) is represented too.
@@ -1826,8 +1739,7 @@ impl World {
     }
 
     /// Per-request end-to-end latency histogram (arrival to completion) of
-    /// serving thread `id`; `None` for closed-loop threads. Deterministic —
-    /// byte-identical across engines and partition counts.
+    /// serving thread `id`; `None` for closed-loop threads. Deterministic.
     pub fn thread_latency(&self, id: usize) -> Option<&LatencyHistogram> {
         self.threads[id].latency.as_deref()
     }
@@ -1852,36 +1764,6 @@ impl World {
     /// [`crate::TraceConfig`] enables it).
     pub fn trace(&self) -> &TraceSink {
         &self.trace
-    }
-
-    /// Open a trace for an accepted submission and attribute its stall,
-    /// client-queue and issue phases. `first_offer` is when the core first
-    /// wanted the access out (may precede `accepted_at` by NACK rounds).
-    fn trace_submitted(
-        &mut self,
-        first_offer: SimTime,
-        accepted_at: SimTime,
-        msg: &Message,
-        inject_at: SimTime,
-    ) {
-        if !self.trace.enabled() {
-            return;
-        }
-        let node = msg.src.get();
-        let tag = msg.tag;
-        self.trace.begin(tag, node, first_offer);
-        self.trace
-            .push(tag, Phase::Stall, node, first_offer, accepted_at);
-        let svc_start = inject_at - self.cfg.rmc.proc_time;
-        self.trace
-            .push(tag, Phase::ClientQueue, node, accepted_at, svc_start);
-        self.trace.push(
-            tag,
-            Phase::Issue,
-            node,
-            svc_start.max(accepted_at),
-            inject_at,
-        );
     }
 
     /// True while `node` is crashed.

@@ -15,23 +15,22 @@
 //! link) and adds the propagation latency. Because steps happen in global
 //! simulated-time order, link FIFO order is exact.
 //!
-//! ## Partition-aware decomposition
+//! ## Decomposed state
 //!
-//! A parallel world executor partitions nodes across worker threads, so the
-//! fabric state splits along the same seam:
+//! The world's event executor steps messages against split borrows of the
+//! fabric ([`Fabric::decompose`]):
 //!
 //! * [`FabricShared`] — topology, timing, outage set and the live route
-//!   table. Read-only during event execution; cheap to replicate per
-//!   partition and refreshed by the coordinator after fault events.
+//!   table. Read-only during event execution; mutated only by fault
+//!   handling.
 //! * [`FabricRow`] — the outgoing links of ONE source router (serializers,
-//!   per-link counters and the per-link loss RNG). Only events executing at
-//!   that router touch its row, so rows shard cleanly across partitions.
-//! * [`FabricCounters`] — the global delivery counters, kept per partition
-//!   as deltas and folded back into the master at window barriers.
+//!   per-link counters and the per-link loss RNG), indexed by node id so a
+//!   hop touches one contiguous row.
+//! * [`FabricCounters`] — the global delivery counters.
 //!
 //! Loss draws are per-link (seeded from the link's endpoints), not from one
 //! global stream: each link's drop pattern depends only on its own traffic
-//! order, which is identical however the world is partitioned.
+//! order.
 
 use crate::msg::{Message, NodeId};
 use crate::topology::Topology;
@@ -109,8 +108,7 @@ struct Link {
     messages: Counter,
     bytes: Counter,
     /// Deterministic per-link loss stream. Seeded from the link's endpoints
-    /// so a link's drop pattern depends only on its own traffic order —
-    /// identical however the world is partitioned across workers.
+    /// so a link's drop pattern depends only on its own traffic order.
     loss: cohfree_sim::Rng,
 }
 
@@ -162,9 +160,8 @@ impl FabricRow {
     }
 }
 
-/// Global delivery counters, separable from the link state so a parallel
-/// executor can accumulate per-partition deltas and fold them into the
-/// master fabric at window barriers.
+/// Global delivery counters, borrowed separately from the link state by
+/// [`Fabric::decompose`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FabricCounters {
     delivered: Counter,
@@ -174,21 +171,8 @@ pub struct FabricCounters {
     unroutable: Counter,
 }
 
-impl FabricCounters {
-    /// Fold `other` into `self` and reset `other` to zero.
-    pub fn absorb(&mut self, other: &mut FabricCounters) {
-        self.delivered.add(other.delivered.get());
-        self.total_hops.add(other.total_hops.get());
-        self.dropped.add(other.dropped.get());
-        self.rerouted.add(other.rerouted.get());
-        self.unroutable.add(other.unroutable.get());
-        *other = FabricCounters::default();
-    }
-}
-
-/// Topology, timing and routing state shared by every partition: read-only
-/// during event execution, mutated only by fault handling on the master
-/// copy (and then re-replicated to the partitions by the coordinator).
+/// Topology, timing and routing state: read-only during event execution,
+/// mutated only by fault handling.
 #[derive(Debug, Clone)]
 pub struct FabricShared {
     topo: Topology,
@@ -220,8 +204,7 @@ impl FabricShared {
 
     /// The smallest possible time between a send at one router and any
     /// consequence at another: one router traversal plus one link flight
-    /// (serialization and queueing only add to it). This is the conservative
-    /// lookahead window the parallel executor synchronizes on.
+    /// (serialization and queueing only add to it).
     pub fn min_hop_latency(&self) -> SimDuration {
         self.cfg.router_delay + self.cfg.link_latency
     }
@@ -232,9 +215,8 @@ impl FabricShared {
 pub struct Fabric {
     shared: FabricShared,
     counters: FabricCounters,
-    /// `rows[u]` holds router `u`'s outgoing links. A parallel world takes
-    /// the rows out ([`Fabric::take_rows`]) and shards them with the nodes;
-    /// this master copy then serves only control-plane duties.
+    /// `rows[u]` holds router `u`'s outgoing links (`rows[0]` is an unused
+    /// placeholder).
     rows: Vec<FabricRow>,
 }
 
@@ -267,45 +249,11 @@ impl Fabric {
         }
     }
 
-    /// A replica of the shared routing state for one partition.
-    pub fn share(&self) -> FabricShared {
-        self.shared.clone()
-    }
-
-    /// Borrow the shared routing state in place (no clone).
-    pub fn shared_ref(&self) -> &FabricShared {
-        &self.shared
-    }
-
     /// Split-borrow the fabric into the three pieces one routing step
     /// needs: the read-only shared state, the counter accumulator, and the
     /// per-router link rows (indexed by node id; index 0 is a placeholder).
-    /// A sequential engine steps against these directly; a parallel one
-    /// replicates/shards them instead.
     pub fn decompose(&mut self) -> (&FabricShared, &mut FabricCounters, &mut [FabricRow]) {
         (&self.shared, &mut self.counters, &mut self.rows)
-    }
-
-    /// Move the per-router link rows out, indexed by node id (`rows[0]` is
-    /// an unused placeholder). The master keeps empty rows afterwards; the
-    /// caller owns the live link state and passes it back per call via the
-    /// `*_with_rows` accessors.
-    pub fn take_rows(&mut self) -> Vec<FabricRow> {
-        std::mem::take(&mut self.rows)
-    }
-
-    /// Return previously [`Fabric::take_rows`]-taken rows to the master.
-    ///
-    /// # Panics
-    /// Panics if the master still holds live rows (double restore).
-    pub fn put_rows(&mut self, rows: Vec<FabricRow>) {
-        assert!(self.rows.is_empty(), "fabric rows restored twice");
-        self.rows = rows;
-    }
-
-    /// Fold a partition's counter deltas into the master (resets `other`).
-    pub fn absorb_counters(&mut self, other: &mut FabricCounters) {
-        self.counters.absorb(other);
     }
 
     /// Shared state of the directed link `u -> v`, if it physically exists.
@@ -316,10 +264,11 @@ impl Fabric {
 
     /// All physical directed links in `(from, to)` order.
     fn links_iter(&self) -> impl Iterator<Item = (NodeId, NodeId, &Link)> {
-        rows_links_iter(self.rows.iter().enumerate().map(|(u, r)| {
-            debug_assert!(u <= u16::MAX as usize);
-            (NodeId::new(u.max(1) as u16), r)
-        }))
+        // Row 0 is an empty placeholder, so `u.max(1)` never names a link.
+        self.rows.iter().enumerate().flat_map(|(u, row)| {
+            let u = NodeId::new(u.max(1) as u16);
+            row.links.iter().map(move |(v, l)| (u, *v, l))
+        })
     }
 
     /// Recompute shortest live routes: one BFS per destination over the
@@ -327,8 +276,7 @@ impl Fabric {
     /// (the adjacency is index-based and built from the sorted physical
     /// link list), so among equal-cost detours the smallest-id next hop
     /// always wins — the table is a pure function of the outage set,
-    /// independent of outage arrival order, hash-map iteration order, and
-    /// world partitioning.
+    /// independent of outage arrival order and hash-map iteration order.
     fn rebuild_routes(&mut self) {
         let sh = &mut self.shared;
         sh.routes.clear();
@@ -457,7 +405,7 @@ impl Fabric {
         let row = self
             .rows
             .get_mut(at.get() as usize)
-            .unwrap_or_else(|| panic!("router {at} has no link row (rows taken?)"));
+            .unwrap_or_else(|| panic!("router {at} has no link row"));
         step_row(&self.shared, &mut self.counters, row, now, at, msg)
     }
 
@@ -532,21 +480,6 @@ impl Fabric {
             .map_or(SimDuration::ZERO, |r| r.max_backlog(now))
     }
 
-    /// Borrow one router row per node in id order (`out[i]` is node
-    /// `i + 1`, the placeholder row 0 skipped). The parallel engine builds
-    /// the same shape from shard-owned rows so global observers (sampler,
-    /// recovery manager) can run against a borrowed view without a merge.
-    ///
-    /// # Panics
-    /// Panics if the rows are currently [`Fabric::take_rows`]-taken.
-    pub fn row_refs(&self) -> Vec<&FabricRow> {
-        assert!(
-            !self.rows.is_empty(),
-            "fabric rows are split out; build the view from the shards"
-        );
-        self.rows[1..].iter().collect()
-    }
-
     /// Per-node isolation map under the current outage set: `out[id]` is
     /// true iff the node is down or every one of its incident links is
     /// unusable (a correlated link partition cut it off). Index 0 is an
@@ -579,26 +512,12 @@ impl Fabric {
     /// utilization computed against `horizon`. Links are sorted by
     /// `(from, to)` so the output is stable across runs.
     pub fn snapshot(&self, horizon: SimTime) -> cohfree_sim::Json {
-        self.snapshot_with_rows(
-            horizon,
-            self.rows
-                .iter()
-                .enumerate()
-                .map(|(u, r)| (NodeId::new(u.max(1) as u16), r)),
-        )
-    }
-
-    /// [`Fabric::snapshot`] over externally held rows (a world that took
-    /// the rows passes them back here, in ascending node order).
-    pub fn snapshot_with_rows<'a, I>(&self, horizon: SimTime, rows: I) -> cohfree_sim::Json
-    where
-        I: Iterator<Item = (NodeId, &'a FabricRow)>,
-    {
         use cohfree_sim::Json;
         let mut max_util = 0.0f64;
-        // Rows arrive in ascending node order and each row is sorted by
+        // Rows are in ascending node order and each row is sorted by
         // destination, so this is already (from, to) order.
-        let links = rows_links_iter(rows)
+        let links = self
+            .links_iter()
             .map(|(u, v, l)| {
                 let util = l.server.utilization(horizon);
                 max_util = max_util.max(util);
@@ -629,19 +548,10 @@ impl Fabric {
     }
 }
 
-/// Flatten `(node, row)` pairs into `(from, to, link)` triples, skipping
-/// empty rows (placeholder index 0 and routers with no outgoing links).
-fn rows_links_iter<'a, I>(rows: I) -> impl Iterator<Item = (NodeId, NodeId, &'a Link)>
-where
-    I: Iterator<Item = (NodeId, &'a FabricRow)>,
-{
-    rows.flat_map(|(u, row)| row.links.iter().map(move |&(v, ref l)| (u, v, l)))
-}
-
-/// One routing step against decomposed fabric state: the partition-shared
-/// routing view, a counter delta accumulator, and the current router's own
-/// link row. [`Fabric::step_traced`] is this function applied to the
-/// master's own state; a parallel worker applies it to its shard's.
+/// One routing step against decomposed fabric state ([`Fabric::decompose`]):
+/// the shared routing view, the delivery counters, and the current router's
+/// own link row. [`Fabric::step_traced`] is this function applied to the
+/// whole fabric.
 pub fn step_row(
     shared: &FabricShared,
     counters: &mut FabricCounters,
@@ -861,9 +771,8 @@ mod tests {
     #[test]
     fn loss_streams_are_per_link_and_order_independent() {
         // A link's drop pattern must depend only on its own traffic order,
-        // not on global interleaving — otherwise partitioning the world
-        // would change which messages die. Interleave traffic on a second
-        // link and check the first link's pattern is unchanged.
+        // not on global interleaving. Interleave traffic on a second link
+        // and check the first link's pattern is unchanged.
         let cfg = FabricConfig {
             loss_rate: 0.3,
             ..FabricConfig::default()
@@ -911,8 +820,7 @@ mod tests {
         // The BFS route table must be a pure function of the outage set:
         // identical whether an outage arrived directly or via a history of
         // other faults, and identical across repeated rebuilds. Downstream
-        // timestamps (and the parallel engine's byte-identity guarantee)
-        // depend on this.
+        // timestamps depend on this.
         let direct = {
             let mut f = mk_fabric();
             f.set_link_down(n(6), n(7));
@@ -1028,22 +936,20 @@ mod tests {
     }
 
     #[test]
-    fn taken_rows_step_identically_to_the_master_path() {
-        // Decomposed stepping (shared + counters + row, as a parallel
-        // worker drives it) must behave exactly like Fabric::step.
+    fn decomposed_step_matches_the_master_path() {
+        // Decomposed stepping (shared + counters + row, as the world's
+        // executor drives it) must behave exactly like Fabric::step.
         let mut whole = mk_fabric();
         let mut split = mk_fabric();
-        let shared = split.share();
-        let mut rows = split.take_rows();
-        let mut counters = FabricCounters::default();
         let msg = Message::new(n(1), n(3), MsgKind::ReadReq { bytes: 64 }, 9);
         let mut at = n(1);
         let mut now = SimTime::ZERO;
         loop {
             let want = whole.step(now, at, &msg);
+            let (shared, counters, rows) = split.decompose();
             let (got, _) = step_row(
-                &shared,
-                &mut counters,
+                shared,
+                counters,
                 &mut rows[at.get() as usize],
                 now,
                 at,
@@ -1058,10 +964,8 @@ mod tests {
                 }
             }
         }
-        split.absorb_counters(&mut counters);
         assert_eq!(split.delivered(), whole.delivered());
         assert_eq!(split.total_hops(), whole.total_hops());
-        assert_eq!(counters.delivered.get(), 0, "absorb must reset the delta");
     }
 
     #[test]

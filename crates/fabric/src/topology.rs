@@ -178,31 +178,6 @@ impl Topology {
         }
     }
 
-    /// Minimum directed hop count from any node in `from` to any node in
-    /// `to` (inclusive 1-based id ranges) — the pairwise lookahead bound the
-    /// conservative parallel engine uses: an event chain originating in one
-    /// lane range needs at least this many physical hops to influence the
-    /// other. [`Topology::hops`] is the full-graph shortest distance for
-    /// every variant (and directed for the unidirectional ring), and
-    /// outages only ever *remove* links, so the healthy-topology value is a
-    /// valid lower bound under any reroute.
-    ///
-    /// Returns 0 when the ranges overlap (no cross-range slack exists).
-    pub fn min_range_hops(&self, from: (u16, u16), to: (u16, u16)) -> u32 {
-        debug_assert!(from.0 >= 1 && from.0 <= from.1 && from.1 <= self.num_nodes());
-        debug_assert!(to.0 >= 1 && to.0 <= to.1 && to.1 <= self.num_nodes());
-        if from.0 <= to.1 && to.0 <= from.1 {
-            return 0;
-        }
-        let mut best = u32::MAX;
-        for a in from.0..=from.1 {
-            for b in to.0..=to.1 {
-                best = best.min(self.hops(NodeId::new(a), NodeId::new(b)));
-            }
-        }
-        best
-    }
-
     /// All nodes exactly `d` hops from `from` (useful for placing memory
     /// servers at a chosen distance, as the paper's Fig. 7 does).
     pub fn nodes_at_distance(&self, from: NodeId, d: u32) -> Vec<NodeId> {

@@ -26,9 +26,8 @@
 //! performs no I/O — `cohfree-core` builds the observations, applies the
 //! actions (rewriting zones, flipping per-client shed sets, tracing each
 //! decision as a span) and schedules the next tick. Purity keeps the
-//! decision rules unit-testable here and, because the manager runs as a
-//! global event on the fully merged world, partition-count invariant by
-//! construction.
+//! decision rules unit-testable here and its decisions a deterministic
+//! function of the observation sequence.
 //!
 //! Donor selection for both reactive evacuation and proactive migration
 //! goes through [`RecoveryManager::choose_recovery_donor`]: a load-aware

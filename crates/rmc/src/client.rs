@@ -79,8 +79,8 @@ pub struct RmcClient {
     suspects: FastSet<NodeId>,
     /// Destinations the recovery manager has load-shed: the OS defers (or
     /// fails) new accesses to them until re-admission. Mutated only by
-    /// global manager events, read by lane code — the same partition-safety
-    /// contract as `suspects`.
+    /// global manager events, read by lane code — the same contract as
+    /// `suspects`.
     shed: FastSet<NodeId>,
     shed_deferrals: Counter,
     latency: LatencyHistogram,

@@ -179,12 +179,11 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at absolute instant `at` under an explicit ordering
     /// `key`: pending events fire in ascending `(at, key)` order.
     ///
-    /// This is the primitive the parallel engine builds on — both the
-    /// sequential and the windowed-parallel executors derive the *same*
-    /// content-determined key for an event, so their pop orders (and hence
-    /// all downstream state) coincide exactly. Keys must be unique per
-    /// instant; the plain [`EventQueue::schedule`] path reserves the
-    /// low range by spending its `u64` sequence counter as the key.
+    /// The world's executor derives a content-determined key for every
+    /// event, so same-instant tie-breaks depend on what the events are, not
+    /// on when they were scheduled. Keys must be unique per instant; the
+    /// plain [`EventQueue::schedule`] path reserves the low range by
+    /// spending its `u64` sequence counter as the key.
     ///
     /// # Panics
     /// Panics if `at` is earlier than the current clock.
@@ -238,58 +237,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.front.front().map(|&(at, _, _)| at)
-    }
-
-    /// `(timestamp, ordering key)` of the next pending event, if any. The
-    /// parallel window scheduler uses this to find the global minimum across
-    /// per-partition queues without disturbing them.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(SimTime, u128)> {
-        self.front.front().map(|&(at, key, _)| (at, key))
-    }
-
-    /// Remove and return every pending event as `(at, key, event)` triples
-    /// sorted by `(at, key)`, without advancing the clock or the processed
-    /// count. Used to re-partition a world's pending set; re-inserting each
-    /// triple via [`EventQueue::schedule_keyed`] reproduces the same order.
-    pub fn drain_entries(&mut self) -> Vec<(SimTime, u128, E)> {
-        let mut out: Vec<(SimTime, u128, E)> = Vec::with_capacity(self.len);
-        out.extend(self.front.drain(..));
-        let mut remaining = self.occupied;
-        for (w, word) in remaining.iter_mut().enumerate() {
-            while *word != 0 {
-                let slot = w * 64 + word.trailing_zeros() as usize;
-                out.append(&mut self.ring[slot]);
-                *word &= *word - 1;
-            }
-        }
-        self.occupied = [0; BITMAP_WORDS];
-        out.extend(
-            std::mem::take(&mut self.overflow)
-                .into_iter()
-                .map(|e| (e.at, e.key, e.event)),
-        );
-        self.len = 0;
-        out.sort_unstable_by_key(|&(at, key, _)| (at, key));
-        out
-    }
-
-    /// Advance the clock to `at` without popping (no-op if `at` is in the
-    /// past). The window scheduler uses this to keep idle partitions' clocks
-    /// in step so cross-partition inserts never look like past scheduling.
-    #[inline]
-    pub fn advance_to(&mut self, at: SimTime) {
-        if at > self.now {
-            debug_assert!(self.peek_time().is_none_or(|t| t >= at));
-            self.now = at;
-        }
-    }
-
-    /// Fold `n` externally processed events into the processed count (used
-    /// when re-partitioning moves pending work between queues).
-    #[inline]
-    pub fn add_processed(&mut self, n: u64) {
-        self.processed += n;
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -619,35 +566,7 @@ mod tests {
         q.schedule_keyed(SimTime(50), 3, "b");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["first", "a", "b", "c"]);
-        assert_eq!(q.peek_key(), None);
-    }
-
-    #[test]
-    fn drain_entries_round_trips_across_all_tiers() {
-        let mut q = EventQueue::new();
-        let horizon = BUCKET_WIDTH_PS * NUM_BUCKETS as u64;
-        q.schedule_keyed(SimTime(5), 10, 1u32);
-        q.schedule_keyed(SimTime(5), 4, 0); // same instant, smaller key
-        q.schedule_keyed(SimTime(BUCKET_WIDTH_PS * 3), 20, 2); // ring tier
-        q.schedule_keyed(SimTime(horizon * 2), 30, 3); // overflow tier
-        assert_eq!(q.pop(), Some((SimTime(5), 0)));
-        let entries = q.drain_entries();
-        assert!(q.is_empty());
-        assert_eq!(q.processed(), 1);
-        assert_eq!(
-            entries.iter().map(|&(_, k, e)| (k, e)).collect::<Vec<_>>(),
-            vec![(10, 1), (20, 2), (30, 3)]
-        );
-        // Reinsertion reproduces the same order, clock intact.
-        let mut q2 = EventQueue::new();
-        q2.advance_to(SimTime(5));
-        for (at, key, e) in entries {
-            q2.schedule_keyed(at, key, e);
-        }
-        q2.add_processed(1);
-        let order: Vec<u32> = std::iter::from_fn(|| q2.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-        assert_eq!(q2.processed(), 4);
+        assert_eq!(q.peek_time(), None);
     }
 
     /// The differential net from the issue: ~1M seeded random

@@ -18,8 +18,8 @@
 //! * [`faultlog`] — a timestamped record of fault injections, failure
 //!   detections and recovery actions, serialized into cluster snapshots,
 //! * [`metrics`] — a zero-cost-when-off registry profiling the simulator
-//!   *engines themselves* (scheduler rounds, merge causes, worker
-//!   wall-clock), exportable as Prometheus text,
+//!   *engine itself* (events per second, queue depth), exportable as
+//!   Prometheus text,
 //! * [`span`] — per-transaction span tracing: a bounded [`TraceSink`]
 //!   attributing each traced access's end-to-end latency to phases
 //!   (stall, wire, queueing, service, ...), exportable as a Chrome

@@ -1,8 +1,8 @@
 //! Engine self-profiling: a process-global runtime metrics registry.
 //!
 //! [`crate::stats`] measures the *simulated* cluster; this module measures
-//! the *simulator itself* — scheduler rounds, merge causes, worker
-//! wall-clock — so engine PRs can see where host time goes. Three
+//! the *simulator itself* — events per second, queue depth, trace
+//! volume — so engine changes can see where host time goes. Three
 //! properties drive the design:
 //!
 //! * **Zero-cost when off.** The registry is compiled in unconditionally,
@@ -13,14 +13,13 @@
 //! * **Out-of-band.** Probes write wall-clock and scheduler counts into
 //!   this registry only; nothing here is ever read back by simulation
 //!   code, so simulation output stays byte-identical with metrics on or
-//!   off (the parallel differential suite proves it at every partition
-//!   count).
+//!   off (the golden-fingerprint suite compares both).
 //! * **Dependency-free.** Plain `std` maps behind one mutex. Low-frequency
 //!   call sites lock directly; hot paths accumulate into run-local structs
 //!   and flush once per run.
 //!
 //! Metric names may carry Prometheus-style labels inline
-//! (`cohfree_par_merges_total{cause="fault"}`); [`labeled`] builds such
+//! (`evs_total{cause="fault"}`); [`labeled`] builds such
 //! names with correct label-value escaping. [`render_prometheus`] emits
 //! the whole registry in Prometheus text exposition format — histograms
 //! (reusing [`LatencyHistogram`]) become cumulative `_bucket{le="…"}`

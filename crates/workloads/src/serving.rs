@@ -16,8 +16,8 @@
 //!   Arrow-style zero-copy analytics regime over cluster shared memory.
 //!
 //! Arrivals are pre-generated from a seed and handed to
-//! [`World::spawn_serving_thread`], so the sequential and parallel engines
-//! replay the same stream byte-identically; request outcomes are conserved
+//! [`World::spawn_serving_thread`], so every run replays the same stream
+//! byte-identically; request outcomes are conserved
 //! (`generated == completed + shed + failed`, [`Tenant::conserved`]) even
 //! through crash-storm fault plans.
 
