@@ -15,17 +15,28 @@
 //! link) and adds the propagation latency. Because steps happen in global
 //! simulated-time order, link FIFO order is exact.
 //!
+//! ## Hop fast path
+//!
+//! A healthy hop never calls [`Topology::next_hop`]. [`Fabric::new`]
+//! precomputes every router's grid coordinates and, in each router's row,
+//! the index of its link in each direction (+x, −x, +y, −y). A mesh or
+//! torus hop is then a few coordinate compares and one indexed load; a
+//! ring router has one link and a clique row is indexed by destination
+//! id. The serialization time of small wire sizes is memoised. While an
+//! outage is active the BFS route table and a scan of the row replace
+//! all of this.
+//!
 //! ## Decomposed state
 //!
 //! The world's event executor steps messages against split borrows of the
 //! fabric ([`Fabric::decompose`]):
 //!
-//! * [`FabricShared`] — topology, timing, outage set and the live route
-//!   table. Read-only during event execution; mutated only by fault
-//!   handling.
+//! * [`FabricShared`] — topology, timing, routing tables, outage set and
+//!   the live route table. Read-only during event execution; mutated only
+//!   by fault handling.
 //! * [`FabricRow`] — the outgoing links of ONE source router (serializers,
-//!   per-link counters and the per-link loss RNG), indexed by node id so a
-//!   hop touches one contiguous row.
+//!   per-link counters and the per-link loss RNG) and its direction index,
+//!   indexed by node id so a hop touches one contiguous row.
 //! * [`FabricCounters`] — the global delivery counters.
 //!
 //! Loss draws are per-link (seeded from the link's endpoints), not from one
@@ -127,27 +138,45 @@ impl Link {
     }
 }
 
-/// The outgoing links of one source router, sorted by destination. Router
-/// degree is small (≤ 4 on the mesh), so the per-hop link lookup is a short
-/// linear scan instead of a hash, and snapshots enumerate links in
-/// `(from, to)` order without sorting.
-#[derive(Debug, Clone, Default)]
+/// Grid directions, in the order [`FabricRow::dir`] stores them.
+const PX: usize = 0;
+const MX: usize = 1;
+const PY: usize = 2;
+const MY: usize = 3;
+/// [`FabricRow::dir`] entry for a direction routing never takes.
+const NO_LINK: u8 = u8::MAX;
+
+/// Wire sizes below this many bytes are served from the serialization memo
+/// in [`FabricShared`]; larger ones (whole pages) are computed per hop.
+const SER_MEMO: u32 = 512;
+
+/// The outgoing links of one source router, sorted by destination, so
+/// snapshots enumerate links in `(from, to)` order without sorting.
+///
+/// A healthy mesh or torus hop finds its link through `dir`, precomputed by
+/// [`Fabric::new`]; the degraded (rerouted) path and the per-link getters
+/// find it by a short linear scan (router degree is ≤ 4 on the grids).
+#[derive(Debug, Clone)]
 pub struct FabricRow {
     links: Vec<(NodeId, Link)>,
+    /// Index into `links` of the link leaving toward +x, −x, +y and −y;
+    /// `NO_LINK` where routing never leaves that way (a mesh edge, or −x
+    /// on a 2-wide torus, whose x-neighbor is reached going +x). The
+    /// 2-wide torus lists that neighbor twice; the first entry wins, as in
+    /// [`FabricRow::link_index`]. Unused on rings and cliques.
+    dir: [u8; 4],
 }
 
 impl FabricRow {
+    /// Index of the first link toward `v`, if any.
     #[inline]
-    fn link(&self, v: NodeId) -> Option<&Link> {
-        self.links.iter().find(|&&(n, _)| n == v).map(|(_, l)| l)
+    fn link_index(&self, v: NodeId) -> Option<usize> {
+        self.links.iter().position(|&(n, _)| n == v)
     }
 
     #[inline]
-    fn link_mut(&mut self, v: NodeId) -> Option<&mut Link> {
-        self.links
-            .iter_mut()
-            .find(|&&mut (n, _)| n == v)
-            .map(|(_, l)| l)
+    fn link(&self, v: NodeId) -> Option<&Link> {
+        self.link_index(v).map(|i| &self.links[i].1)
     }
 
     /// Largest time-to-drain backlog across this router's outgoing links.
@@ -186,12 +215,67 @@ pub struct FabricShared {
     /// Live next-hop table, rebuilt by BFS whenever the outage set changes.
     /// Empty while the fabric is healthy (dimension-order routing applies).
     routes: FastMap<(NodeId, NodeId), NodeId>,
+    /// Grid coordinates of every router, indexed by node id (entry 0 is a
+    /// placeholder); what a healthy grid hop compares instead of dividing.
+    coords: Vec<(u16, u16)>,
+    /// `cfg.serialization(b)` for every wire size `b < SER_MEMO`.
+    ser: Box<[SimDuration]>,
 }
 
 impl FabricShared {
     /// True while any link or node outage is active.
     pub fn degraded(&self) -> bool {
         !self.down_links.is_empty() || !self.down_nodes.is_empty()
+    }
+
+    /// [`FabricConfig::serialization`], memoised for the small wire sizes
+    /// of request, acknowledgement and cache-line messages.
+    #[inline]
+    fn serialization(&self, wire: u32) -> SimDuration {
+        match self.ser.get(wire as usize) {
+            Some(&d) => d,
+            None => self.cfg.serialization(wire),
+        }
+    }
+
+    /// Index in `row` (router `at`'s links) of the healthy dimension-order
+    /// link toward `dst != at`: the link to [`Topology::next_hop`]`(at,
+    /// dst)`, found by coordinate compares and one indexed load instead of
+    /// dividing ids and scanning the row.
+    #[inline]
+    fn healthy_link(&self, row: &FabricRow, at: NodeId, dst: NodeId) -> usize {
+        match self.grid_dir(at, dst) {
+            Some(d) => row.dir[d] as usize,
+            // A ring router has exactly one outgoing link.
+            None if matches!(self.topo, Topology::Ring { .. }) => 0,
+            // A clique row lists every other router in id order.
+            None => dst.index() - usize::from(dst > at),
+        }
+    }
+
+    /// Direction (`PX`, `MX`, `PY` or `MY`) of the dimension-order hop from
+    /// `at` toward `dst != at` on a mesh or torus: X first, then Y; `None`
+    /// on a ring or clique.
+    #[inline]
+    fn grid_dir(&self, at: NodeId, dst: NodeId) -> Option<usize> {
+        let (width, height, wrap) = match self.topo {
+            Topology::Mesh2D { width, height } => (width, height, false),
+            Topology::Torus2D { width, height } => (width, height, true),
+            Topology::Ring { .. } | Topology::FullyConnected { .. } => return None,
+        };
+        let (fx, fy) = self.coords[at.get() as usize];
+        let (tx, ty) = self.coords[dst.get() as usize];
+        Some(if fx != tx {
+            if forward(fx, tx, width, wrap) {
+                PX
+            } else {
+                MX
+            }
+        } else if forward(fy, ty, height, wrap) {
+            PY
+        } else {
+            MY
+        })
     }
 
     /// A directed link is usable iff it is physically present, not
@@ -210,40 +294,73 @@ impl FabricShared {
     }
 }
 
+/// True if dimension-order routing moves from grid coordinate `f` toward
+/// `t != f` in the positive direction. On a mesh that is `t > f`; on a
+/// torus dimension of extent `n` it is the shorter way round, ties going
+/// positive, as [`Topology::next_hop`] decides.
+#[inline]
+fn forward(f: u16, t: u16, n: u16, wrap: bool) -> bool {
+    if !wrap {
+        return t > f;
+    }
+    let (f, t, n) = (u32::from(f), u32::from(t), u32::from(n));
+    let steps_up = if t > f { t - f } else { t + n - f };
+    2 * steps_up <= n
+}
+
 /// The interconnect: topology + contended links.
 #[derive(Debug)]
 pub struct Fabric {
     shared: FabricShared,
     counters: FabricCounters,
-    /// `rows[u]` holds router `u`'s outgoing links (`rows[0]` is an unused
-    /// placeholder).
+    /// `rows[u]` holds router `u`'s outgoing links, one row per node of the
+    /// topology (`rows[0]` is an unused placeholder).
     rows: Vec<FabricRow>,
 }
 
 impl Fabric {
-    /// Build a fabric over `topo` with physical parameters `cfg`.
+    /// Build a fabric over `topo` with physical parameters `cfg`, including
+    /// the healthy-routing tables: per-router coordinates and, per row, the
+    /// link in each grid direction (O(nodes × degree) work).
     pub fn new(topo: Topology, cfg: FabricConfig) -> Fabric {
+        let n = topo.num_nodes();
+        let mut rows: Vec<FabricRow> = (0..=n)
+            .map(|_| FabricRow {
+                links: Vec::new(),
+                dir: [NO_LINK; 4],
+            })
+            .collect();
         let mut links = topo.links();
         links.sort_unstable_by_key(|&(u, v)| (u.get(), v.get()));
-        let max_id = links
-            .iter()
-            .map(|&(u, v)| u.get().max(v.get()))
-            .max()
-            .unwrap_or(0) as usize;
-        let mut rows: Vec<FabricRow> = (0..=max_id).map(|_| FabricRow::default()).collect();
         for (u, v) in links {
             rows[u.get() as usize]
                 .links
                 .push((v, Link::new(&cfg, u, v)));
         }
+        let shared = FabricShared {
+            topo,
+            cfg,
+            down_links: FastSet::default(),
+            down_nodes: FastSet::default(),
+            routes: FastMap::default(),
+            coords: std::iter::once((0, 0))
+                .chain((1..=n).map(|i| topo.coords(NodeId::new(i))))
+                .collect(),
+            ser: (0..SER_MEMO).map(|b| cfg.serialization(b)).collect(),
+        };
+        // A grid link's direction is the one the fast path routes in toward
+        // its far end. Where a row lists a neighbor twice (the 2-wide
+        // torus), the first entry wins, as in the scan.
+        for (u, row) in rows.iter_mut().enumerate().skip(1) {
+            let u = NodeId::new(u as u16);
+            for (i, &(v, _)) in row.links.iter().enumerate() {
+                if let Some(d) = shared.grid_dir(u, v).filter(|&d| row.dir[d] == NO_LINK) {
+                    row.dir[d] = i as u8;
+                }
+            }
+        }
         Fabric {
-            shared: FabricShared {
-                topo,
-                cfg,
-                down_links: FastSet::default(),
-                down_nodes: FastSet::default(),
-                routes: FastMap::default(),
-            },
+            shared,
             counters: FabricCounters::default(),
             rows,
         }
@@ -285,11 +402,7 @@ impl Fabric {
         }
         let mut links = sh.topo.links();
         links.sort_unstable_by_key(|&(u, v)| (u.get(), v.get()));
-        let n = links
-            .iter()
-            .map(|&(u, v)| u.get().max(v.get()))
-            .max()
-            .unwrap_or(0) as usize;
+        let n = sh.topo.num_nodes() as usize;
         // Reverse adjacency over usable links: radj[x] = all w with w -> x,
         // ascending by construction (links are sorted source-major).
         let mut radj: Vec<Vec<NodeId>> = vec![Vec::new(); n + 1];
@@ -564,8 +677,8 @@ pub fn step_row(
         counters.delivered.inc();
         return (Step::Deliver { at: now }, SimDuration::ZERO);
     }
-    let next = if shared.degraded() {
-        match shared.routes.get(&(at, msg.dst)) {
+    let idx = if shared.degraded() {
+        let next = match shared.routes.get(&(at, msg.dst)) {
             Some(&hop) => {
                 if hop != shared.topo.next_hop(at, msg.dst) {
                     counters.rerouted.inc();
@@ -577,16 +690,17 @@ pub fn step_row(
                 counters.dropped.inc();
                 return (Step::Dropped, SimDuration::ZERO);
             }
-        }
+        };
+        row.link_index(next)
+            .unwrap_or_else(|| panic!("no physical link {at}->{next}"))
     } else {
-        shared.topo.next_hop(at, msg.dst)
+        shared.healthy_link(row, at, msg.dst)
     };
     let wire = msg.wire_bytes();
-    let ser = shared.cfg.serialization(wire);
+    let ser = shared.serialization(wire);
     let enq = now + shared.cfg.router_delay;
-    let link = row
-        .link_mut(next)
-        .unwrap_or_else(|| panic!("no physical link {at}->{next}"));
+    let (next, link) = &mut row.links[idx];
+    let next = *next;
     // Router traversal, then FIFO on the link serializer, then flight time.
     let depart = link.server.accept(enq, ser);
     let queued = depart.saturating_since(enq).saturating_sub(ser);
@@ -966,6 +1080,137 @@ mod tests {
         }
         assert_eq!(split.delivered(), whole.delivered());
         assert_eq!(split.total_hops(), whole.total_hops());
+    }
+
+    #[test]
+    fn single_node_fabric_delivers_to_itself() {
+        // A topology with no links still has a row for its one router.
+        for topo in [
+            Topology::Mesh2D {
+                width: 1,
+                height: 1,
+            },
+            Topology::Torus2D {
+                width: 1,
+                height: 1,
+            },
+            Topology::FullyConnected { nodes: 1 },
+        ] {
+            assert!(topo.links().is_empty(), "{topo:?}");
+            let mut f = Fabric::new(topo, FabricConfig::default());
+            let msg = Message::new(n(1), n(1), MsgKind::ReadReq { bytes: 64 }, 0);
+            let now = SimTime::ZERO + SimDuration::ns(5);
+            assert_eq!(f.step(now, n(1), &msg), Step::Deliver { at: now });
+            assert_eq!(f.delivered(), 1);
+            assert_eq!(f.node_link_backlog(now, n(1)), SimDuration::ZERO);
+            assert_eq!(f.isolated_nodes(), vec![false, true]);
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_next_hop_and_the_link_scan() {
+        // Every shape the fast path distinguishes: 1-wide and odd meshes,
+        // the 2-wide torus (one neighbor listed both ways), odd and even
+        // tori, rings and a clique.
+        let mesh = |width, height| Topology::Mesh2D { width, height };
+        let torus = |width, height| Topology::Torus2D { width, height };
+        let topologies = [
+            mesh(1, 3),
+            mesh(3, 1),
+            mesh(5, 3),
+            mesh(4, 4),
+            mesh(16, 16),
+            torus(2, 2),
+            torus(3, 3),
+            torus(4, 4),
+            Topology::Ring { nodes: 2 },
+            Topology::Ring { nodes: 5 },
+            Topology::FullyConnected { nodes: 16 },
+        ];
+        for topo in topologies {
+            let f = Fabric::new(topo, FabricConfig::default());
+            let nodes = topo.num_nodes();
+            for at in (1..=nodes).map(n) {
+                let row = &f.rows[at.get() as usize];
+                for dst in (1..=nodes).map(n).filter(|&d| d != at) {
+                    let idx = f.shared.healthy_link(row, at, dst);
+                    let want = topo.next_hop(at, dst);
+                    assert_eq!(row.links[idx].0, want, "{topo:?}: {at}->{dst}");
+                    // The same entry the scan finds: the first one toward
+                    // `want`, which matters where a row lists it twice.
+                    assert_eq!(Some(idx), row.link_index(want), "{topo:?}: {at}->{dst}");
+                }
+            }
+        }
+        // The 2-wide torus really does list each neighbor twice.
+        let f = Fabric::new(
+            Topology::Torus2D {
+                width: 2,
+                height: 2,
+            },
+            FabricConfig::default(),
+        );
+        let dests: Vec<NodeId> = f.rows[1].links.iter().map(|&(v, _)| v).collect();
+        assert_eq!(dests, vec![n(2), n(2), n(3), n(3)]);
+        assert_eq!(f.rows[1].dir, [0, NO_LINK, 2, NO_LINK]);
+    }
+
+    #[test]
+    fn fast_path_resumes_after_a_link_flip() {
+        let topo = Topology::prototype();
+        let mut f = mk_fabric();
+        let pairs: Vec<(NodeId, NodeId)> = (1..=16u16)
+            .flat_map(|a| (1..=16u16).map(move |b| (n(a), n(b))))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let send_all = |f: &mut Fabric, base: u64| {
+            for (tag, &(a, b)) in pairs.iter().enumerate() {
+                let msg = Message::new(a, b, MsgKind::ReadReq { bytes: 64 }, base + tag as u64);
+                walk(f, SimTime::ZERO, msg);
+            }
+        };
+        f.set_link_down(n(6), n(7));
+        send_all(&mut f, 0);
+        let rerouted = f.rerouted();
+        assert!(rerouted > 0);
+        // Reference: the counters after the outage plus one charge per
+        // link of every `Topology::route` once the link is back.
+        let mut want: FastMap<(NodeId, NodeId), u64> = topo
+            .links()
+            .into_iter()
+            .map(|(u, v)| ((u, v), f.link_messages(u, v)))
+            .collect();
+        for &(a, b) in &pairs {
+            let mut cur = a;
+            for hop in topo.route(a, b) {
+                *want.get_mut(&(cur, hop)).expect("route uses a link") += 1;
+                cur = hop;
+            }
+        }
+        f.set_link_up(n(6), n(7));
+        assert!(!f.shared.degraded());
+        send_all(&mut f, 1_000);
+        for (u, v) in topo.links() {
+            let msgs = f.link_messages(u, v);
+            assert_eq!(msgs, want[&(u, v)], "link {u}->{v}");
+            assert_eq!(f.link_bytes(u, v), msgs * 12, "link {u}->{v}");
+        }
+        assert_eq!(f.rerouted(), rerouted, "healthy hops counted as detours");
+        assert_eq!(f.delivered(), 2 * pairs.len() as u64);
+    }
+
+    #[test]
+    fn memoised_serialization_is_the_config_function() {
+        for bytes_per_ns in [8.0, 3.3, 0.7] {
+            let cfg = FabricConfig {
+                bytes_per_ns,
+                ..FabricConfig::default()
+            };
+            let f = Fabric::new(Topology::prototype(), cfg);
+            for wire in 0..2 * SER_MEMO {
+                assert_eq!(f.shared.serialization(wire), cfg.serialization(wire));
+            }
+        }
     }
 
     #[test]

@@ -17,22 +17,25 @@
 //! keeps three tiers, ordered by distance from the clock:
 //!
 //! * **front** — every pending event in the *current* bucket (and any event
-//!   scheduled at-or-before it), kept sorted by `(time, seq)` in a
+//!   scheduled at-or-before it), kept sorted by `(time, key)` in a
 //!   `VecDeque`; `pop` is `O(1)` from the head and a same-instant
 //!   `schedule_now` is a sorted insert near the tail.
-//! * **ring** — `NUM_BUCKETS` FIFO buckets of [`BUCKET_WIDTH`] picoseconds
-//!   each covering the near future; scheduling is an `O(1)` push plus an
-//!   occupancy-bitmap update.
+//! * **ring** — `NUM_BUCKETS` FIFO buckets of `2^BUCKET_WIDTH_BITS`
+//!   picoseconds each covering the near future; scheduling is an `O(1)`
+//!   push plus an occupancy-bitmap update.
 //! * **overflow** — a `BinaryHeap` for the far future beyond the ring
 //!   horizon (timeouts, sampling probes).
 //!
 //! When `front` drains, *refill* advances the epoch straight to the earliest
-//! non-empty bucket (bitmap scan / overflow peek), moves that bucket's
-//! events into `front` and sorts them — restoring the exact `(time, seq)`
-//! order a global heap would have produced. The total order is therefore
+//! non-empty bucket (bitmap scan / overflow peek), takes that ring slot's
+//! `Vec`, appends any same-bucket overflow stragglers, sorts it in place
+//! and installs it as the new `front` in O(1) — restoring the exact
+//! `(time, key)` order a global heap would have produced. The spent, empty
+//! `front` buffer becomes the slot's `Vec`, so bucket buffers circulate and
+//! steady-state traffic allocates nothing. The total order is therefore
 //! identical to the previous `BinaryHeap` implementation, which survives as
-//! a `#[cfg(test)]` oracle driven against the calendar queue by a seeded
-//! differential test.
+//! a `#[cfg(test)]` oracle driven against the calendar queue by seeded
+//! differential tests (sequence-keyed and content-keyed).
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -277,10 +280,12 @@ impl<E> EventQueue<E> {
         self.len = 0;
     }
 
-    /// Advance `epoch` to the earliest non-empty bucket and move its events
-    /// (ring slot plus any overflow stragglers in the same bucket) into
-    /// `front`, sorted by `(at, seq)`. Called only when `front` is empty
-    /// and events remain.
+    /// Advance `epoch` to the earliest non-empty bucket and make its events
+    /// (ring slot plus any overflow stragglers in the same bucket) the new
+    /// `front`, sorted by `(at, key)`. The slot's `Vec` is sorted in place
+    /// and becomes `front` without copying; the spent, empty `front` buffer
+    /// goes back to the slot, so buffers circulate and nothing allocates.
+    /// Called only when `front` is empty and events remain.
     #[cold]
     fn refill(&mut self) {
         debug_assert!(self.front.is_empty() && self.len > 0);
@@ -300,13 +305,10 @@ impl<E> EventQueue<E> {
             (None, None) => unreachable!("refill with no pending events"),
         };
         let slot = (self.epoch % NUM_BUCKETS as u64) as usize;
-        if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
-            for item in self.ring[slot].drain(..) {
-                debug_assert_eq!(bucket_of(item.0), self.epoch);
-                self.front.push_back(item);
-            }
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-        }
+        // An unoccupied slot holds an empty (possibly pre-grown) buffer.
+        let mut bucket = std::mem::take(&mut self.ring[slot]);
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        debug_assert!(bucket.iter().all(|e| bucket_of(e.0) == self.epoch));
         // Overflow may hold events inside the (advanced) ring window; they
         // are picked up bucket-by-bucket as the epoch reaches them.
         while self
@@ -315,12 +317,14 @@ impl<E> EventQueue<E> {
             .is_some_and(|e| bucket_of(e.at) == self.epoch)
         {
             let Entry { at, key, event } = self.overflow.pop().expect("peeked");
-            self.front.push_back((at, key, event));
+            bucket.push((at, key, event));
         }
-        self.front
-            .make_contiguous()
-            .sort_unstable_by_key(|e| (e.0, e.1));
-        debug_assert!(!self.front.is_empty());
+        bucket.sort_unstable_by_key(|e| (e.0, e.1));
+        debug_assert!(!bucket.is_empty());
+        // Both conversions are O(1): `VecDeque::from(Vec)` adopts the
+        // buffer, and the spent `front` is empty, so nothing moves back.
+        let spent = std::mem::replace(&mut self.front, VecDeque::from(bucket));
+        self.ring[slot] = Vec::from(spent);
     }
 
     /// First occupied ring slot in circular order starting at `start`, or
@@ -398,9 +402,12 @@ mod tests {
             }
         }
         fn schedule(&mut self, at: SimTime, event: E) {
-            assert!(at >= self.now);
             let key = self.seq as u128;
             self.seq += 1;
+            self.schedule_keyed(at, key, event);
+        }
+        fn schedule_keyed(&mut self, at: SimTime, key: u128, event: E) {
+            assert!(at >= self.now);
             self.heap.push(Entry { at, key, event });
         }
         fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -569,14 +576,30 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
-    /// The differential net from the issue: ~1M seeded random
-    /// schedule/pop/clear interleavings against the `BinaryHeap` oracle,
-    /// with heavy same-instant collisions and far-future outliers crossing
-    /// the bucket horizon. Pop sequences, clock values and processed counts
-    /// must match exactly.
+    /// The differential net: ~1M seeded random schedule/pop/clear
+    /// interleavings against the `BinaryHeap` oracle, with heavy
+    /// same-instant collisions and far-future outliers crossing the bucket
+    /// horizon. Pop sequences, clock values and processed counts must match
+    /// exactly.
     #[test]
     fn differential_against_binary_heap_oracle() {
-        let mut rng = Rng::new(0xC0FFEE);
+        differential(0xC0FFEE, false);
+    }
+
+    /// The same net with the keys the world uses: `schedule_keyed` under
+    /// random u128 keys, unique per instant but not monotone in insertion
+    /// order, so the refill sort and the sorted same-bucket insert into
+    /// `front` decide every tie.
+    #[test]
+    fn keyed_differential_against_binary_heap_oracle() {
+        differential(0x5EED_CAFE, true);
+    }
+
+    /// Drive both queues through one seeded interleaving. With `keyed`,
+    /// every event is scheduled under a random high word above its unique
+    /// id; otherwise under the queues' own sequence counters.
+    fn differential(seed: u64, keyed: bool) {
+        let mut rng = Rng::new(seed);
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut o: OracleQueue<u64> = OracleQueue::new();
         let mut next_id = 0u64;
@@ -599,8 +622,14 @@ mod tests {
                         _ => horizon * (1 + rng.below(4)) + rng.below(horizon),
                     };
                     let at = q.now() + SimDuration(delay);
-                    q.schedule(at, next_id);
-                    o.schedule(at, next_id);
+                    if keyed {
+                        let key = (u128::from(rng.next_u64()) << 64) | u128::from(next_id);
+                        q.schedule_keyed(at, key, next_id);
+                        o.schedule_keyed(at, key, next_id);
+                    } else {
+                        q.schedule(at, next_id);
+                        o.schedule(at, next_id);
+                    }
                     next_id += 1;
                 }
                 // 44%: pop and compare.
