@@ -1,13 +1,18 @@
-//! Execution of *lane* events.
+//! Event execution: content-determined ordering keys, the one scheduler,
+//! and the handlers of lane events.
 //!
-//! The world's events fall into two classes:
+//! Every event runs on a *lane*. `Hop`, `MemDone`, `ThreadWake` and
+//! `Timeout` run on the node whose state they touch (plus cluster-shared
+//! state); `Sample`, `Fault`, `Suspect` and `Manager` may touch anything
+//! and run on the global lane. The lane-event handlers are the `World`
+//! methods in this file; the global ones live in `crate::world`.
 //!
-//! * **Lane events** (`Hop`, `MemDone`, `ThreadWake`, `Timeout`) touch the
-//!   state of exactly one node — the event's *lane* — plus cluster-shared
-//!   read-only state. They are handled here, against a [`LaneCtx`] that
-//!   borrows the world's fields.
-//! * **Global events** (`Sample`, `Fault`, `Suspect`, `Manager`) may touch
-//!   anything. They stay ordinary `&mut World` methods in `crate::world`.
+//! Everything is scheduled through [`World::sched`], and "lane" or
+//! "global" also names the class of key it hands out. While a lane event
+//! runs, the world's [`Cursor`] names it, and each event it schedules gets
+//! a *lane key* derived from it. Anything scheduled outside a lane event
+//! (setup, the blocking and posted drivers, global handlers) gets a
+//! *global key* from a sequence number.
 //!
 //! ## Content-determined event keys
 //!
@@ -36,13 +41,11 @@
 //! every report and the pinned golden fingerprints.
 
 use crate::config::ClusterConfig;
-use crate::world::{CohState, Ev, NodeCtx, Owner, PendingTx, Resolution, Thread};
-use cohfree_fabric::{
-    step_row, FabricCounters, FabricRow, FabricShared, Message, MsgKind, NodeId, Step,
-};
+use crate::world::{CohState, Ev, Owner, PendingTx, Resolution, World};
+use cohfree_fabric::{Fabric, Message, MsgKind, NodeId, Step};
 use cohfree_rmc::{Completion, Submit};
-use cohfree_sim::span::{Phase, TraceSink};
-use cohfree_sim::{EventQueue, FastMap, SimDuration, SimTime};
+use cohfree_sim::span::Phase;
+use cohfree_sim::{SimDuration, SimTime};
 
 /// Lane number of global (whole-world) events; sorts before every node lane.
 /// Part of the `(time, key)` tie-break order: changing it changes every
@@ -128,8 +131,8 @@ pub(crate) fn backoff_delay(cfg: &ClusterConfig, tag: u64, attempt: u32) -> SimD
 /// lands among other events: changing it changes every fault-plan report
 /// and the pinned golden fingerprints.
 #[inline]
-pub(crate) fn suspect_delay(shared: &FabricShared) -> SimDuration {
-    let w = shared.min_hop_latency();
+pub(crate) fn suspect_delay(fabric: &Fabric) -> SimDuration {
+    let w = fabric.min_hop_latency();
     if w.is_zero() {
         SimDuration::ns(1)
     } else {
@@ -137,573 +140,512 @@ pub(crate) fn suspect_delay(shared: &FabricShared) -> SimDuration {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lane context
-// ---------------------------------------------------------------------------
-
-/// Mutable view of the world's per-node state plus the cluster-shared state
-/// a lane event may touch, built by `World::handle` for each lane event.
-pub(crate) struct LaneCtx<'a> {
-    pub(crate) cfg: &'a ClusterConfig,
-    /// Per-node state (index `node.index()`).
-    pub(crate) nodes: &'a mut [NodeCtx],
-    pub(crate) threads: &'a mut [Thread],
-    /// In-flight transactions.
-    pub(crate) pending: &'a mut FastMap<u64, PendingTx>,
-    /// Per-node evacuation remap tables (index `node.index()`).
-    pub(crate) evac_remaps: &'a mut [Vec<(u64, u64, u64)>],
-    /// Fabric router rows (index `node.get()`; row 0 is a placeholder).
-    pub(crate) rows: &'a mut [FabricRow],
-    pub(crate) fab_shared: &'a FabricShared,
-    pub(crate) fab_counters: &'a mut FabricCounters,
-    /// Cluster-wide crash flags (index `node.index()`).
-    pub(crate) dead: &'a [bool],
-    /// Coherent-DSM baseline: per-transaction home state and the domain.
-    pub(crate) coh: &'a mut FastMap<u64, CohState>,
-    pub(crate) coh_domain: &'a [NodeId],
-    pub(crate) trace: &'a mut TraceSink,
-    pub(crate) queue: &'a mut EventQueue<Ev>,
-    /// Blocking-driver completion slot (`Owner::Sync`); failure declaration
-    /// is global-only, so there is no failure slot here.
-    pub(crate) sync_done: &'a mut Option<(u64, SimTime)>,
-    // --- currently executing event (set by `exec_event`) ---
+/// The lane event executing now, from which [`World::sched`] derives the
+/// keys of the events it schedules. Outside lane events `lane` is
+/// [`GLOBAL_LANE`] and the other fields are stale.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cursor {
     pub(crate) now: SimTime,
-    pub(crate) cur_lane: u16,
-    pub(crate) cur_gen: u8,
-    pub(crate) cur_key: u128,
-    /// Per-lane execution ordinal of the current event.
-    pub(crate) cur_idx: u64,
-    /// Children scheduled by the current event so far.
+    pub(crate) lane: u16,
+    pub(crate) gen: u8,
+    pub(crate) key: u128,
+    /// Per-lane execution ordinal of the executing event.
+    pub(crate) idx: u64,
+    /// Events the executing event has scheduled so far.
     pub(crate) child: u16,
 }
 
-impl LaneCtx<'_> {
-    #[inline]
-    fn node_mut(&mut self, id: NodeId) -> &mut NodeCtx {
-        &mut self.nodes[id.index()]
+impl World {
+    /// The node lane that processes `ev` ([`GLOBAL_LANE`] for globals).
+    fn lane_of(&self, ev: &Ev) -> u16 {
+        match ev {
+            Ev::Hop { at, .. } => at.get(),
+            Ev::MemDone { msg, .. } => msg.dst.get(),
+            Ev::ThreadWake { id } => self.threads[*id].spec.node.get(),
+            Ev::Timeout { tag, .. } => (tag >> 48) as u16,
+            Ev::Sample | Ev::Fault(_) | Ev::Suspect { .. } | Ev::Manager => GLOBAL_LANE,
+        }
     }
 
-    /// Schedule `ev` on `lane` at `at` under its content-determined key.
-    fn sched(&mut self, at: SimTime, lane: u16, ev: Ev) {
-        let gen = if at == self.now && lane == self.cur_lane {
-            debug_assert!(self.cur_gen < u8::MAX, "same-instant causality too deep");
-            self.cur_gen.wrapping_add(1)
+    /// Schedule `ev` at `at` on its lane under its content-determined key:
+    /// a lane key derived from the executing lane event, or a global key
+    /// from the global sequence outside one.
+    pub(crate) fn sched(&mut self, at: SimTime, ev: Ev) {
+        let lane = self.lane_of(&ev);
+        let c = &mut self.cur;
+        let key = if c.lane == GLOBAL_LANE {
+            let key = make_key(lane, 0, 0, self.gseq, 0);
+            self.gseq += 1;
+            key
         } else {
-            0
+            let gen = if at == c.now && lane == c.lane {
+                debug_assert!(c.gen < u8::MAX, "same-instant causality too deep");
+                c.gen.wrapping_add(1)
+            } else {
+                0
+            };
+            let key = make_key(lane, gen, c.lane, c.idx, c.child);
+            c.child += 1;
+            // The canonical order must be executable: a same-instant child
+            // may never sort before the event that scheduled it.
+            debug_assert!(
+                at > c.now || key > c.key,
+                "same-instant event scheduled into the past of the canonical order"
+            );
+            key
         };
-        let key = make_key(lane, gen, self.cur_lane, self.cur_idx, self.child);
-        self.child += 1;
-        // The canonical order must be executable: a same-instant child may
-        // never sort before the event that scheduled it.
-        debug_assert!(
-            at > self.now || key > self.cur_key,
-            "same-instant event scheduled into the past of the canonical order"
-        );
         self.queue.schedule_keyed(at, key, ev);
     }
-}
 
-// ---------------------------------------------------------------------------
-// Lane-event execution
-// ---------------------------------------------------------------------------
-
-/// Execute one lane event against `ctx`. `key` must be the event's own
-/// ordering key and `idx` its per-lane execution ordinal.
-pub(crate) fn exec_event(ctx: &mut LaneCtx<'_>, now: SimTime, key: u128, idx: u64, ev: Ev) {
-    ctx.now = now;
-    ctx.cur_lane = key_lane(key);
-    ctx.cur_gen = key_gen(key);
-    ctx.cur_key = key;
-    ctx.cur_idx = idx;
-    ctx.child = 0;
-    match ev {
-        // A message at a crashed router vanishes with the router.
-        Ev::Hop { at, .. } if ctx.dead[at.index()] => {}
-        Ev::Hop { msg, at } => hop(ctx, now, msg, at),
-        // The DRAM completion of a node that crashed mid-service.
-        Ev::MemDone { msg, .. } if ctx.dead[msg.dst.index()] => {}
-        Ev::MemDone { msg, arrived } => mem_done(ctx, now, msg, arrived),
-        Ev::ThreadWake { id } => thread_step(ctx, now, id),
-        Ev::Timeout { tag, attempt } => on_timeout(ctx, now, tag, attempt),
-        Ev::Sample | Ev::Fault(_) | Ev::Suspect { .. } | Ev::Manager => {
-            unreachable!("global event dispatched to a lane context")
-        }
-    }
-}
-
-fn hop(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, at: NodeId) {
-    let (step, queued) = step_row(
-        ctx.fab_shared,
-        ctx.fab_counters,
-        &mut ctx.rows[at.get() as usize],
-        now,
-        at,
-        &msg,
-    );
-    if let Step::Forward { arrive, .. } = step {
-        trace_hop(ctx, &msg, at, now, arrive, queued);
-    }
-    match step {
-        Step::Forward { next, arrive } => {
-            ctx.sched(arrive, next.get(), Ev::Hop { msg, at: next });
-        }
-        // Lost on a link; the requester's timeout recovers it.
-        Step::Dropped => {}
-        Step::Deliver { at: t } => match msg.kind {
-            // --- coherent-DSM baseline choreography ---
-            MsgKind::ProbeReq => {
-                let (resp, inject_at) = ctx.node_mut(msg.dst).server.on_probe(t, &msg);
-                ctx.sched(
-                    inject_at,
-                    resp.src.get(),
-                    Ev::Hop {
-                        msg: resp,
-                        at: resp.src,
-                    },
-                );
+    /// Move `msg`, at router `at`, one fabric step, and hand it to its
+    /// endpoint on delivery.
+    pub(crate) fn hop(&mut self, now: SimTime, msg: Message, at: NodeId) {
+        let (step, queued) = self.fabric.step_traced(now, at, &msg);
+        match step {
+            Step::Forward { next, arrive } => {
+                self.trace_hop(&msg, at, now, arrive, queued);
+                self.sched(arrive, Ev::Hop { msg, at: next });
             }
-            MsgKind::ProbeResp => {
-                let done = ctx.node_mut(msg.dst).server.on_probe_response(t);
-                let st = ctx
-                    .coh
-                    .get_mut(&msg.tag)
-                    .expect("probe response for unknown coherent transaction");
-                st.awaiting_probes -= 1;
-                try_finish_coherent(ctx, msg.tag, done);
-            }
-            MsgKind::CohReadReq { .. } => {
-                let home = msg.dst;
-                let node = ctx.node_mut(home);
-                let issue = node.server.on_request(t, &msg);
-                let done = node
-                    .mem
-                    .access(issue.issue_at, issue.local_addr, issue.bytes);
-                ctx.sched(done, home.get(), Ev::MemDone { msg, arrived: t });
-                // Broadcast snoops to every other domain member.
-                let members: Vec<NodeId> = ctx
-                    .coh_domain
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != home && m != msg.src)
-                    .collect();
-                ctx.coh.insert(
-                    msg.tag,
-                    CohState {
-                        awaiting_probes: members.len(),
-                        mem_done: None,
-                        req: msg,
-                        arrived: t,
-                    },
-                );
-                for m in members {
-                    let probe = Message::with_addr(home, m, MsgKind::ProbeReq, msg.tag, msg.addr);
-                    ctx.sched(
-                        issue.issue_at,
-                        home.get(),
+            // Lost on a link; the requester's timeout recovers it.
+            Step::Dropped => {}
+            Step::Deliver { at: t } => match msg.kind {
+                // --- coherent-DSM baseline choreography ---
+                MsgKind::ProbeReq => {
+                    let (resp, inject_at) = self.nodes[msg.dst.index()].server.on_probe(t, &msg);
+                    self.sched(
+                        inject_at,
                         Ev::Hop {
-                            msg: probe,
-                            at: home,
+                            msg: resp,
+                            at: resp.src,
                         },
                     );
                 }
-            }
-            // --- ordinary (non-coherent) paths ---
-            _ if msg.kind.is_response() => {
-                // None = duplicate response under loss recovery.
-                if let Some(comp) = ctx.node_mut(msg.dst).client.on_response(t, &msg) {
-                    if ctx.trace.enabled() {
-                        let node = msg.dst.get();
-                        let svc_start = comp.done_at - ctx.cfg.rmc.proc_time;
-                        ctx.trace
-                            .push(comp.tag, Phase::ClientQueue, node, t, svc_start);
-                        ctx.trace.push(
-                            comp.tag,
-                            Phase::Reply,
-                            node,
-                            svc_start.max(t),
-                            comp.done_at,
+                MsgKind::ProbeResp => {
+                    let done = self.nodes[msg.dst.index()].server.on_probe_response(t);
+                    let st = self
+                        .coh
+                        .get_mut(&msg.tag)
+                        .expect("probe response for unknown coherent transaction");
+                    st.awaiting_probes -= 1;
+                    self.try_finish_coherent(msg.tag, done);
+                }
+                MsgKind::CohReadReq { .. } => {
+                    let home = msg.dst;
+                    let node = &mut self.nodes[home.index()];
+                    let issue = node.server.on_request(t, &msg);
+                    let done = node
+                        .mem
+                        .access(issue.issue_at, issue.local_addr, issue.bytes);
+                    self.sched(done, Ev::MemDone { msg, arrived: t });
+                    // Broadcast snoops to every other domain member.
+                    let members: Vec<NodeId> = self
+                        .coherent_domain
+                        .iter()
+                        .copied()
+                        .filter(|&m| m != home && m != msg.src)
+                        .collect();
+                    self.coh.insert(
+                        msg.tag,
+                        CohState {
+                            awaiting_probes: members.len(),
+                            mem_done: None,
+                            req: msg,
+                            arrived: t,
+                        },
+                    );
+                    for m in members {
+                        let probe =
+                            Message::with_addr(home, m, MsgKind::ProbeReq, msg.tag, msg.addr);
+                        self.sched(
+                            issue.issue_at,
+                            Ev::Hop {
+                                msg: probe,
+                                at: home,
+                            },
                         );
                     }
-                    complete(ctx, comp);
                 }
-            }
-            _ => {
-                let home = msg.dst;
-                let node = ctx.node_mut(home);
-                let issue = node.server.on_request(t, &msg);
-                let done = node
-                    .mem
-                    .access(issue.issue_at, issue.local_addr, issue.bytes);
-                if ctx.trace.enabled() {
-                    let svc_start = issue.issue_at - ctx.cfg.rmc.server_proc_time;
-                    ctx.trace
-                        .push(msg.tag, Phase::ServerQueue, home.get(), t, svc_start);
-                    ctx.trace
-                        .push(msg.tag, Phase::Service, home.get(), svc_start.max(t), done);
+                // --- ordinary (non-coherent) paths ---
+                _ if msg.kind.is_response() => {
+                    // None = duplicate response under loss recovery.
+                    if let Some(comp) = self.nodes[msg.dst.index()].client.on_response(t, &msg) {
+                        if self.trace.enabled() {
+                            let node = msg.dst.get();
+                            let svc_start = comp.done_at - self.cfg.rmc.proc_time;
+                            self.trace
+                                .push(comp.tag, Phase::ClientQueue, node, t, svc_start);
+                            self.trace.push(
+                                comp.tag,
+                                Phase::Reply,
+                                node,
+                                svc_start.max(t),
+                                comp.done_at,
+                            );
+                        }
+                        self.complete(comp);
+                    }
                 }
-                ctx.sched(done, home.get(), Ev::MemDone { msg, arrived: t });
-            }
-        },
-    }
-}
-
-fn mem_done(ctx: &mut LaneCtx<'_>, now: SimTime, msg: Message, arrived: SimTime) {
-    if matches!(msg.kind, MsgKind::CohReadReq { .. }) {
-        let st = ctx
-            .coh
-            .get_mut(&msg.tag)
-            .expect("memory completion for unknown coherent transaction");
-        st.mem_done = Some(now);
-        try_finish_coherent(ctx, msg.tag, now);
-    } else {
-        let (resp, inject_at) = ctx.node_mut(msg.dst).server.on_mem_done(now, &msg, arrived);
-        if ctx.trace.enabled() {
-            let home = msg.dst.get();
-            let svc_start = inject_at - ctx.cfg.rmc.server_proc_time;
-            ctx.trace
-                .push(msg.tag, Phase::ServerQueue, home, now, svc_start);
-            ctx.trace
-                .push(msg.tag, Phase::Reply, home, svc_start.max(now), inject_at);
+                _ => {
+                    let home = msg.dst;
+                    let node = &mut self.nodes[home.index()];
+                    let issue = node.server.on_request(t, &msg);
+                    let done = node
+                        .mem
+                        .access(issue.issue_at, issue.local_addr, issue.bytes);
+                    if self.trace.enabled() {
+                        let svc_start = issue.issue_at - self.cfg.rmc.server_proc_time;
+                        self.trace
+                            .push(msg.tag, Phase::ServerQueue, home.get(), t, svc_start);
+                        self.trace.push(
+                            msg.tag,
+                            Phase::Service,
+                            home.get(),
+                            svc_start.max(t),
+                            done,
+                        );
+                    }
+                    self.sched(done, Ev::MemDone { msg, arrived: t });
+                }
+            },
         }
-        ctx.sched(
+    }
+
+    /// The home DRAM finished serving `msg`, which reached the server RMC at
+    /// `arrived`.
+    pub(crate) fn mem_done(&mut self, now: SimTime, msg: Message, arrived: SimTime) {
+        if matches!(msg.kind, MsgKind::CohReadReq { .. }) {
+            let st = self
+                .coh
+                .get_mut(&msg.tag)
+                .expect("memory completion for unknown coherent transaction");
+            st.mem_done = Some(now);
+            self.try_finish_coherent(msg.tag, now);
+        } else {
+            let (resp, inject_at) = self.nodes[msg.dst.index()]
+                .server
+                .on_mem_done(now, &msg, arrived);
+            if self.trace.enabled() {
+                let home = msg.dst.get();
+                let svc_start = inject_at - self.cfg.rmc.server_proc_time;
+                self.trace
+                    .push(msg.tag, Phase::ServerQueue, home, now, svc_start);
+                self.trace
+                    .push(msg.tag, Phase::Reply, home, svc_start.max(now), inject_at);
+            }
+            self.sched(
+                inject_at,
+                Ev::Hop {
+                    msg: resp,
+                    at: resp.src,
+                },
+            );
+        }
+    }
+
+    /// Release a coherent response once both the DRAM read and every snoop
+    /// response are in.
+    fn try_finish_coherent(&mut self, tag: u64, now: SimTime) {
+        let st = self.coh.get(&tag).expect("coherent state exists");
+        if st.awaiting_probes != 0 || st.mem_done.is_none() {
+            return;
+        }
+        let st = self.coh.remove(&tag).expect("checked above");
+        let (resp, inject_at) = self.nodes[st.req.dst.index()]
+            .server
+            .on_mem_done(now, &st.req, st.arrived);
+        self.sched(
             inject_at,
-            resp.src.get(),
             Ev::Hop {
                 msg: resp,
                 at: resp.src,
             },
         );
     }
-}
 
-/// Release a coherent response once both the DRAM read and every snoop
-/// response are in.
-fn try_finish_coherent(ctx: &mut LaneCtx<'_>, tag: u64, now: SimTime) {
-    let st = ctx.coh.get(&tag).expect("coherent state exists");
-    if st.awaiting_probes != 0 || st.mem_done.is_none() {
-        return;
-    }
-    let st = ctx.coh.remove(&tag).expect("checked above");
-    let (resp, inject_at) = ctx
-        .node_mut(st.req.dst)
-        .server
-        .on_mem_done(now, &st.req, st.arrived);
-    ctx.sched(
-        inject_at,
-        resp.src.get(),
-        Ev::Hop {
-            msg: resp,
-            at: resp.src,
-        },
-    );
-}
-
-fn complete(ctx: &mut LaneCtx<'_>, comp: Completion) {
-    ctx.trace.finish(comp.tag, comp.done_at, false);
-    match ctx.pending.remove(&comp.tag).map(|p| p.owner) {
-        Some(Owner::Thread(id)) => resolve(ctx, comp.done_at, id, Resolution::Completed),
-        Some(Owner::Sync) => {
-            *ctx.sync_done = Some((comp.tag, comp.done_at));
+    fn complete(&mut self, comp: Completion) {
+        self.trace.finish(comp.tag, comp.done_at, false);
+        match self.pending.remove(&comp.tag).map(|p| p.owner) {
+            Some(Owner::Thread(id)) => self.resolve(comp.done_at, id, Resolution::Completed),
+            Some(Owner::Sync) => self.sync = Some(Ok(comp.done_at)),
+            Some(Owner::Posted) => {} // fire-and-forget acknowledged
+            None => panic!("completion for unowned tag {:#x}", comp.tag),
         }
-        Some(Owner::Posted) => {} // fire-and-forget acknowledged
-        None => panic!("completion for unowned tag {:#x}", comp.tag),
     }
-}
 
-/// Arm the loss-recovery timer for `tag` if messages can be lost — a lossy
-/// fabric, or any fault plan (crashes and outages swallow traffic even over
-/// lossless links).
-fn arm_timeout(ctx: &mut LaneCtx<'_>, injected_at: SimTime, tag: u64, attempt: u32) {
-    if ctx.cfg.fabric.loss_rate > 0.0 || !ctx.cfg.faults.is_empty() {
-        let delay = backoff_delay(ctx.cfg, tag, attempt);
-        ctx.sched(
-            injected_at.saturating_add(delay),
-            (tag >> 48) as u16,
-            Ev::Timeout { tag, attempt },
+    /// Put a submission its client RMC accepted at `accepted_at` in flight:
+    /// record its owner, open its trace, schedule its first hop at the
+    /// source router and arm its loss-recovery timer. `first_offer` is when
+    /// the core first wanted the access out; NACK rounds may separate the
+    /// two, and the trace charges that wait to the stall phase.
+    pub(crate) fn launch(
+        &mut self,
+        owner: Owner,
+        msg: Message,
+        inject_at: SimTime,
+        first_offer: SimTime,
+        accepted_at: SimTime,
+    ) {
+        self.pending.insert(
+            msg.tag,
+            PendingTx {
+                owner,
+                msg,
+                attempt: 0,
+            },
         );
-    }
-}
-
-fn on_timeout(ctx: &mut LaneCtx<'_>, now: SimTime, tag: u64, attempt: u32) {
-    let Some(p) = ctx.pending.get_mut(&tag) else {
-        return; // completed or aborted; stale timer
-    };
-    if p.attempt != attempt {
-        return; // already retransmitted; a newer timer is armed
-    }
-    if p.attempt >= ctx.cfg.recovery.max_retries {
-        // Retry budget exhausted: the home node is unresponsive. Failure
-        // declaration touches cluster-wide state (directory, evacuation),
-        // so it is deferred one lookahead window as a global event; the
-        // pending transaction stays in place until the declaration sweeps
-        // it up, keeping further timers stale-safe.
-        let (observer, dead) = (p.msg.src, p.msg.dst);
-        let at = now.saturating_add(suspect_delay(ctx.fab_shared));
-        ctx.sched(at, GLOBAL_LANE, Ev::Suspect { observer, dead });
-        return;
-    }
-    p.attempt += 1;
-    let (msg, new_attempt) = (p.msg, p.attempt);
-    let src = msg.src;
-    let inject_at = ctx.node_mut(src).client.retransmit(now, tag);
-    // The retransmit pass is loss-recovery work; the wait that led to this
-    // timeout becomes Retry too, via gap-filling at finish().
-    ctx.trace.push_attr(
-        tag,
-        Phase::Retry,
-        src.get(),
-        now,
-        inject_at,
-        Some(("attempt", new_attempt as u64)),
-    );
-    ctx.sched(inject_at, src.get(), Ev::Hop { msg, at: src });
-    arm_timeout(ctx, inject_at, tag, new_attempt);
-}
-
-/// Record one terminal outcome of thread `id` at `now` and schedule its
-/// next wake, unless that was its last access.
-fn resolve(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize, how: Resolution) {
-    let th = &mut ctx.threads[id];
-    let node = th.spec.node;
-    if let Some(wake) = th.resolve(now, how) {
-        ctx.sched(wake, node.get(), Ev::ThreadWake { id });
-    }
-}
-
-fn thread_step(ctx: &mut LaneCtx<'_>, now: SimTime, id: usize) {
-    // A wake-up for a thread that died (its node crashed) or already
-    // finished (e.g. its last access failed) is stale.
-    let node = {
-        let th = &mut ctx.threads[id];
-        if th.finished.is_some() {
-            return;
-        }
-        th.spec.node
-    };
-    if ctx.dead[node.index()] {
-        return;
-    }
-    // Take the pending (NACKed or evacuated) access or generate a fresh one.
-    let (dst, kind, addr) = {
-        let th = &mut ctx.threads[id];
-        if let Some(p) = th.pending.take() {
-            p
-        } else {
-            if th.issued == th.spec.accesses {
-                return; // nothing left to issue
-            }
-            th.issued += 1;
-            // Open-loop serving threads stamp the request's scheduled
-            // arrival as its first offer: wake-ups never run early
-            // (`next_issue_at` clamps to the arrival), so on a backed-up
-            // lane the arrival precedes `now` and the queueing delay lands
-            // in the stall phase and the end-to-end latency.
-            if let Some(&arrival) = th.arrivals.get((th.issued - 1) as usize) {
-                th.pending_since = Some(arrival);
-            }
-            let slots_of = |len: u64| (len / th.spec.bytes as u64).max(1);
-            let (base, len, slot) = if th.sequential {
-                // Walk all zones end-to-end in order, wrapping. Each zone
-                // contributes its own slot count — zones may differ in
-                // size, so the walk position is resolved against the
-                // cumulative slot total, not the first zone's.
-                let total: u64 = th.spec.zones.iter().map(|&(_, l)| slots_of(l)).sum();
-                let mut off = (th.issued - 1) % total;
-                let mut zi = 0usize;
-                while off >= slots_of(th.spec.zones[zi].1) {
-                    off -= slots_of(th.spec.zones[zi].1);
-                    zi += 1;
-                }
-                let (base, len) = th.spec.zones[zi];
-                (base, len, off)
-            } else if th.zipf.is_some() {
-                // Zipf rank over the combined slot space (rank 0 hottest),
-                // resolved against cumulative per-zone slot counts exactly
-                // like the sequential walk.
-                let mut off = th.zipf.as_ref().expect("checked above").sample(&mut th.rng) as u64;
-                let mut zi = 0usize;
-                while off >= slots_of(th.spec.zones[zi].1) {
-                    off -= slots_of(th.spec.zones[zi].1);
-                    zi += 1;
-                }
-                let (base, len) = th.spec.zones[zi];
-                (base, len, off)
-            } else {
-                let zi = if th.spec.zones.len() == 1 {
-                    0
-                } else {
-                    th.rng.below(th.spec.zones.len() as u64) as usize
-                };
-                let (base, len) = th.spec.zones[zi];
-                (base, len, th.rng.below(slots_of(len)))
-            };
-            let _ = len;
-            let addr = base + slot * th.spec.bytes as u64;
-            let write = !th.coherent && th.rng.chance(th.spec.write_fraction);
-            let kind = if th.coherent {
-                MsgKind::CohReadReq {
-                    bytes: th.spec.bytes,
-                }
-            } else if write {
-                MsgKind::WriteReq {
-                    bytes: th.spec.bytes,
-                }
-            } else {
-                MsgKind::ReadReq {
-                    bytes: th.spec.bytes,
-                }
-            };
-            let (prefix, _) = cohfree_rmc::addr::split(addr);
-            (NodeId::new(prefix), kind, addr)
-        }
-    };
-    // The instant the access was *first* offered to the RMC — NACK wake-ups
-    // re-offer the same access, and the serialization stall is measured from
-    // the very first attempt.
-    let first_offer = ctx.threads[id].pending_since.take().unwrap_or(now);
-    // Accesses into an evacuated zone follow it to its new home
-    // (pre-evacuation NACKed pendings, pre-rewrite generated addresses).
-    let (dst, addr) = match ctx.evac_remaps[node.index()]
-        .iter()
-        .copied()
-        .find(|&(old, _, frames)| addr >= old && addr < old + frames * 4096)
-    {
-        Some((old, new, _)) => {
-            let a = new + (addr - old);
-            let (prefix, _) = cohfree_rmc::addr::split(a);
-            (NodeId::new(prefix), a)
-        }
-        None => (dst, addr),
-    };
-    // An access aimed at a declared-failed home (no evacuation took it in)
-    // fails instead of burning a retry budget each time.
-    if ctx.node_mut(node).client.is_suspect(dst) {
-        ctx.trace.fail_fast(node.get(), now);
-        resolve(ctx, now, id, Resolution::Failed);
-        return;
-    }
-    // Admission control: the recovery manager has load-shed this target.
-    // Defer the access one manager tick instead of piling onto the
-    // overload; the preserved `pending_since` keeps the deferral inside
-    // the transaction's eventual Stall phase, and re-admission is
-    // guaranteed because backlogs are time-to-drain values that decay.
-    // Lane code only *reads* the shed set here — it is mutated solely by
-    // global manager events.
-    if ctx.node_mut(node).client.is_shed(dst) {
-        // Open-loop serving threads drop the request instead of deferring:
-        // an arrival-driven client cannot hold back load, so shedding is a
-        // terminal outcome (counted, never retried). Closed-loop threads
-        // keep the defer-and-retry discipline.
-        if !ctx.threads[id].arrivals.is_empty() {
-            ctx.trace.fail_fast(node.get(), now);
-            resolve(ctx, now, id, Resolution::Shed);
-            return;
-        }
-        let wake = now + ctx.cfg.manager.tick.max(SimDuration::ns(1));
-        {
-            let th = &mut ctx.threads[id];
-            th.pending = Some((dst, kind, addr));
-            th.pending_since = Some(first_offer);
-        }
-        ctx.node_mut(node).client.note_shed_deferral();
-        ctx.sched(wake, node.get(), Ev::ThreadWake { id });
-        return;
-    }
-    match ctx.node_mut(node).client.submit(now, dst, kind, addr) {
-        Submit::Accepted { msg, inject_at } => {
-            {
-                let th = &mut ctx.threads[id];
-                if th.latency.is_some() {
-                    // End-to-end serving latency runs from the request's
-                    // first offer (its arrival, for open-loop threads).
-                    th.inflight_since = Some(first_offer);
-                }
-            }
-            ctx.pending.insert(
-                msg.tag,
-                PendingTx {
-                    owner: Owner::Thread(id),
-                    msg,
-                    attempt: 0,
-                },
-            );
-            trace_submitted(
-                ctx.trace,
-                ctx.cfg.rmc.proc_time,
-                first_offer,
-                now,
-                &msg,
+        if self.trace.enabled() {
+            let (node, tag) = (msg.src.get(), msg.tag);
+            let svc_start = inject_at - self.cfg.rmc.proc_time;
+            self.trace.begin(tag, node, first_offer);
+            self.trace
+                .push(tag, Phase::Stall, node, first_offer, accepted_at);
+            self.trace
+                .push(tag, Phase::ClientQueue, node, accepted_at, svc_start);
+            self.trace.push(
+                tag,
+                Phase::Issue,
+                node,
+                svc_start.max(accepted_at),
                 inject_at,
             );
-            ctx.sched(inject_at, node.get(), Ev::Hop { msg, at: node });
-            arm_timeout(ctx, inject_at, msg.tag, 0);
         }
-        Submit::Nacked { retry_at } => {
-            let th = &mut ctx.threads[id];
+        self.sched(inject_at, Ev::Hop { msg, at: msg.src });
+        self.arm_timeout(inject_at, msg.tag, 0);
+    }
+
+    /// Arm the loss-recovery timer for `attempt` of `tag`, injected at
+    /// `injected_at`, if messages can be lost — a lossy fabric, or any
+    /// fault plan (crashes and outages swallow traffic even over lossless
+    /// links). The delay is [`backoff_delay`].
+    fn arm_timeout(&mut self, injected_at: SimTime, tag: u64, attempt: u32) {
+        if self.cfg.fabric.loss_rate > 0.0 || !self.cfg.faults.is_empty() {
+            let delay = backoff_delay(&self.cfg, tag, attempt);
+            self.sched(
+                injected_at.saturating_add(delay),
+                Ev::Timeout { tag, attempt },
+            );
+        }
+    }
+
+    pub(crate) fn on_timeout(&mut self, now: SimTime, tag: u64, attempt: u32) {
+        let Some(p) = self.pending.get_mut(&tag) else {
+            return; // completed or aborted; stale timer
+        };
+        if p.attempt != attempt {
+            return; // already retransmitted; a newer timer is armed
+        }
+        if p.attempt >= self.cfg.recovery.max_retries {
+            // Retry budget exhausted: the home node is unresponsive. Failure
+            // declaration touches cluster-wide state (directory, evacuation),
+            // so it is deferred one lookahead window as a global event; the
+            // pending transaction stays in place until the declaration sweeps
+            // it up, keeping further timers stale-safe.
+            let (observer, dead) = (p.msg.src, p.msg.dst);
+            let at = now.saturating_add(suspect_delay(&self.fabric));
+            self.sched(at, Ev::Suspect { observer, dead });
+            return;
+        }
+        p.attempt += 1;
+        let (msg, new_attempt) = (p.msg, p.attempt);
+        let src = msg.src;
+        let inject_at = self.nodes[src.index()].client.retransmit(now, tag);
+        // The retransmit pass is loss-recovery work; the wait that led to this
+        // timeout becomes Retry too, via gap-filling at finish().
+        self.trace.push_attr(
+            tag,
+            Phase::Retry,
+            src.get(),
+            now,
+            inject_at,
+            Some(("attempt", new_attempt as u64)),
+        );
+        self.sched(inject_at, Ev::Hop { msg, at: src });
+        self.arm_timeout(inject_at, tag, new_attempt);
+    }
+
+    /// Record one terminal outcome of thread `id` at `now` and schedule its
+    /// next wake, unless that was its last access.
+    pub(crate) fn resolve(&mut self, now: SimTime, id: usize, how: Resolution) {
+        if let Some(wake) = self.threads[id].resolve(now, how) {
+            self.sched(wake, Ev::ThreadWake { id });
+        }
+    }
+
+    /// Where an access to `addr` issued on `node` goes once an evacuation
+    /// moved its zone: the new home and address, or `None` if no
+    /// evacuation covers it.
+    pub(crate) fn remap(&self, node: NodeId, addr: u64) -> Option<(NodeId, u64)> {
+        let &(old, new, _) = self.evac_remaps[node.index()]
+            .iter()
+            .find(|&&(old, _, frames)| addr >= old && addr < old + frames * 4096)?;
+        let addr = new + (addr - old);
+        let (prefix, _) = cohfree_rmc::addr::split(addr);
+        Some((NodeId::new(prefix), addr))
+    }
+
+    pub(crate) fn thread_step(&mut self, now: SimTime, id: usize) {
+        // A wake-up for a thread that died (its node crashed) or already
+        // finished (e.g. its last access failed) is stale.
+        let node = self.threads[id].spec.node;
+        if self.threads[id].finished.is_some() || self.dead[node.index()] {
+            return;
+        }
+        // Take the pending (NACKed or evacuated) access or generate a fresh one.
+        let (dst, kind, addr) = {
+            let th = &mut self.threads[id];
+            if let Some(p) = th.pending.take() {
+                p
+            } else {
+                if th.issued == th.spec.accesses {
+                    return; // nothing left to issue
+                }
+                th.issued += 1;
+                // Open-loop serving threads stamp the request's scheduled
+                // arrival as its first offer: wake-ups never run early
+                // (`next_issue_at` clamps to the arrival), so on a backed-up
+                // lane the arrival precedes `now` and the queueing delay lands
+                // in the stall phase and the end-to-end latency.
+                if let Some(&arrival) = th.arrivals.get((th.issued - 1) as usize) {
+                    th.pending_since = Some(arrival);
+                }
+                let slots_of = |len: u64| (len / th.spec.bytes as u64).max(1);
+                // A sequential walk position or a Zipf rank (rank 0 hottest)
+                // indexes the combined slot space of all zones, end to end.
+                let rank = if th.sequential {
+                    let total: u64 = th.spec.zones.iter().map(|&(_, l)| slots_of(l)).sum();
+                    Some((th.issued - 1) % total)
+                } else {
+                    th.zipf.as_ref().map(|z| z.sample(&mut th.rng) as u64)
+                };
+                let (base, slot) = match rank {
+                    // Zones may differ in size, so the rank is resolved
+                    // against the cumulative per-zone slot counts.
+                    Some(mut off) => {
+                        let mut zi = 0usize;
+                        while off >= slots_of(th.spec.zones[zi].1) {
+                            off -= slots_of(th.spec.zones[zi].1);
+                            zi += 1;
+                        }
+                        (th.spec.zones[zi].0, off)
+                    }
+                    None => {
+                        let zi = if th.spec.zones.len() == 1 {
+                            0
+                        } else {
+                            th.rng.below(th.spec.zones.len() as u64) as usize
+                        };
+                        let (base, len) = th.spec.zones[zi];
+                        (base, th.rng.below(slots_of(len)))
+                    }
+                };
+                let addr = base + slot * th.spec.bytes as u64;
+                let write = !th.coherent && th.rng.chance(th.spec.write_fraction);
+                let kind = if th.coherent {
+                    MsgKind::CohReadReq {
+                        bytes: th.spec.bytes,
+                    }
+                } else if write {
+                    MsgKind::WriteReq {
+                        bytes: th.spec.bytes,
+                    }
+                } else {
+                    MsgKind::ReadReq {
+                        bytes: th.spec.bytes,
+                    }
+                };
+                let (prefix, _) = cohfree_rmc::addr::split(addr);
+                (NodeId::new(prefix), kind, addr)
+            }
+        };
+        // The instant the access was *first* offered to the RMC — NACK wake-ups
+        // re-offer the same access, and the serialization stall is measured from
+        // the very first attempt.
+        let first_offer = self.threads[id].pending_since.take().unwrap_or(now);
+        // Accesses into an evacuated zone follow it to its new home
+        // (pre-evacuation NACKed pendings, pre-rewrite generated addresses).
+        let (dst, addr) = self.remap(node, addr).unwrap_or((dst, addr));
+        // An access aimed at a declared-failed home (no evacuation took it in)
+        // fails instead of burning a retry budget each time.
+        if self.nodes[node.index()].client.is_suspect(dst) {
+            self.trace.fail_fast(node.get(), now);
+            self.resolve(now, id, Resolution::Failed);
+            return;
+        }
+        // Admission control: the recovery manager has load-shed this target.
+        // Defer the access one manager tick instead of piling onto the
+        // overload; the preserved `pending_since` keeps the deferral inside
+        // the transaction's eventual Stall phase, and re-admission is
+        // guaranteed because backlogs are time-to-drain values that decay.
+        // Lane code only *reads* the shed set here — it is mutated solely by
+        // global manager events.
+        if self.nodes[node.index()].client.is_shed(dst) {
+            // Open-loop serving threads drop the request instead of deferring:
+            // an arrival-driven client cannot hold back load, so shedding is a
+            // terminal outcome (counted, never retried). Closed-loop threads
+            // keep the defer-and-retry discipline.
+            if !self.threads[id].arrivals.is_empty() {
+                self.trace.fail_fast(node.get(), now);
+                self.resolve(now, id, Resolution::Shed);
+                return;
+            }
+            let wake = now + self.cfg.manager.tick.max(SimDuration::ns(1));
+            let th = &mut self.threads[id];
             th.pending = Some((dst, kind, addr));
             th.pending_since = Some(first_offer);
-            th.nack_retries += 1;
-            ctx.sched(retry_at, node.get(), Ev::ThreadWake { id });
+            self.nodes[node.index()].client.note_shed_deferral();
+            self.sched(wake, Ev::ThreadWake { id });
+            return;
+        }
+        match self.nodes[node.index()].client.submit(now, dst, kind, addr) {
+            Submit::Accepted { msg, inject_at } => {
+                let th = &mut self.threads[id];
+                if th.latency.is_some() {
+                    // End-to-end serving latency runs from the request's
+                    // first offer (its arrival, for open-loop threads); a
+                    // request re-aimed after an evacuation keeps the
+                    // instant its first submission set.
+                    th.inflight_since.get_or_insert(first_offer);
+                }
+                self.launch(Owner::Thread(id), msg, inject_at, first_offer, now);
+            }
+            Submit::Nacked { retry_at } => {
+                let th = &mut self.threads[id];
+                th.pending = Some((dst, kind, addr));
+                th.pending_since = Some(first_offer);
+                th.nack_retries += 1;
+                self.sched(retry_at, Ev::ThreadWake { id });
+            }
         }
     }
-}
 
-/// Open a trace for an accepted submission and attribute its stall,
-/// client-queue and issue phases. `first_offer` is when the core first
-/// wanted the access out (may precede `accepted_at` by NACK rounds);
-/// `proc_time` is the client RMC's per-request processing time.
-pub(crate) fn trace_submitted(
-    trace: &mut TraceSink,
-    proc_time: SimDuration,
-    first_offer: SimTime,
-    accepted_at: SimTime,
-    msg: &Message,
-    inject_at: SimTime,
-) {
-    if !trace.enabled() {
-        return;
-    }
-    let node = msg.src.get();
-    let tag = msg.tag;
-    trace.begin(tag, node, first_offer);
-    trace.push(tag, Phase::Stall, node, first_offer, accepted_at);
-    let svc_start = inject_at - proc_time;
-    trace.push(tag, Phase::ClientQueue, node, accepted_at, svc_start);
-    trace.push(
-        tag,
-        Phase::Issue,
-        node,
-        svc_start.max(accepted_at),
-        inject_at,
-    );
-}
-
-/// Attribute one forwarded hop to its wire and fabric-queue phases. Probe
-/// traffic shares its parent's tag and is not part of the requester-observed
-/// critical path, so it is excluded.
-fn trace_hop(
-    ctx: &mut LaneCtx<'_>,
-    msg: &Message,
-    at: NodeId,
-    now: SimTime,
-    arrive: SimTime,
-    queued: SimDuration,
-) {
-    if matches!(msg.kind, MsgKind::ProbeReq | MsgKind::ProbeResp) || !ctx.trace.enabled() {
-        return;
-    }
-    let node = at.get();
-    let tag = msg.tag;
-    if queued.is_zero() {
-        ctx.trace.push(tag, Phase::Wire, node, now, arrive);
-    } else {
-        // Router pass, FIFO wait on the link serializer, then serialization
-        // + flight: three sub-intervals that tile the hop.
-        let enq = now + ctx.cfg.fabric.router_delay;
-        ctx.trace.push(tag, Phase::Wire, node, now, enq);
-        ctx.trace
-            .push(tag, Phase::FabricQueue, node, enq, enq + queued);
-        ctx.trace.push(tag, Phase::Wire, node, enq + queued, arrive);
+    /// Attribute one forwarded hop to its wire and fabric-queue phases. Probe
+    /// traffic shares its parent's tag and is not part of the
+    /// requester-observed critical path, so it is excluded.
+    fn trace_hop(
+        &mut self,
+        msg: &Message,
+        at: NodeId,
+        now: SimTime,
+        arrive: SimTime,
+        queued: SimDuration,
+    ) {
+        if matches!(msg.kind, MsgKind::ProbeReq | MsgKind::ProbeResp) || !self.trace.enabled() {
+            return;
+        }
+        let node = at.get();
+        let tag = msg.tag;
+        if queued.is_zero() {
+            self.trace.push(tag, Phase::Wire, node, now, arrive);
+        } else {
+            // Router pass, FIFO wait on the link serializer, then serialization
+            // + flight: three sub-intervals that tile the hop.
+            let enq = now + self.cfg.fabric.router_delay;
+            self.trace.push(tag, Phase::Wire, node, now, enq);
+            self.trace
+                .push(tag, Phase::FabricQueue, node, enq, enq + queued);
+            self.trace
+                .push(tag, Phase::Wire, node, enq + queued, arrive);
+        }
     }
 }
 

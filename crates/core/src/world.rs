@@ -28,7 +28,7 @@
 
 use crate::config::ClusterConfig;
 use crate::envknob;
-use crate::exec;
+use crate::exec::{self, Cursor};
 use crate::fault::{EvacuationPolicy, FaultEvent};
 use cohfree_fabric::{Fabric, Message, MsgKind, NodeId};
 use cohfree_mem::NodeMemory;
@@ -332,7 +332,9 @@ pub(crate) struct Thread {
     /// Access generated but NACKed, awaiting retry.
     pub(crate) pending: Option<(NodeId, MsgKind, u64)>,
     /// When the pending access was *first* offered (serialization-stall
-    /// start for the span tracer; `None` for evacuation re-aims).
+    /// start for the span tracer). `None` for evacuation re-aims: their new
+    /// trace starts at the re-issue, while the request's end-to-end latency
+    /// still runs from `inflight_since`.
     pub(crate) pending_since: Option<SimTime>,
     /// Open-loop arrival schedule: absolute instant request `k` enters the
     /// system (sorted, one per access). Empty = closed loop (the next
@@ -432,7 +434,9 @@ pub struct World {
     pub(crate) directory: Directory,
     pub(crate) threads: Vec<Thread>,
     pub(crate) pending: FastMap<u64, PendingTx>,
-    pub(crate) sync_done: Option<(u64, SimTime)>,
+    /// How the blocking driver's transaction (`Owner::Sync`) ended:
+    /// completed at `Ok(at)` or failed at `Err(at)`.
+    pub(crate) sync: Option<Result<SimTime, SimTime>>,
     /// Members of the (single, experiment-wide) inter-node coherency domain
     /// for the coherent-DSM baseline; empty = the paper's architecture.
     pub(crate) coherent_domain: Vec<NodeId>,
@@ -458,16 +462,16 @@ pub struct World {
     lost_frames: Vec<u64>,
     /// Zones successfully re-homed after a donor failure.
     evacuations: u64,
-    /// A blocking transaction's home was declared failed (mirror of
-    /// `sync_done` for the failure path).
-    pub(crate) sync_failed: Option<(u64, SimTime)>,
     /// Per owner node: `(old_base, new_base, frames)` of evacuated zones,
     /// so interrupted and not-yet-issued accesses can be re-aimed.
     pub(crate) evac_remaps: Vec<Vec<(u64, u64, u64)>>,
     /// Per-transaction span tracer (mode per [`crate::TraceConfig`]).
     pub(crate) trace: TraceSink,
-    /// Sequence number for global-context scheduling keys ([`World::gsched`]).
-    gseq: u64,
+    /// Sequence number for global keys ([`World::sched`] outside lane
+    /// events).
+    pub(crate) gseq: u64,
+    /// The lane event executing now, if any (see [`Cursor`]).
+    pub(crate) cur: Cursor,
     /// Lane events executed so far per lane (index `i` is node `i + 1`); an
     /// event's per-lane ordinal feeds its children's ordering keys, so these
     /// counts decide same-instant tie-breaks: changing how they advance
@@ -552,7 +556,7 @@ impl World {
             directory: Directory::new(cfg.topology, cfg.pool_frames_per_node(), cfg.donor_policy),
             threads: Vec::new(),
             pending: FastMap::default(),
-            sync_done: None,
+            sync: None,
             coherent_domain: Vec::new(),
             coh: FastMap::default(),
             sampler: None,
@@ -565,21 +569,21 @@ impl World {
             fault_log: FaultLog::new(),
             lost_frames: vec![0; n as usize],
             evacuations: 0,
-            sync_failed: None,
             evac_remaps: vec![Vec::new(); n as usize],
             trace: TraceSink::new(cfg.trace.mode, cfg.trace.capacity),
             queue: EventQueue::new(),
             gseq: 0,
+            cur: Cursor::default(),
             exec_counts: vec![0; n as usize],
             cfg,
         };
         let faults: Vec<FaultEvent> = world.cfg.faults.events().collect();
         for ev in faults {
-            world.gsched(ev.at(), Ev::Fault(ev));
+            world.sched(ev.at(), Ev::Fault(ev));
         }
         if world.manager.is_some() {
             let tick = world.cfg.manager.tick;
-            world.gsched(SimTime::ZERO + tick, Ev::Manager);
+            world.sched(SimTime::ZERO + tick, Ev::Manager);
         }
         world
     }
@@ -601,7 +605,7 @@ impl World {
             samples: Vec::new(),
         });
         let at = self.queue.now() + interval;
-        self.gsched(at, Ev::Sample);
+        self.sched(at, Ev::Sample);
     }
 
     /// Observations recorded by the sampling probe so far (empty unless
@@ -627,7 +631,7 @@ impl World {
         // probe is the only queued event, sampling would keep the run alive
         // forever.
         if !self.queue.is_empty() {
-            self.gsched(now + interval, Ev::Sample);
+            self.sched(now + interval, Ev::Sample);
         }
     }
 
@@ -777,64 +781,38 @@ impl World {
     // Event handling
     // ------------------------------------------------------------------
 
-    /// Global-context scheduling: every schedule performed *outside* a lane
-    /// event's execution (setup, the blocking/posted drivers, global
-    /// handlers) goes through here, keyed by a global sequence number.
-    fn gsched(&mut self, at: SimTime, ev: Ev) {
-        let key = exec::make_key(self.lane_of(&ev), 0, 0, self.gseq, 0);
-        self.gseq += 1;
-        self.queue.schedule_keyed(at, key, ev);
-    }
-
-    /// The node lane that processes `ev` (0 = global).
-    fn lane_of(&self, ev: &Ev) -> u16 {
-        match ev {
-            Ev::Hop { at, .. } => at.get(),
-            Ev::MemDone { msg, .. } => msg.dst.get(),
-            Ev::ThreadWake { id } => self.threads[*id].spec.node.get(),
-            Ev::Timeout { tag, .. } => (tag >> 48) as u16,
-            Ev::Sample | Ev::Fault(_) | Ev::Suspect { .. } | Ev::Manager => exec::GLOBAL_LANE,
-        }
-    }
-
-    /// Dispatch one popped event. Global events run directly against the
-    /// whole world; lane events run through the lane executor.
+    /// Dispatch one popped event. A lane event first becomes the cursor,
+    /// so the events its handler schedules get lane keys derived from it.
     fn handle(&mut self, now: SimTime, key: u128, ev: Ev) {
+        let lane = exec::key_lane(key);
+        if lane != exec::GLOBAL_LANE {
+            // One ordinal per dispatched lane event, dropped ones included.
+            let idx = &mut self.exec_counts[lane as usize - 1];
+            self.cur = Cursor {
+                now,
+                lane,
+                gen: exec::key_gen(key),
+                key,
+                idx: *idx,
+                child: 0,
+            };
+            *idx += 1;
+        }
         match ev {
             Ev::Sample => self.take_sample(now),
             Ev::Fault(fault) => self.apply_fault(now, fault),
             Ev::Suspect { observer, dead } => self.on_suspect(now, observer, dead),
             Ev::Manager => self.manager_tick(now),
-            ev => {
-                let lane = exec::key_lane(key) as usize;
-                let idx = self.exec_counts[lane - 1];
-                self.exec_counts[lane - 1] += 1;
-                let (shared, counters, rows) = self.fabric.decompose();
-                let mut ctx = exec::LaneCtx {
-                    cfg: &self.cfg,
-                    nodes: &mut self.nodes,
-                    threads: &mut self.threads,
-                    pending: &mut self.pending,
-                    evac_remaps: &mut self.evac_remaps,
-                    rows,
-                    fab_shared: shared,
-                    fab_counters: counters,
-                    dead: &self.dead,
-                    coh: &mut self.coh,
-                    coh_domain: &self.coherent_domain,
-                    trace: &mut self.trace,
-                    queue: &mut self.queue,
-                    sync_done: &mut self.sync_done,
-                    now,
-                    cur_lane: 0,
-                    cur_gen: 0,
-                    cur_key: 0,
-                    cur_idx: 0,
-                    child: 0,
-                };
-                exec::exec_event(&mut ctx, now, key, idx, ev);
-            }
+            // A message at a crashed router vanishes with the router.
+            Ev::Hop { at, .. } if self.dead[at.index()] => {}
+            Ev::Hop { msg, at } => self.hop(now, msg, at),
+            // The DRAM completion of a node that crashed mid-service.
+            Ev::MemDone { msg, .. } if self.dead[msg.dst.index()] => {}
+            Ev::MemDone { msg, arrived } => self.mem_done(now, msg, arrived),
+            Ev::ThreadWake { id } => self.thread_step(now, id),
+            Ev::Timeout { tag, attempt } => self.on_timeout(now, tag, attempt),
         }
+        self.cur.lane = exec::GLOBAL_LANE;
     }
 
     /// Fire a timeout handler directly (test hook for stale-timer races).
@@ -843,22 +821,6 @@ impl World {
         let key = exec::make_key((tag >> 48) as u16, 0, 0, self.gseq, 0);
         self.gseq += 1;
         self.handle(now, key, Ev::Timeout { tag, attempt });
-    }
-
-    /// Arm the loss-recovery timer for a transaction submitted by a
-    /// blocking/posted driver (thread submissions arm theirs inside the
-    /// lane executor). Armed only when messages can be lost — a lossy
-    /// fabric, or any fault plan (crashes and outages swallow traffic even
-    /// over lossless links). The k-th retry backs off exponentially and
-    /// saturates: `timeout * 2^min(k, backoff_cap)`.
-    fn arm_timeout(&mut self, injected_at: SimTime, tag: u64, attempt: u32) {
-        if self.cfg.fabric.loss_rate > 0.0 || !self.cfg.faults.is_empty() {
-            let delay = exec::backoff_delay(&self.cfg, tag, attempt);
-            self.gsched(
-                injected_at.saturating_add(delay),
-                Ev::Timeout { tag, attempt },
-            );
-        }
     }
 
     // ------------------------------------------------------------------
@@ -882,23 +844,40 @@ impl World {
             self.directory.set_free(dead, 0);
             self.evacuate(now, observer, dead);
         }
-        // Sweep in tag order: the map's iteration order depends on insertion
-        // history and must not leak into output.
-        let mut doomed: Vec<(u64, PendingTx)> = self
+        self.fail_pending(now, |m| m.src == observer && m.dst == dead);
+    }
+
+    /// Remove every in-flight transaction whose message matches `pred` and
+    /// abort it at its issuing client. The sweep runs in tag order: the
+    /// map's iteration order depends on insertion history and must not leak
+    /// into output.
+    fn take_pending(&mut self, pred: impl Fn(&Message) -> bool) -> Vec<PendingTx> {
+        let mut taken: Vec<PendingTx> = self
             .pending
-            .iter()
-            .filter(|(_, p)| p.msg.src == observer && p.msg.dst == dead)
-            .map(|(&tag, &p)| (tag, p))
+            .values()
+            .filter(|p| pred(&p.msg))
+            .copied()
             .collect();
-        doomed.sort_unstable_by_key(|&(tag, _)| tag);
-        for (tag, p) in doomed {
-            self.pending.remove(&tag);
-            self.nodes[observer.index()].client.abort(tag);
-            self.trace.finish(tag, now, true);
+        taken.sort_unstable_by_key(|p| p.msg.tag);
+        for p in &taken {
+            self.pending.remove(&p.msg.tag);
+            self.nodes[p.msg.src.index()].client.abort(p.msg.tag);
+        }
+        taken
+    }
+
+    /// Fail every in-flight transaction whose message matches `pred` at
+    /// `now` (its home was declared failed or is unreachable): close its
+    /// trace and tell its owner. A thread re-aims the access through an
+    /// evacuation remap or records it failed, the blocking driver returns
+    /// it failed, and nobody waits on a posted write.
+    fn fail_pending(&mut self, now: SimTime, pred: impl Fn(&Message) -> bool) {
+        for p in self.take_pending(pred) {
+            self.trace.finish(p.msg.tag, now, true);
             match p.owner {
                 Owner::Thread(id) => self.thread_abort(now, id, p.msg),
-                Owner::Sync => self.sync_failed = Some((tag, now)),
-                Owner::Posted => {} // fire-and-forget; nobody to notify
+                Owner::Sync => self.sync = Some(Err(now)),
+                Owner::Posted => {}
             }
         }
     }
@@ -934,7 +913,9 @@ impl World {
                 let _ = self.nodes[owner.index()].requester.release(r);
             }
             let new_donor = match self.cfg.recovery.evacuation {
-                EvacuationPolicy::Rehome => self.recovery_donor(now, owner, seg.frames, dead),
+                EvacuationPolicy::Rehome => {
+                    self.recovery_donor(now, owner, seg.frames, dead, self.manager.as_ref())
+                }
                 EvacuationPolicy::Fail => None,
             };
             let Some(new_donor) = new_donor else {
@@ -949,46 +930,65 @@ impl World {
                 );
                 continue;
             };
-            let new = self.reserve_remote(owner, seg.frames, Some(new_donor));
-            for th in &mut self.threads {
-                if th.spec.node != owner {
-                    continue;
-                }
-                for z in &mut th.spec.zones {
-                    if z.0 == seg.base {
-                        z.0 = new.prefixed_base;
-                    }
-                }
-            }
-            self.evac_remaps[owner.index()].push((seg.base, new.prefixed_base, seg.frames));
-            self.evacuations += 1;
-            self.trace
-                .standalone(Phase::Evac, owner.get(), now, now + self.cfg.os.reservation);
-            self.fault_log.record(
-                now,
-                "evacuation",
-                format!(
-                    "zone {:#x} ({} frames) re-homed from node {dead} to node {}",
-                    seg.base, seg.frames, new.home
-                ),
-            );
+            self.rehome_zone(now, owner, seg, new_donor, dead, Phase::Evac);
         }
     }
 
+    /// Move `owner`'s zone `seg`, whose grant on `from` is already dropped
+    /// or released, to `donor`: reserve it there, rewrite the owner's
+    /// thread zone tables, and record the remap that re-aims interrupted
+    /// and not-yet-issued accesses. `phase` is [`Phase::Evac`] for an
+    /// evacuation after a failure declaration and [`Phase::Migrate`] for a
+    /// recovery-manager migration; it also picks the fault-log entry.
+    fn rehome_zone(
+        &mut self,
+        now: SimTime,
+        owner: NodeId,
+        seg: Segment,
+        donor: NodeId,
+        from: NodeId,
+        phase: Phase,
+    ) {
+        let new = self.reserve_remote(owner, seg.frames, Some(donor));
+        for th in self.threads.iter_mut().filter(|th| th.spec.node == owner) {
+            for z in th.spec.zones.iter_mut().filter(|z| z.0 == seg.base) {
+                z.0 = new.prefixed_base;
+            }
+        }
+        self.evac_remaps[owner.index()].push((seg.base, new.prefixed_base, seg.frames));
+        self.evacuations += 1;
+        self.trace
+            .standalone(phase, owner.get(), now, now + self.cfg.os.reservation);
+        let (kind, moved) = if phase == Phase::Evac {
+            ("evacuation", "re-homed")
+        } else {
+            ("migration", "migrated")
+        };
+        self.fault_log.record(
+            now,
+            kind,
+            format!(
+                "zone {:#x} ({} frames) {moved} from node {from} to node {}",
+                seg.base, seg.frames, new.home
+            ),
+        );
+    }
+
     /// Pick a donor for a recovery re-reservation of `frames` frames for
-    /// `asker`, never `avoid`. With the recovery manager enabled this is
+    /// `asker`, never `avoid`. With a recovery manager `mgr` this is
     /// load-aware (most free frames, lowest pressure, excluding dead /
     /// isolated / suspected / shed nodes); otherwise — or when the manager
     /// has no viable candidate — it falls back to the static directory
     /// policy.
     fn recovery_donor(
-        &mut self,
+        &self,
         now: SimTime,
         asker: NodeId,
         frames: u64,
         avoid: NodeId,
+        mgr: Option<&RecoveryManager>,
     ) -> Option<NodeId> {
-        let managed = self.manager.as_ref().and_then(|mgr| {
+        let managed = mgr.and_then(|mgr| {
             let obs = self.observe(now);
             mgr.choose_recovery_donor(asker, frames, &obs)
         });
@@ -1067,7 +1067,7 @@ impl World {
         }
         self.manager = Some(mgr);
         if self.threads.iter().any(|t| t.finished.is_none()) || !self.pending.is_empty() {
-            self.gsched(now + tick, Ev::Manager);
+            self.sched(now + tick, Ev::Manager);
         }
     }
 
@@ -1102,16 +1102,8 @@ impl World {
                     .copied()
                     .find(|r| r.home == from && r.prefixed_base == seg.base);
                 let Some(r) = held else { continue };
-                let obs = self.observe(now);
-                let donor = mgr
-                    .choose_recovery_donor(owner, seg.frames, &obs)
-                    .filter(|&d| d != from && self.directory.free_frames(d) >= seg.frames)
-                    .or_else(|| {
-                        self.directory
-                            .choose_donor(owner, seg.frames)
-                            .filter(|&d| d != from)
-                    });
-                let Some(donor) = donor else {
+                let Some(donor) = self.recovery_donor(now, owner, seg.frames, from, Some(mgr))
+                else {
                     self.fault_log.record(
                         now,
                         "rehome_failed",
@@ -1135,56 +1127,13 @@ impl World {
                 } else {
                     self.release_remote(owner, r);
                 }
-                let new = self.reserve_remote(owner, seg.frames, Some(donor));
-                for th in &mut self.threads {
-                    if th.spec.node != owner {
-                        continue;
-                    }
-                    for z in &mut th.spec.zones {
-                        if z.0 == seg.base {
-                            z.0 = new.prefixed_base;
-                        }
-                    }
-                }
-                self.evac_remaps[owner.index()].push((seg.base, new.prefixed_base, seg.frames));
-                self.evacuations += 1;
-                self.trace.standalone(
-                    Phase::Migrate,
-                    owner.get(),
-                    now,
-                    now + self.cfg.os.reservation,
-                );
-                self.fault_log.record(
-                    now,
-                    "migration",
-                    format!(
-                        "zone {:#x} ({} frames) migrated from node {from} to node {}",
-                        seg.base, seg.frames, new.home
-                    ),
-                );
+                self.rehome_zone(now, owner, seg, donor, from, Phase::Migrate);
             }
         }
         if from_gone {
             // Abort in-flight traffic aimed at the unreachable node so its
-            // issuers re-aim through the remaps now (swept in tag order —
-            // see `on_suspect`).
-            let mut doomed: Vec<(u64, PendingTx)> = self
-                .pending
-                .iter()
-                .filter(|(_, p)| p.msg.dst == from)
-                .map(|(&tag, &p)| (tag, p))
-                .collect();
-            doomed.sort_unstable_by_key(|&(tag, _)| tag);
-            for (tag, p) in doomed {
-                self.pending.remove(&tag);
-                self.nodes[p.msg.src.index()].client.abort(tag);
-                self.trace.finish(tag, now, true);
-                match p.owner {
-                    Owner::Thread(id) => self.thread_abort(now, id, p.msg),
-                    Owner::Sync => self.sync_failed = Some((tag, now)),
-                    Owner::Posted => {}
-                }
-            }
+            // issuers re-aim through the remaps now.
+            self.fail_pending(now, |m| m.dst == from);
         }
     }
 
@@ -1194,24 +1143,18 @@ impl World {
     /// otherwise record it as failed.
     fn thread_abort(&mut self, now: SimTime, id: usize, msg: Message) {
         let node = self.threads[id].spec.node;
-        let remap = self.evac_remaps[node.index()]
-            .iter()
-            .copied()
-            .find(|&(old, _, frames)| msg.addr >= old && msg.addr < old + frames * 4096);
-        if let Some((old, new, _)) = remap {
-            let addr = new + (msg.addr - old);
-            let (prefix, _) = cohfree_rmc::addr::split(addr);
-            let th = &mut self.threads[id];
-            th.pending = Some((NodeId::new(prefix), msg.kind, addr));
-            th.evacuated_retries += 1;
-            let mut delay = self.cfg.os.reservation;
-            if self.cfg.recovery.refetch {
-                delay += self.cfg.os.fault_overhead;
-            }
-            self.gsched(now + delay, Ev::ThreadWake { id });
-        } else if let Some(wake) = self.threads[id].resolve(now, Resolution::Failed) {
-            self.gsched(wake, Ev::ThreadWake { id });
+        let Some((dst, addr)) = self.remap(node, msg.addr) else {
+            self.resolve(now, id, Resolution::Failed);
+            return;
+        };
+        let th = &mut self.threads[id];
+        th.pending = Some((dst, msg.kind, addr));
+        th.evacuated_retries += 1;
+        let mut delay = self.cfg.os.reservation;
+        if self.cfg.recovery.refetch {
+            delay += self.cfg.os.fault_overhead;
         }
+        self.sched(now + delay, Ev::ThreadWake { id });
     }
 
     /// Apply one scheduled fault (or repair) to the cluster.
@@ -1241,25 +1184,16 @@ impl World {
                         }
                     }
                 }
-                // Transactions issued by the dead node vanish with it
-                // (swept in tag order — see `on_suspect`).
-                let mut gone: Vec<(u64, PendingTx)> = self
-                    .pending
-                    .iter()
-                    .filter(|(_, p)| p.msg.src == node)
-                    .map(|(&tag, &p)| (tag, p))
-                    .collect();
-                gone.sort_unstable_by_key(|&(tag, _)| tag);
-                for (tag, p) in gone {
-                    self.pending.remove(&tag);
-                    self.nodes[node.index()].client.abort(tag);
+                // Transactions issued by the dead node vanish with it.
+                for p in self.take_pending(|m| m.src == node) {
+                    let tag = p.msg.tag;
                     match p.owner {
                         // The thread's bulk-fail above already accounted for
                         // this access; drop the half-built trace silently.
                         Owner::Thread(_) => self.trace.abandon(tag),
                         Owner::Sync => {
                             self.trace.finish(tag, now, true);
-                            self.sync_failed = Some((tag, now));
+                            self.sync = Some(Err(now));
                         }
                         Owner::Posted => self.trace.finish(tag, now, true),
                     }
@@ -1377,43 +1311,22 @@ impl World {
             }
             match self.nodes[src.index()].client.submit(t, dst, kind, addr) {
                 Submit::Accepted { msg, inject_at } => {
-                    self.pending.insert(
-                        msg.tag,
-                        PendingTx {
-                            owner: Owner::Sync,
-                            msg,
-                            attempt: 0,
-                        },
-                    );
-                    exec::trace_submitted(
-                        &mut self.trace,
-                        self.cfg.rmc.proc_time,
-                        t_first,
-                        t,
-                        &msg,
-                        inject_at,
-                    );
-                    self.gsched(inject_at, Ev::Hop { msg, at: src });
-                    self.arm_timeout(inject_at, msg.tag, 0);
+                    self.launch(Owner::Sync, msg, inject_at, t_first, t);
                     break;
                 }
                 Submit::Nacked { retry_at } => {
                     // Slots may be held by in-flight posted writes; pump the
                     // queue up to the retry instant so they can drain.
-                    while self.queue.peek_time().is_some_and(|pt| pt <= retry_at) {
-                        let (at, key, ev) = self.queue.pop_entry().expect("peeked");
-                        self.handle(at, key, ev);
-                    }
+                    self.pump_until(retry_at);
                     t = retry_at;
                 }
             }
         }
         loop {
-            if let Some((_, done)) = self.sync_done.take() {
-                return AccessOutcome::Completed { at: done };
-            }
-            if let Some((_, at)) = self.sync_failed.take() {
-                return AccessOutcome::Failed { node: dst, at };
+            match self.sync.take() {
+                Some(Ok(at)) => return AccessOutcome::Completed { at },
+                Some(Err(at)) => return AccessOutcome::Failed { node: dst, at },
+                None => {}
             }
             let (at, key, ev) = self
                 .queue
@@ -1445,47 +1358,33 @@ impl World {
         loop {
             match self.nodes[src.index()].client.submit(t, dst, kind, addr) {
                 Submit::Accepted { msg, inject_at } => {
-                    self.pending.insert(
-                        msg.tag,
-                        PendingTx {
-                            owner: Owner::Posted,
-                            msg,
-                            attempt: 0,
-                        },
-                    );
-                    exec::trace_submitted(
-                        &mut self.trace,
-                        self.cfg.rmc.proc_time,
-                        t_first,
-                        t,
-                        &msg,
-                        inject_at,
-                    );
-                    self.gsched(inject_at, Ev::Hop { msg, at: src });
-                    self.arm_timeout(inject_at, msg.tag, 0);
+                    self.launch(Owner::Posted, msg, inject_at, t_first, t);
                     return inject_at;
                 }
                 // All slots busy: even a posted write stalls at the
                 // interface until a slot frees. Pump the queue so slots can
                 // actually free while we wait.
                 Submit::Nacked { retry_at } => {
-                    while self.queue.peek_time().is_some_and(|pt| pt <= retry_at) {
-                        let (at, key, ev) = self.queue.pop_entry().expect("peeked");
-                        self.handle(at, key, ev);
-                    }
+                    self.pump_until(retry_at);
                     t = retry_at;
                 }
             }
         }
     }
 
+    /// Run every queued event due at or before `t` (a NACKed driver waiting
+    /// for a request slot to free).
+    fn pump_until(&mut self, t: SimTime) {
+        while self.queue.peek_time().is_some_and(|pt| pt <= t) {
+            let (at, key, ev) = self.queue.pop_entry().expect("peeked");
+            self.handle(at, key, ev);
+        }
+    }
+
     /// Run the event queue dry (no sync waiter may be outstanding): settles
     /// all posted traffic. Returns the instant the last event fired.
     pub fn drain_background(&mut self) -> SimTime {
-        assert!(
-            self.sync_done.is_none(),
-            "drain during a blocking transaction"
-        );
+        assert!(self.sync.is_none(), "drain during a blocking transaction");
         while let Some((at, key, ev)) = self.queue.pop_entry() {
             self.handle(at, key, ev);
         }
@@ -1580,7 +1479,7 @@ impl World {
             finished: None,
             nack_retries: 0,
         });
-        self.gsched(start, Ev::ThreadWake { id });
+        self.sched(start, Ev::ThreadWake { id });
         id
     }
 
@@ -2692,6 +2591,49 @@ mod tests {
         assert_eq!(w.evacuations(), 0);
         assert_eq!(w.fault_log().count("evacuation_failed"), 1);
         assert!(w.region(n(1)).borrowed_bytes() == 0, "dead zone dropped");
+    }
+
+    #[test]
+    fn re_aimed_serving_request_keeps_its_arrival_time() {
+        // Regression: an open-loop request interrupted by its donor's crash
+        // and re-aimed at the evacuated zone recorded only the time after
+        // the re-aim (936 ns) instead of the whole wait since its arrival.
+        let mut cfg = ClusterConfig::prototype();
+        cfg.recovery.max_retries = 4;
+        cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
+            at: SimTime::ZERO + SimDuration::ns(500),
+            node: n(2),
+        });
+        let mut w = World::new(cfg);
+        let resv = w.reserve_remote(n(1), 16, Some(n(2)));
+        let id = w.spawn_serving_thread(
+            ThreadSpec {
+                node: n(1),
+                zones: vec![(resv.prefixed_base, resv.frames * 4096)],
+                accesses: 1,
+                bytes: 64,
+                write_fraction: 0.0,
+                think: SimDuration::ZERO,
+                seed: 45,
+            },
+            vec![SimTime::ZERO],
+            AccessPattern::Uniform,
+        );
+        w.run();
+        assert_eq!(w.thread_completed(id), 1);
+        assert_eq!(
+            w.thread_evacuated_retries(id),
+            1,
+            "the request was re-aimed"
+        );
+        let elapsed = w.thread_elapsed(id);
+        assert!(
+            elapsed > SimDuration::ms(1),
+            "retry budget spent: {elapsed}"
+        );
+        let h = w.thread_latency(id).expect("serving thread");
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.max_ns(), elapsed.as_ns_f64(), "latency from arrival");
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! hostile worlds — snapshot JSON, full span streams, samples, fault log,
 //! per-thread outcomes — hashed and pinned.
 //!
-//! Worlds here are thread-driven and combine cross-node traffic, message
-//! loss, node crashes, link outages, evacuation, the recovery manager,
-//! open-loop serving, sampling and Full tracing. Any change to event order,
-//! tie-breaking or accounting moves a hash; a deliberate behaviour change
-//! re-pins the affected constants (the failure message prints the new one).
+//! Most worlds here are thread-driven and combine cross-node traffic,
+//! message loss, node crashes, link outages, evacuation, the recovery
+//! manager, open-loop serving, sampling and Full tracing; one world is
+//! driven by the blocking and posted transaction drivers instead. Any
+//! change to event order, tie-breaking or accounting moves a hash; a
+//! deliberate behaviour change re-pins the affected constants (the failure
+//! message prints the new one).
 
 use cohfree_core::world::{ThreadSpec, World};
 use cohfree_core::{
@@ -437,7 +439,9 @@ fn run_serving_world(manager: bool) -> World {
 }
 
 /// Serving-workload world (mixed KV + columnar tenants, donor crash
-/// mid-run), manager off and on.
+/// mid-run), manager off and on. Re-pinned when a request re-aimed after
+/// the crash began keeping its arrival time: its end-to-end latency used to
+/// restart at the re-aim.
 #[test]
 fn serving_world_matches_golden() {
     for (manager, pinned) in [(false, GOLDEN_SERVING), (true, GOLDEN_SERVING_MANAGER)] {
@@ -468,6 +472,75 @@ fn serving_world_conserves_requests_across_outcomes() {
         "generated == completed + failed + shed"
     );
     assert!(completed > 0);
+}
+
+/// Drive a world through the blocking and posted drivers instead of
+/// threads: issuers 1 and 5 alternate a posted write and a blocking read
+/// against their zones on donor 2, over 2 % loss with a retry budget of 4,
+/// while donor 2 crashes at 400 µs and issuer 5 at 900 µs. Covers the
+/// driver-owned transaction paths: submission, NACK pumping while posted
+/// writes hold the request slots, loss recovery, suspect declaration, the
+/// manager's re-home sweep and the crash sweep. Returns the drained world
+/// and every value the drivers returned.
+fn run_driver_world(manager: bool) -> (World, String) {
+    use cohfree_core::{AccessOutcome, MsgKind};
+    let t = |us| SimTime::ZERO + SimDuration::us(us);
+    let mut cfg = ClusterConfig::prototype();
+    cfg.trace = TraceConfig::full();
+    cfg.fabric.loss_rate = 0.02;
+    cfg.recovery.max_retries = 4;
+    if manager {
+        cfg.manager = cohfree_core::ManagerConfig::enabled();
+    }
+    cfg.faults = FaultPlan::new()
+        .with(FaultEvent::NodeCrash {
+            at: t(400),
+            node: n(2),
+        })
+        .with(FaultEvent::NodeCrash {
+            at: t(900),
+            node: n(5),
+        });
+    let mut w = World::new(cfg);
+    w.enable_sampling(SimDuration::us(50));
+    let issuers = [n(1), n(5)];
+    let bases = issuers.map(|i| w.reserve_remote(i, 64, Some(n(2))).prefixed_base);
+    let mut returned = String::new();
+    let mut now = SimTime::ZERO;
+    for k in 0..245u64 {
+        let i = (k % 2) as usize;
+        let (src, addr) = (issuers[i], bases[i] + (k / 2) * 128 % (64 * 4096));
+        let released = w.posted_transaction(now, src, n(2), MsgKind::WriteReq { bytes: 64 }, addr);
+        let outcome =
+            w.try_blocking_transaction(released, src, n(2), MsgKind::ReadReq { bytes: 64 }, addr);
+        returned.push_str(&format!("{k}: {} {outcome:?}\n", released.as_ns()));
+        let (AccessOutcome::Completed { at }
+        | AccessOutcome::Failed { at, .. }
+        | AccessOutcome::Shed { at, .. }) = outcome;
+        now = at + SimDuration::us(3);
+    }
+    w.drain_background();
+    (w, returned)
+}
+
+/// Driver world (blocking reads and posted writes through two crashes),
+/// manager off and on.
+#[test]
+fn driver_world_matches_golden() {
+    for (manager, pinned) in [(false, GOLDEN_DRIVER), (true, GOLDEN_DRIVER_MANAGER)] {
+        let (w, returned) = run_driver_world(manager);
+        let doc = format!(
+            "{returned}{}\n{}\n{:?}",
+            w.snapshot().doc,
+            w.trace().chrome_trace(),
+            w.fault_log()
+        );
+        let got = fnv1a64(&doc);
+        assert_eq!(
+            got, pinned,
+            "driver (manager={manager}): fingerprint hash {got:#018x} differs from the pinned {pinned:#018x}"
+        );
+    }
 }
 
 /// Worlds that drain between probe ticks close their sample series with a
@@ -536,8 +609,10 @@ const GOLDEN_FAULT_CHURN: u64 = 0x0253_b4e4_f21b_d581;
 const GOLDEN_MANAGER_FAULT_CHURN: u64 = 0x9dec_4469_1fce_a6bf;
 const GOLDEN_FULLY_CONNECTED: u64 = 0x5447_2281_8ed9_8103;
 const GOLDEN_TWO_NODE_RING: u64 = 0x82dc_92ca_6952_837b;
-const GOLDEN_SERVING: u64 = 0x80ed_0474_0bdb_e9df;
-const GOLDEN_SERVING_MANAGER: u64 = 0x427a_f639_3eba_7097;
+const GOLDEN_SERVING: u64 = 0x037f_ca63_547f_3fef;
+const GOLDEN_SERVING_MANAGER: u64 = 0x4916_d109_a803_8aa8;
+const GOLDEN_DRIVER: u64 = 0xf6e0_bc27_21c7_e072;
+const GOLDEN_DRIVER_MANAGER: u64 = 0x5a50_f4fb_36ca_c161;
 /// `(crash, interval)`: `(false, 100 µs)`, `(false, 1 ms)`, `(true, 100 µs)`,
 /// `(true, 1 ms)`.
 const GOLDEN_DRAIN_BETWEEN_TICKS: [u64; 4] = [

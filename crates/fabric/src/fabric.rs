@@ -26,19 +26,6 @@
 //! outage is active the BFS route table and a scan of the row replace
 //! all of this.
 //!
-//! ## Decomposed state
-//!
-//! The world's event executor steps messages against split borrows of the
-//! fabric ([`Fabric::decompose`]):
-//!
-//! * [`FabricShared`] — topology, timing, routing tables, outage set and
-//!   the live route table. Read-only during event execution; mutated only
-//!   by fault handling.
-//! * [`FabricRow`] — the outgoing links of ONE source router (serializers,
-//!   per-link counters and the per-link loss RNG) and its direction index,
-//!   indexed by node id so a hop touches one contiguous row.
-//! * [`FabricCounters`] — the global delivery counters.
-//!
 //! Loss draws are per-link (seeded from the link's endpoints), not from one
 //! global stream: each link's drop pattern depends only on its own traffic
 //! order.
@@ -157,7 +144,7 @@ const SER_MEMO: u32 = 512;
 /// [`Fabric::new`]; the degraded (rerouted) path and the per-link getters
 /// find it by a short linear scan (router degree is ≤ 4 on the grids).
 #[derive(Debug, Clone)]
-pub struct FabricRow {
+struct FabricRow {
     links: Vec<(NodeId, Link)>,
     /// Index into `links` of the link leaving toward +x, −x, +y and −y;
     /// `NO_LINK` where routing never leaves that way (a mesh edge, or −x
@@ -180,7 +167,7 @@ impl FabricRow {
     }
 
     /// Largest time-to-drain backlog across this router's outgoing links.
-    pub fn max_backlog(&self, now: SimTime) -> SimDuration {
+    fn max_backlog(&self, now: SimTime) -> SimDuration {
         self.links
             .iter()
             .map(|(_, l)| l.server.backlog(now))
@@ -189,10 +176,9 @@ impl FabricRow {
     }
 }
 
-/// Global delivery counters, borrowed separately from the link state by
-/// [`Fabric::decompose`].
+/// Global delivery counters.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FabricCounters {
+struct FabricCounters {
     delivered: Counter,
     total_hops: Counter,
     dropped: Counter,
@@ -200,10 +186,10 @@ pub struct FabricCounters {
     unroutable: Counter,
 }
 
-/// Topology, timing and routing state: read-only during event execution,
+/// Topology, timing and routing state: read-only while messages move,
 /// mutated only by fault handling.
 #[derive(Debug, Clone)]
-pub struct FabricShared {
+struct FabricShared {
     topo: Topology,
     cfg: FabricConfig,
     /// Directed links administratively down (both directions of a failed
@@ -224,7 +210,7 @@ pub struct FabricShared {
 
 impl FabricShared {
     /// True while any link or node outage is active.
-    pub fn degraded(&self) -> bool {
+    fn degraded(&self) -> bool {
         !self.down_links.is_empty() || !self.down_nodes.is_empty()
     }
 
@@ -284,13 +270,6 @@ impl FabricShared {
         !self.down_links.contains(&(u, v))
             && !self.down_nodes.contains(&u)
             && !self.down_nodes.contains(&v)
-    }
-
-    /// The smallest possible time between a send at one router and any
-    /// consequence at another: one router traversal plus one link flight
-    /// (serialization and queueing only add to it).
-    pub fn min_hop_latency(&self) -> SimDuration {
-        self.cfg.router_delay + self.cfg.link_latency
     }
 }
 
@@ -364,13 +343,6 @@ impl Fabric {
             counters: FabricCounters::default(),
             rows,
         }
-    }
-
-    /// Split-borrow the fabric into the three pieces one routing step
-    /// needs: the read-only shared state, the counter accumulator, and the
-    /// per-router link rows (indexed by node id; index 0 is a placeholder).
-    pub fn decompose(&mut self) -> (&FabricShared, &mut FabricCounters, &mut [FabricRow]) {
-        (&self.shared, &mut self.counters, &mut self.rows)
     }
 
     /// Shared state of the directed link `u -> v`, if it physically exists.
@@ -491,9 +463,11 @@ impl Fabric {
         self.shared.cfg
     }
 
-    /// Smallest cross-router latency; see [`FabricShared::min_hop_latency`].
+    /// The smallest possible time between a send at one router and any
+    /// consequence at another: one router traversal plus one link flight
+    /// (serialization and queueing only add to it).
     pub fn min_hop_latency(&self) -> SimDuration {
-        self.shared.min_hop_latency()
+        self.shared.cfg.router_delay + self.shared.cfg.link_latency
     }
 
     /// Advance `msg`, currently at router `at` at time `now`, by one step.
@@ -515,11 +489,56 @@ impl Fabric {
     /// outcomes and uncontended links). The span tracer uses the wait to
     /// split each hop into its wire and fabric-queue phases.
     pub fn step_traced(&mut self, now: SimTime, at: NodeId, msg: &Message) -> (Step, SimDuration) {
+        let (shared, counters) = (&self.shared, &mut self.counters);
         let row = self
             .rows
             .get_mut(at.get() as usize)
             .unwrap_or_else(|| panic!("router {at} has no link row"));
-        step_row(&self.shared, &mut self.counters, row, now, at, msg)
+        if at == msg.dst {
+            counters.delivered.inc();
+            return (Step::Deliver { at: now }, SimDuration::ZERO);
+        }
+        let idx = if shared.degraded() {
+            let next = match shared.routes.get(&(at, msg.dst)) {
+                Some(&hop) => {
+                    if hop != shared.topo.next_hop(at, msg.dst) {
+                        counters.rerouted.inc();
+                    }
+                    hop
+                }
+                None => {
+                    counters.unroutable.inc();
+                    counters.dropped.inc();
+                    return (Step::Dropped, SimDuration::ZERO);
+                }
+            };
+            row.link_index(next)
+                .unwrap_or_else(|| panic!("no physical link {at}->{next}"))
+        } else {
+            shared.healthy_link(row, at, msg.dst)
+        };
+        let wire = msg.wire_bytes();
+        let ser = shared.serialization(wire);
+        let enq = now + shared.cfg.router_delay;
+        let (next, link) = &mut row.links[idx];
+        let next = *next;
+        // Router traversal, then FIFO on the link serializer, then flight time.
+        let depart = link.server.accept(enq, ser);
+        let queued = depart.saturating_since(enq).saturating_sub(ser);
+        link.messages.inc();
+        link.bytes.add(wire as u64);
+        counters.total_hops.inc();
+        if shared.cfg.loss_rate > 0.0 && link.loss.chance(shared.cfg.loss_rate) {
+            counters.dropped.inc();
+            return (Step::Dropped, queued);
+        }
+        (
+            Step::Forward {
+                next,
+                arrive: depart + shared.cfg.link_latency,
+            },
+            queued,
+        )
     }
 
     /// Unloaded end-to-end traversal time for a message of `wire_bytes`
@@ -659,65 +678,6 @@ impl Fabric {
             ("links", Json::Arr(links)),
         ])
     }
-}
-
-/// One routing step against decomposed fabric state ([`Fabric::decompose`]):
-/// the shared routing view, the delivery counters, and the current router's
-/// own link row. [`Fabric::step_traced`] is this function applied to the
-/// whole fabric.
-pub fn step_row(
-    shared: &FabricShared,
-    counters: &mut FabricCounters,
-    row: &mut FabricRow,
-    now: SimTime,
-    at: NodeId,
-    msg: &Message,
-) -> (Step, SimDuration) {
-    if at == msg.dst {
-        counters.delivered.inc();
-        return (Step::Deliver { at: now }, SimDuration::ZERO);
-    }
-    let idx = if shared.degraded() {
-        let next = match shared.routes.get(&(at, msg.dst)) {
-            Some(&hop) => {
-                if hop != shared.topo.next_hop(at, msg.dst) {
-                    counters.rerouted.inc();
-                }
-                hop
-            }
-            None => {
-                counters.unroutable.inc();
-                counters.dropped.inc();
-                return (Step::Dropped, SimDuration::ZERO);
-            }
-        };
-        row.link_index(next)
-            .unwrap_or_else(|| panic!("no physical link {at}->{next}"))
-    } else {
-        shared.healthy_link(row, at, msg.dst)
-    };
-    let wire = msg.wire_bytes();
-    let ser = shared.serialization(wire);
-    let enq = now + shared.cfg.router_delay;
-    let (next, link) = &mut row.links[idx];
-    let next = *next;
-    // Router traversal, then FIFO on the link serializer, then flight time.
-    let depart = link.server.accept(enq, ser);
-    let queued = depart.saturating_since(enq).saturating_sub(ser);
-    link.messages.inc();
-    link.bytes.add(wire as u64);
-    counters.total_hops.inc();
-    if shared.cfg.loss_rate > 0.0 && link.loss.chance(shared.cfg.loss_rate) {
-        counters.dropped.inc();
-        return (Step::Dropped, queued);
-    }
-    (
-        Step::Forward {
-            next,
-            arrive: depart + shared.cfg.link_latency,
-        },
-        queued,
-    )
 }
 
 #[cfg(test)]
@@ -1047,39 +1007,6 @@ mod tests {
         // an empty table and the same counters as a never-flapped one.
         assert!(!f.shared.degraded());
         assert!(f.shared.routes.is_empty());
-    }
-
-    #[test]
-    fn decomposed_step_matches_the_master_path() {
-        // Decomposed stepping (shared + counters + row, as the world's
-        // executor drives it) must behave exactly like Fabric::step.
-        let mut whole = mk_fabric();
-        let mut split = mk_fabric();
-        let msg = Message::new(n(1), n(3), MsgKind::ReadReq { bytes: 64 }, 9);
-        let mut at = n(1);
-        let mut now = SimTime::ZERO;
-        loop {
-            let want = whole.step(now, at, &msg);
-            let (shared, counters, rows) = split.decompose();
-            let (got, _) = step_row(
-                shared,
-                counters,
-                &mut rows[at.get() as usize],
-                now,
-                at,
-                &msg,
-            );
-            assert_eq!(got, want);
-            match got {
-                Step::Deliver { .. } | Step::Dropped => break,
-                Step::Forward { next, arrive } => {
-                    at = next;
-                    now = arrive;
-                }
-            }
-        }
-        assert_eq!(split.delivered(), whole.delivered());
-        assert_eq!(split.total_hops(), whole.total_hops());
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub mod fabric;
 pub mod msg;
 pub mod topology;
 
-pub use fabric::{step_row, Fabric, FabricConfig, FabricCounters, FabricRow, FabricShared, Step};
+pub use fabric::{Fabric, FabricConfig, Step};
 pub use msg::{Message, MsgKind, NodeId};
 pub use topology::Topology;
