@@ -23,34 +23,20 @@ const MAX_BATCH: u64 = 4_000_000;
 /// Outcome of one benchmark: per-iteration times in nanoseconds.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Benchmark name as passed to [`bench_function`].
+    /// Benchmark name as passed to [`bench_quiet`].
     pub name: String,
     /// Median of the per-batch mean iteration times.
     pub median_ns: f64,
-    /// Fastest per-batch mean iteration time observed.
-    pub best_ns: f64,
     /// Iterations timed per batch.
     pub batch: u64,
     /// Number of sample batches measured.
     pub samples: usize,
 }
 
-/// Time `f` with batched sampling and print
-/// `name: <median> ns/iter (best <best>, <batch> iters x <samples> samples)`.
+/// Time `f` with batched sampling and return the measurement.
 ///
 /// A short warm-up sizes the batch so each sample spans ~2 ms, then up to
-/// 25 batches are timed (bounded by a 250 ms total budget). Returns the
-/// measurement so programmatic harnesses (the `perf` bin) can record it.
-pub fn bench_function<F: FnMut()>(name: &str, f: F) -> BenchResult {
-    let r = bench_quiet(name, f);
-    println!(
-        "{}: {:.1} ns/iter (best {:.1}, {} iters x {} samples)",
-        r.name, r.median_ns, r.best_ns, r.batch, r.samples
-    );
-    r
-}
-
-/// [`bench_function`] without the stdout line.
+/// 25 batches are timed (bounded by a 250 ms total budget).
 pub fn bench_quiet<F: FnMut()>(name: &str, mut f: F) -> BenchResult {
     // Warm-up and batch sizing: grow the batch until it costs >= ~200 us,
     // then scale it to the 2 ms target. Guards against both sub-ns no-ops
@@ -83,11 +69,9 @@ pub fn bench_quiet<F: FnMut()>(name: &str, mut f: F) -> BenchResult {
     }
     per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let median_ns = per_iter[per_iter.len() / 2];
-    let best_ns = per_iter[0];
     BenchResult {
         name: name.to_string(),
         median_ns,
-        best_ns,
         batch,
         samples: per_iter.len(),
     }

@@ -7,22 +7,30 @@
 //! * `COHFREE_CHAOS_RUNS` — seeds per scenario (default by scale:
 //!   smoke 5, default 25, paper 100).
 //!
+//! Both take a positive integer; any other value is reported and the bin
+//! exits with status 2 before the campaign starts.
+//!
 //! Exits non-zero if any oracle is violated.
 
 use cohfree_bench::chaos;
 use cohfree_bench::Scale;
+use cohfree_core::envknob;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The knob's value, `default` when unset; exits 2 on a bad value.
+fn knob(name: &str, default: u64) -> u64 {
+    match envknob::lookup(name, envknob::parse_positive) {
+        Ok(v) => v.unwrap_or(default),
+        Err(e) => {
+            eprintln!("chaos: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn main() {
     let scale = Scale::from_env();
-    let base_seed = env_u64("COHFREE_CHAOS_SEED", 0xC4A0);
-    let runs = env_u64("COHFREE_CHAOS_RUNS", scale.pick(5, 25, 100));
+    let base_seed = knob("COHFREE_CHAOS_SEED", 0xC4A0);
+    let runs = knob("COHFREE_CHAOS_RUNS", scale.pick(5, 25, 100));
     let accesses = scale.pick(80u64, 200, 500);
     eprintln!(
         "chaos campaign: {runs} seeds x {} scenarios x manager on/off \

@@ -252,7 +252,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
 pub fn aggregate_overhead(scale: Scale) -> (f64, f64, Option<f64>) {
     let sweep = |trace: TraceConfig| {
         let wall = std::time::Instant::now();
-        let (_, rows, _) = super::fig6::run_traced(scale, trace, false);
+        let (_, rows) = super::fig6::run_traced(scale, trace, false);
         let mean = rows.iter().map(|r| r.mean_ns).sum::<f64>() / rows.len() as f64;
         (mean, wall.elapsed().as_secs_f64())
     };

@@ -23,17 +23,15 @@ pub struct Row {
     pub unloaded_ns: f64,
 }
 
-/// Run the sweep. Returns `(local reference ns, per-distance rows, total
-/// engine events processed across the sweep's worlds)` — the event count
-/// feeds the perf harness's events/second throughput figure.
-pub fn run(scale: Scale) -> (f64, Vec<Row>, u64) {
+/// Run the sweep. Returns `(local reference ns, per-distance rows)`.
+pub fn run(scale: Scale) -> (f64, Vec<Row>) {
     run_traced(scale, TraceConfig::default(), true)
 }
 
 /// Run the sweep with an explicit trace configuration. `record` controls
 /// whether per-hop snapshots land in the report collector (the overhead
 /// benchmark re-runs the figure and must not duplicate them).
-pub fn run_traced(scale: Scale, trace: TraceConfig, record: bool) -> (f64, Vec<Row>, u64) {
+pub fn run_traced(scale: Scale, trace: TraceConfig, record: bool) -> (f64, Vec<Row>) {
     let accesses = scale.pick(50u64, 2_000, 20_000);
     let client = super::n(1);
     // Each distance is an independent world with its own derived seed, so
@@ -73,26 +71,24 @@ pub fn run_traced(scale: Scale, trace: TraceConfig, record: bool) -> (f64, Vec<R
             unloaded_ns,
         };
         let slo = crate::report::slo_json(&w);
-        (row, local_ns, w.events_processed(), w.snapshot(), slo)
+        (row, local_ns, w.snapshot(), slo)
     });
     let mut rows = Vec::new();
     let mut local_ref = 0.0;
-    let mut events = 0u64;
-    for (row, local_ns, ev, snap, slo) in points {
+    for (row, local_ns, snap, slo) in points {
         local_ref = local_ns;
-        events += ev;
         if record {
             crate::report::record_snapshot(&format!("fig6/hops{}", row.hops), snap);
             crate::report::record_slo_json(&format!("fig6/hops{}", row.hops), slo);
         }
         rows.push(row);
     }
-    (local_ref, rows, events)
+    (local_ref, rows)
 }
 
 /// Render the figure as a table.
 pub fn table(scale: Scale) -> Table {
-    let (local_ns, rows, _) = run(scale);
+    let (local_ns, rows) = run(scale);
     let mut t = Table::new(
         "Fig. 6 — remote read latency vs. distance (64 B reads)",
         &["hops", "mean_ns", "p99_ns", "unloaded_ns", "vs_local"],
@@ -122,9 +118,8 @@ mod tests {
 
     #[test]
     fn latency_monotone_in_distance_and_dwarfs_local() {
-        let (local_ns, rows, events) = run(Scale::Smoke);
+        let (local_ns, rows) = run(Scale::Smoke);
         assert_eq!(rows.len(), 6);
-        assert!(events > 0, "the sweep must report engine events");
         for w in rows.windows(2) {
             assert!(w[1].mean_ns > w[0].mean_ns, "{w:?}");
         }

@@ -45,7 +45,7 @@ fn run_config(
     total_accesses: u64,
     threads: u64,
     servers: &[NodeId],
-) -> (f64, u64, u64) {
+) -> (f64, u64) {
     let client = super::n(CLIENT);
     let mut w = World::new(super::cluster());
     w.enable_sampling(super::sample_interval(scale));
@@ -80,7 +80,7 @@ fn run_config(
         .expect("threads spawned");
     let nacks: u64 = ids.iter().map(|&i| w.thread_nacks(i)).sum();
     crate::report::record_snapshot(name, w.snapshot());
-    (t.as_us_f64(), nacks, w.events_processed())
+    (t.as_us_f64(), nacks)
 }
 
 /// Pick `count` servers at exactly `hops` from the client.
@@ -91,24 +91,20 @@ fn servers_at(hops: u32, count: usize) -> Vec<NodeId> {
     c[..count].to_vec()
 }
 
-/// Run the full figure. Returns the rows plus the total engine events
-/// processed across all configurations (for the perf harness's
-/// events/second throughput figure).
-pub fn run(scale: Scale) -> (Vec<Row>, u64) {
+/// Run the full figure.
+pub fn run(scale: Scale) -> Vec<Row> {
     let total = scale.pick(2_000u64, 40_000, 400_000);
     let mut rows = Vec::new();
-    let mut events = 0u64;
     // Left group: one server, one hop.
     let one = servers_at(1, 1);
     for threads in [1u64, 2, 4] {
-        let (time_us, nacks, ev) = run_config(
+        let (time_us, nacks) = run_config(
             scale,
             &format!("fig7/1server_{threads}t"),
             total,
             threads,
             &one,
         );
-        events += ev;
         rows.push(Row {
             group: "1 server",
             label: format!("{threads}t, 1 hop"),
@@ -119,8 +115,7 @@ pub fn run(scale: Scale) -> (Vec<Row>, u64) {
         });
     }
     // Right group: four servers; 2 threads at 1 hop, then 4 threads at 1-3.
-    let (t2, n2, e2) = run_config(scale, "fig7/4servers_2t_1hop", total, 2, &servers_at(1, 4));
-    events += e2;
+    let (t2, n2) = run_config(scale, "fig7/4servers_2t_1hop", total, 2, &servers_at(1, 4));
     rows.push(Row {
         group: "4 servers",
         label: "2t, 1 hop".into(),
@@ -130,14 +125,13 @@ pub fn run(scale: Scale) -> (Vec<Row>, u64) {
         nacks: n2,
     });
     for hops in [1u32, 2, 3] {
-        let (time_us, nacks, ev) = run_config(
+        let (time_us, nacks) = run_config(
             scale,
             &format!("fig7/4servers_4t_{hops}hops"),
             total,
             4,
             &servers_at(hops, 4),
         );
-        events += ev;
         rows.push(Row {
             group: "4 servers",
             label: format!("4t, {hops} hop{}", if hops > 1 { "s" } else { "" }),
@@ -147,12 +141,12 @@ pub fn run(scale: Scale) -> (Vec<Row>, u64) {
             nacks,
         });
     }
-    (rows, events)
+    rows
 }
 
 /// Render the figure as a table.
 pub fn table(scale: Scale) -> Table {
-    let (rows, _) = run(scale);
+    let rows = run(scale);
     let mut t = Table::new(
         "Fig. 7 — random benchmark: threads / servers / distance",
         &["group", "config", "time_us", "nacks"],
@@ -174,8 +168,7 @@ mod tests {
 
     #[test]
     fn reproduces_the_papers_shape() {
-        let (rows, events) = run(Scale::Smoke);
-        assert!(events > 0, "the figure must report engine events");
+        let rows = run(Scale::Smoke);
         let by_label = |l: &str| {
             rows.iter()
                 .find(|r| r.label == l && r.group == "1 server")

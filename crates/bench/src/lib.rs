@@ -4,8 +4,9 @@
 //!
 //! One module per results figure of the paper (and per ablation), each
 //! exposing a pure function that runs the experiment and returns rows; thin
-//! `src/bin/*.rs` mains print them. The same functions back the Criterion
-//! benches, so `cargo bench` exercises every figure's code path.
+//! `src/bin/*.rs` mains print them. Host-time performance is measured
+//! by the repository's `benchmark/` package, which uses [`bencher`] for its
+//! per-layer micro rows.
 //!
 //! ## Scale
 //!
@@ -18,7 +19,6 @@
 pub mod bencher;
 pub mod chaos;
 pub mod experiments;
-pub mod perf;
 pub mod report;
 pub mod table;
 
@@ -80,7 +80,7 @@ where
 /// Experiment size tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds-long sanity runs (used by `cargo bench` and tests).
+    /// Seconds-long sanity runs (used by tests and CI smoke runs).
     Smoke,
     /// Default: minutes-at-most runs preserving every curve shape.
     Default,

@@ -19,11 +19,7 @@
 //!
 //! The document also carries a `metrics` section of SLO accounting blocks
 //! (see [`record_slo`]) derived purely from deterministic simulation
-//! state, so it is byte-identical whichever engine ran the worlds and
-//! whether the self-profiling registry is on or off. The *nondeterministic*
-//! self-profiling data (wall-clock attribution, worker occupancy) is kept
-//! out of the report on purpose; `finish` exports it separately as
-//! Prometheus text to the path named by `COHFREE_METRICS`.
+//! state, so it is byte-identical run to run.
 //!
 //! ```sh
 //! COHFREE_SCALE=smoke COHFREE_JSON=out.json \
@@ -87,8 +83,8 @@ pub fn record_snapshot(name: &str, snap: ClusterSnapshot) {
 /// between detection and evacuation.
 ///
 /// Everything here is computed from simulation state only — virtual time,
-/// deterministic histograms — never from the self-profiling registry, so
-/// the block is byte-identical across runs and metrics tiers.
+/// deterministic histograms — never from host time, so the block is
+/// byte-identical across runs.
 pub fn slo_json(world: &World) -> Json {
     let trace = world.trace();
     let mut phases = Vec::new();
@@ -233,16 +229,6 @@ pub fn finish() {
         text.push('\n');
         match std::fs::write(&path, text) {
             Ok(()) => eprintln!("report: wrote Chrome trace to {path}"),
-            Err(e) => {
-                eprintln!("report: failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = cohfree_core::envknob::metrics_export_path() {
-        let text = cohfree_sim::metrics::render_prometheus();
-        match std::fs::write(&path, text) {
-            Ok(()) => eprintln!("report: wrote Prometheus metrics to {path}"),
             Err(e) => {
                 eprintln!("report: failed to write {path}: {e}");
                 std::process::exit(1);

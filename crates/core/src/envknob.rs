@@ -1,7 +1,7 @@
 //! Typed parsing for `COHFREE_*` environment knobs.
 //!
-//! Runtime knobs (`COHFREE_METRICS`, the `COHFREE_SERVING_*` overrides) go
-//! through this module so a garbage value produces one clear, typed
+//! Runtime knobs (the `COHFREE_SERVING_*` and `COHFREE_CHAOS_*` overrides)
+//! go through this module so a garbage value produces one clear, typed
 //! [`EnvKnobError`] at startup instead of being silently ignored. Parsing is
 //! split from environment lookup so both the accept and reject paths are
 //! unit-testable without mutating the process environment.
@@ -47,28 +47,6 @@ pub fn parse_positive(name: &str, raw: &str) -> Result<u64, EnvKnobError> {
     }
 }
 
-/// Parse a filesystem-path knob value: any non-empty string. An empty
-/// value is rejected (a typo like `COHFREE_METRICS=` must not silently
-/// disable the export the caller asked for).
-pub fn parse_path(name: &str, raw: &str) -> Result<String, EnvKnobError> {
-    if raw.is_empty() {
-        Err(err(name, raw, "a non-empty filesystem path"))
-    } else {
-        Ok(raw.to_string())
-    }
-}
-
-/// The `COHFREE_METRICS` knob: the path the bench pipeline writes the
-/// Prometheus-text metrics export to at exit. Setting it also switches the
-/// [`cohfree_sim::metrics`] registry on (see `World::new`).
-///
-/// # Panics
-/// Panics with the typed [`EnvKnobError`] message when the variable is set
-/// to an empty string.
-pub fn metrics_export_path() -> Option<String> {
-    lookup("COHFREE_METRICS", parse_path).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Look `name` up in the environment and parse it with `parse`;
 /// `Ok(None)` when unset.
 pub fn lookup<T>(
@@ -89,10 +67,6 @@ mod tests {
     fn accepts_well_formed_values() {
         assert_eq!(parse_positive("COHFREE_SERVING_USERS", "8"), Ok(8));
         assert_eq!(parse_positive("COHFREE_SERVING_USERS", " 3 "), Ok(3));
-        assert_eq!(
-            parse_path("COHFREE_METRICS", "/tmp/metrics.prom"),
-            Ok("/tmp/metrics.prom".to_string())
-        );
     }
 
     #[test]
@@ -105,11 +79,6 @@ mod tests {
             msg.contains("COHFREE_SERVING_USERS") && msg.contains("three"),
             "{msg}"
         );
-
-        // An export path must not be empty: typed reject, not a silently
-        // dropped export.
-        let e = parse_path("COHFREE_METRICS", "").unwrap_err();
-        assert_eq!(e.name, "COHFREE_METRICS");
 
         assert!(parse_positive("COHFREE_SERVING_LANES", "0").is_err());
         assert!(parse_positive("COHFREE_SERVING_LANES", "-4").is_err());

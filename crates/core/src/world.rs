@@ -27,7 +27,6 @@
 //! reservation latency to the caller's clock.
 
 use crate::config::ClusterConfig;
-use crate::envknob;
 use crate::exec::{self, Cursor};
 use crate::fault::{EvacuationPolicy, FaultEvent};
 use cohfree_fabric::{Fabric, Message, MsgKind, NodeId};
@@ -498,17 +497,6 @@ impl World {
     /// event against a node or link that does not exist — such an event
     /// could never strike, which always indicates a mis-built experiment.
     pub fn try_new(cfg: ClusterConfig) -> Result<World, WorldConfigError> {
-        // `COHFREE_METRICS=<path>` asks for a Prometheus export at exit;
-        // flip the engine self-profiling registry on once per process so
-        // every engine run records. The registry is out-of-band: enabling
-        // it never changes simulation output (the golden-fingerprint suite
-        // pins that), so this cannot perturb a world mid-experiment.
-        static METRICS_FROM_ENV: std::sync::Once = std::sync::Once::new();
-        METRICS_FROM_ENV.call_once(|| {
-            if envknob::metrics_export_path().is_some() {
-                cohfree_sim::metrics::set_enabled(true);
-            }
-        });
         for ev in cfg.faults.events() {
             match ev {
                 FaultEvent::NodeCrash { node, .. }
@@ -668,7 +656,7 @@ impl World {
         self.queue.now()
     }
 
-    /// Events processed by the engine since construction. The perf harness
+    /// Events processed by the engine since construction. The benchmark
     /// divides this by wall time for an events/second throughput figure.
     pub fn events_processed(&self) -> u64 {
         self.queue.processed()
@@ -1538,45 +1526,11 @@ impl World {
         let total_accesses: u64 = self.threads.iter().map(|t| t.spec.accesses).sum();
         // Generous bound: hops + retries per access.
         let limit = 1_000 + total_accesses.saturating_mul(2_000);
-        // Engine self-profiling (out-of-band, cohfree_sim::metrics):
-        // sample queue depth and events/sec every PROF_STRIDE events.
-        // The tier check is one cached bool, so the disabled path adds
-        // a single predictable branch per event.
-        const PROF_STRIDE: u64 = 1 << 16;
-        let prof = cohfree_sim::metrics::enabled();
-        let prof_start = self.queue.processed();
-        let mut prof_next = prof_start + PROF_STRIDE;
-        let mut prof_last = std::time::Instant::now();
         while let Some((at, key, ev)) = self.queue.pop_entry() {
             self.handle(at, key, ev);
             assert!(
                 self.queue.processed() <= limit,
                 "event budget exceeded: livelock at {at}"
-            );
-            if prof && self.queue.processed() >= prof_next {
-                let processed = self.queue.processed();
-                let dt = prof_last.elapsed().as_secs_f64();
-                prof_last = std::time::Instant::now();
-                if dt > 0.0 {
-                    cohfree_sim::metrics::series_push(
-                        "cohfree_seq_events_per_sec",
-                        processed,
-                        PROF_STRIDE as f64 / dt,
-                    );
-                }
-                cohfree_sim::metrics::series_push(
-                    "cohfree_seq_queue_depth",
-                    processed,
-                    self.queue.len() as f64,
-                );
-                prof_next = processed + PROF_STRIDE;
-            }
-        }
-        if prof {
-            cohfree_sim::metrics::counter_add("cohfree_seq_runs_total", 1);
-            cohfree_sim::metrics::counter_add(
-                "cohfree_seq_events_total",
-                self.queue.processed() - prof_start,
             );
         }
         // Close the time series with a drain-time sample so the tail of the
@@ -2965,5 +2919,53 @@ mod tests {
         let doc = w.snapshot().doc;
         let mgr = doc.get("manager").expect("manager stats present");
         assert_eq!(mgr.get("ticks").unwrap().as_u64(), Some(0));
+    }
+
+    /// The recovery manager's idle cost on a healthy cluster, measured in
+    /// engine events (deterministic, host-independent): enabling it on a
+    /// fault-free world must stay under 3% extra events — the periodic
+    /// observation tick plus nothing else, since no Shed/Readmit/Rehome
+    /// ever fires without a fault.
+    #[test]
+    fn manager_overhead_on_a_fault_free_world_is_under_three_percent() {
+        let events = |manager: bool| {
+            let mut cfg = ClusterConfig::prototype();
+            if manager {
+                cfg.manager = crate::ManagerConfig::enabled();
+            }
+            let mut w = World::new(cfg);
+            let client = n(1);
+            let resv = w.reserve_remote(client, 2_048, Some(n(16)));
+            for k in 0..4u64 {
+                w.spawn_thread(
+                    ThreadSpec {
+                        node: client,
+                        zones: vec![(resv.prefixed_base, resv.frames * 4096)],
+                        accesses: 2_000,
+                        bytes: 64,
+                        write_fraction: 0.2,
+                        think: SimDuration::ns(5),
+                        seed: 4_400 + k,
+                    },
+                    SimTime::ZERO,
+                );
+            }
+            w.run();
+            (w.events_processed(), w.now())
+        };
+        let (off, t_off) = events(false);
+        let (on, t_on) = events(true);
+        // The final manager tick drains after the last workload event, so
+        // the end time may trail by at most one tick period.
+        assert!(
+            t_on >= t_off && t_on.since(t_off) <= SimDuration::us(2),
+            "an idle manager must not perturb the workload ({t_on:?} vs {t_off:?})"
+        );
+        let overhead = on as f64 / off as f64 - 1.0;
+        assert!(
+            overhead < 0.03,
+            "manager adds {:.2}% events on a fault-free world ({on} vs {off})",
+            overhead * 100.0
+        );
     }
 }

@@ -333,35 +333,6 @@ fn tiny_two_node_world_matches_golden() {
     assert_world(cfg, &specs, true, "two-node ring", GOLDEN_TWO_NODE_RING);
 }
 
-/// Self-profiling records entirely out-of-band: every observable byte is
-/// identical with metrics off or on, through a crash, loss (suspect
-/// timers) and sampling all at once. Enabling the tier process-wide is safe
-/// to leak to concurrent tests — it is output-invariant by this contract.
-#[test]
-fn metrics_enabled_output_is_byte_identical_to_metrics_off() {
-    use cohfree_sim::metrics;
-    let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
-    cfg.fabric.loss_rate = 1e-3;
-    cfg.recovery.max_retries = 4;
-    cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
-        at: SimTime::ZERO + SimDuration::us(40),
-        node: n(6),
-    });
-    let mut rng = Rng::new(0x0B5E);
-    let specs = arb_specs(&mut rng, 16, 120);
-    let off = fingerprint(&run_world(cfg, &specs, true), specs.len());
-
-    metrics::set_enabled(true);
-    let on = fingerprint(&run_world(cfg, &specs, true), specs.len());
-    let snap = metrics::snapshot();
-    metrics::set_enabled(false);
-    assert_eq!(off, on, "metrics-on run diverged from metrics-off");
-
-    // The probes must actually have been live, not compiled away.
-    assert!(snap.counter("cohfree_seq_runs_total") >= 1);
-}
-
 /// Seeded Poisson arrivals for the serving worlds below — the same shape
 /// `cohfree_workloads::serving` generates, built here directly against the
 /// core API (core tests cannot depend on the workloads crate).

@@ -17,9 +17,6 @@
 //!   reproducible from a single `u64` seed with no external dependencies,
 //! * [`faultlog`] — a timestamped record of fault injections, failure
 //!   detections and recovery actions, serialized into cluster snapshots,
-//! * [`metrics`] — a zero-cost-when-off registry profiling the simulator
-//!   *engine itself* (events per second, queue depth), exportable as
-//!   Prometheus text,
 //! * [`span`] — per-transaction span tracing: a bounded [`TraceSink`]
 //!   attributing each traced access's end-to-end latency to phases
 //!   (stall, wire, queueing, service, ...), exportable as a Chrome
@@ -37,7 +34,6 @@
 pub mod engine;
 pub mod faultlog;
 pub mod fxhash;
-pub mod metrics;
 pub mod queueing;
 pub mod rng;
 pub mod snapshot;

@@ -169,8 +169,7 @@ impl LatencyHistogram {
 
     /// Per-bucket sample counts in the log-linear layout described by
     /// [`LatencyHistogram::bucket_bounds`] (index `i` covers
-    /// `bucket_bounds(i)`). Exposed for cumulative (`le`) rendering in
-    /// [`crate::metrics`].
+    /// `bucket_bounds(i)`).
     pub fn bucket_counts(&self) -> &[u64] {
         &self.buckets
     }
