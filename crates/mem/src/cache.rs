@@ -11,6 +11,12 @@
 //! victim writeback it must perform; `flush*` returns the dirty lines that a
 //! read-only parallel phase must push out before other cores may share the
 //! region (Section IV-B of the paper).
+//!
+//! All sets live in one `Vec` of `sets × ways` lines with a fill count per
+//! set; within a set the lines are in no particular order, and the LRU
+//! victim is the smallest stamp (stamps are unique). The cache remembers
+//! which line its last `access` touched, so a repeat access to that line
+//! hits without scanning the set; every other mutator clears the memo.
 
 use cohfree_sim::stats::Counter;
 use cohfree_sim::FastMap;
@@ -75,7 +81,15 @@ struct Line {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every set's ways back to back: set `s` keeps its resident lines in
+    /// `lines[s * ways..][..fill[s]]`, in no particular order.
+    lines: Vec<Line>,
+    /// Resident lines per set.
+    fill: Vec<u32>,
+    /// `(line address, index in lines)` of the line the last `access`
+    /// touched, so a repeat access hits without the set scan. Cleared by
+    /// every other mutator.
+    last: Option<(u64, usize)>,
     /// Resident lines per 64-line group (key: line index >> GROUP_SHIFT).
     /// Lets `flush_range` skip groups with no cached lines — the dominant
     /// case when the swap path flushes a cold victim page on every
@@ -102,10 +116,15 @@ impl Cache {
             "set count must be a power of two"
         );
         assert!(cfg.ways >= 1, "cache needs at least one way");
+        let empty = Line {
+            tag: 0,
+            dirty: false,
+            lru: 0,
+        };
         Cache {
-            sets: (0..cfg.sets)
-                .map(|_| Vec::with_capacity(cfg.ways as usize))
-                .collect(),
+            lines: vec![empty; cfg.sets as usize * cfg.ways as usize],
+            fill: vec![0; cfg.sets as usize],
+            last: None,
             group_lines: FastMap::default(),
             cfg,
             clock: 0,
@@ -140,6 +159,25 @@ impl Cache {
         (tag * self.cfg.sets as u64 + set as u64) * self.cfg.line_bytes as u64
     }
 
+    /// Index in `lines` of the first way of `set`.
+    #[inline]
+    fn base_of(&self, set: usize) -> usize {
+        set * self.cfg.ways as usize
+    }
+
+    /// Resident lines of `set`.
+    #[inline]
+    fn set(&self, set: usize) -> &[Line] {
+        &self.lines[self.base_of(set)..][..self.fill[set] as usize]
+    }
+
+    /// Index in `lines` of the resident line `tag` of `set`, if any.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let pos = self.set(set).iter().position(|l| l.tag == tag)?;
+        Some(self.base_of(set) + pos)
+    }
+
     /// Track a line fill in the per-group residency count.
     #[inline]
     fn note_fill(&mut self, li: u64) {
@@ -159,56 +197,60 @@ impl Cache {
         }
     }
 
+    /// Fill `tag` into `set` as its most recent line: into a free way, or
+    /// over the least-recently-used line. Returns the index used and the
+    /// displaced line's address if it was dirty (counted as a write-back).
+    fn place(&mut self, set: usize, tag: u64, dirty: bool) -> (usize, Option<u64>) {
+        let base = self.base_of(set);
+        let ways = self.cfg.ways as usize;
+        let filled = self.fill[set] as usize;
+        let (i, victim) = if filled < ways {
+            self.fill[set] += 1;
+            (base + filled, None)
+        } else {
+            let i = (base..base + ways)
+                .min_by_key(|&i| self.lines[i].lru)
+                .expect("a cache set has at least one way");
+            (i, Some(self.lines[i]))
+        };
+        self.lines[i] = Line {
+            tag,
+            dirty,
+            lru: self.clock,
+        };
+        let nsets = self.cfg.sets as u64;
+        self.note_fill(tag * nsets + set as u64);
+        let Some(victim) = victim else {
+            return (i, None);
+        };
+        self.note_evict(victim.tag * nsets + set as u64);
+        if !victim.dirty {
+            return (i, None);
+        }
+        self.writebacks.inc();
+        (i, Some(self.addr_of(set, victim.tag)))
+    }
+
     /// Look up the line containing `addr`; fill on miss. `write` marks the
     /// line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
         self.clock += 1;
         let la = self.line_addr(addr);
-        let set_idx = self.set_of(la);
-        let tag = self.tag_of(la);
-        let ways = self.cfg.ways as usize;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+        let hit = match self.last {
+            Some((last_la, i)) if last_la == la => Some(i),
+            _ => self.find(self.set_of(la), self.tag_of(la)),
+        };
+        if let Some(i) = hit {
+            let line = &mut self.lines[i];
             line.lru = self.clock;
             line.dirty |= write;
             self.hits.inc();
+            self.last = Some((la, i));
             return CacheOutcome::Hit;
         }
-
         self.misses.inc();
-        let mut evicted_line = None;
-        let victim_writeback = if set.len() < ways {
-            set.push(Line {
-                tag,
-                dirty: write,
-                lru: self.clock,
-            });
-            None
-        } else {
-            let (vi, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("non-empty set");
-            let victim = set[vi];
-            set[vi] = Line {
-                tag,
-                dirty: write,
-                lru: self.clock,
-            };
-            evicted_line = Some(victim.tag * self.cfg.sets as u64 + set_idx as u64);
-            if victim.dirty {
-                self.writebacks.inc();
-                Some(self.addr_of(set_idx, victim.tag))
-            } else {
-                None
-            }
-        };
-        self.note_fill(la / self.cfg.line_bytes as u64);
-        if let Some(li) = evicted_line {
-            self.note_evict(li);
-        }
+        let (i, victim_writeback) = self.place(self.set_of(la), self.tag_of(la), write);
+        self.last = Some((la, i));
         CacheOutcome::Miss { victim_writeback }
     }
 
@@ -217,66 +259,39 @@ impl Cache {
     /// level's dirty victim. Returns a displaced dirty victim, if any.
     pub fn install_dirty(&mut self, addr: u64) -> Option<u64> {
         self.clock += 1;
+        self.last = None;
         let la = self.line_addr(addr);
-        let set_idx = self.set_of(la);
+        let set = self.set_of(la);
         let tag = self.tag_of(la);
-        let ways = self.cfg.ways as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+        if let Some(i) = self.find(set, tag) {
+            let line = &mut self.lines[i];
             line.lru = self.clock;
             line.dirty = true;
             return None;
         }
-        if set.len() < ways {
-            set.push(Line {
-                tag,
-                dirty: true,
-                lru: self.clock,
-            });
-            self.note_fill(la / self.cfg.line_bytes as u64);
-            return None;
-        }
-        let (vi, _) = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.lru)
-            .expect("non-empty set");
-        let victim = set[vi];
-        set[vi] = Line {
-            tag,
-            dirty: true,
-            lru: self.clock,
-        };
-        let victim_li = victim.tag * self.cfg.sets as u64 + set_idx as u64;
-        self.note_fill(la / self.cfg.line_bytes as u64);
-        self.note_evict(victim_li);
-        if victim.dirty {
-            self.writebacks.inc();
-            Some(self.addr_of(set_idx, victim.tag))
-        } else {
-            None
-        }
+        self.place(set, tag, true).1
     }
 
     /// True if the line containing `addr` is present (no LRU update).
     pub fn probe(&self, addr: u64) -> bool {
         let la = self.line_addr(addr);
-        let tag = self.tag_of(la);
-        self.sets[self.set_of(la)].iter().any(|l| l.tag == tag)
+        self.find(self.set_of(la), self.tag_of(la)).is_some()
     }
 
     /// Drop every line, returning the addresses of dirty ones (the caller
     /// must write them back). Models the explicit flush before a read-only
     /// parallel phase.
     pub fn flush_all(&mut self) -> Vec<u64> {
+        self.last = None;
         let mut dirty = Vec::new();
-        for set_idx in 0..self.sets.len() {
-            for line in std::mem::take(&mut self.sets[set_idx]) {
+        for set in 0..self.fill.len() {
+            for line in self.set(set) {
                 if line.dirty {
-                    dirty.push(self.addr_of(set_idx, line.tag));
+                    dirty.push(self.addr_of(set, line.tag));
                 }
             }
         }
+        self.fill.fill(0);
         self.group_lines.clear();
         self.writebacks.add(dirty.len() as u64);
         dirty.sort_unstable();
@@ -285,6 +300,7 @@ impl Cache {
 
     /// Drop all lines within `[base, base+len)`, returning dirty addresses.
     pub fn flush_range(&mut self, base: u64, len: u64) -> Vec<u64> {
+        self.last = None;
         let mut dirty = Vec::new();
         let lb = self.cfg.line_bytes as u64;
         let nsets = self.cfg.sets as u64;
@@ -315,11 +331,13 @@ impl Cache {
                 if whole_group && removed == count {
                     break;
                 }
-                let set_idx = (li & (nsets - 1)) as usize;
-                let tag = li >> set_shift;
-                let set = &mut self.sets[set_idx];
-                if let Some(pos) = set.iter().position(|l| l.tag == tag) {
-                    let line = set.swap_remove(pos);
+                let set = (li & (nsets - 1)) as usize;
+                if let Some(i) = self.find(set, li >> set_shift) {
+                    // Move the set's last line into the hole.
+                    self.fill[set] -= 1;
+                    let last = self.base_of(set) + self.fill[set] as usize;
+                    let line = self.lines[i];
+                    self.lines[i] = self.lines[last];
                     if line.dirty {
                         dirty.push(li * lb);
                     }
@@ -339,7 +357,7 @@ impl Cache {
 
     /// Lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&n| n as usize).sum()
     }
 
     /// Hits so far.
@@ -368,9 +386,391 @@ impl Cache {
     }
 }
 
+/// The oracle the differential tests here and in `hierarchy` drive the
+/// flat cache against, and the address stream they drive it with.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use cohfree_sim::Rng;
+
+    /// The previous `Vec<Vec<Line>>` implementation of [`Cache`], kept
+    /// verbatim (less the unused `config`).
+    #[derive(Debug)]
+    pub(crate) struct OracleCache {
+        cfg: CacheConfig,
+        sets: Vec<Vec<Line>>,
+        /// Resident lines per 64-line group (key: line index >> GROUP_SHIFT).
+        /// Lets `flush_range` skip groups with no cached lines — the dominant
+        /// case when the swap path flushes a cold victim page on every
+        /// page-cache eviction.
+        group_lines: FastMap<u64, u32>,
+        clock: u64,
+        hits: Counter,
+        misses: Counter,
+        writebacks: Counter,
+    }
+
+    impl OracleCache {
+        /// Build a cache with the given geometry.
+        ///
+        /// # Panics
+        /// Panics unless `line_bytes` and `sets` are powers of two and `ways ≥ 1`.
+        pub fn new(cfg: CacheConfig) -> OracleCache {
+            assert!(
+                cfg.line_bytes.is_power_of_two(),
+                "line size must be a power of two"
+            );
+            assert!(
+                cfg.sets.is_power_of_two(),
+                "set count must be a power of two"
+            );
+            assert!(cfg.ways >= 1, "cache needs at least one way");
+            OracleCache {
+                sets: (0..cfg.sets)
+                    .map(|_| Vec::with_capacity(cfg.ways as usize))
+                    .collect(),
+                group_lines: FastMap::default(),
+                cfg,
+                clock: 0,
+                hits: Counter::new(),
+                misses: Counter::new(),
+                writebacks: Counter::new(),
+            }
+        }
+
+        #[inline]
+        fn line_addr(&self, addr: u64) -> u64 {
+            addr & !(self.cfg.line_bytes as u64 - 1)
+        }
+
+        #[inline]
+        fn set_of(&self, line_addr: u64) -> usize {
+            ((line_addr / self.cfg.line_bytes as u64) & (self.cfg.sets as u64 - 1)) as usize
+        }
+
+        #[inline]
+        fn tag_of(&self, line_addr: u64) -> u64 {
+            line_addr / self.cfg.line_bytes as u64 / self.cfg.sets as u64
+        }
+
+        /// Reconstruct a line-aligned address from (set, tag).
+        fn addr_of(&self, set: usize, tag: u64) -> u64 {
+            (tag * self.cfg.sets as u64 + set as u64) * self.cfg.line_bytes as u64
+        }
+
+        /// Track a line fill in the per-group residency count.
+        #[inline]
+        fn note_fill(&mut self, li: u64) {
+            *self.group_lines.entry(li >> GROUP_SHIFT).or_insert(0) += 1;
+        }
+
+        /// Track a line eviction in the per-group residency count.
+        #[inline]
+        fn note_evict(&mut self, li: u64) {
+            let g = li >> GROUP_SHIFT;
+            match self.group_lines.get_mut(&g) {
+                Some(c) if *c > 1 => *c -= 1,
+                Some(_) => {
+                    self.group_lines.remove(&g);
+                }
+                None => debug_assert!(false, "evicting a line from an untracked group"),
+            }
+        }
+
+        /// Look up the line containing `addr`; fill on miss. `write` marks the
+        /// line dirty.
+        pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
+            self.clock += 1;
+            let la = self.line_addr(addr);
+            let set_idx = self.set_of(la);
+            let tag = self.tag_of(la);
+            let ways = self.cfg.ways as usize;
+            let set = &mut self.sets[set_idx];
+
+            if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+                line.lru = self.clock;
+                line.dirty |= write;
+                self.hits.inc();
+                return CacheOutcome::Hit;
+            }
+
+            self.misses.inc();
+            let mut evicted_line = None;
+            let victim_writeback = if set.len() < ways {
+                set.push(Line {
+                    tag,
+                    dirty: write,
+                    lru: self.clock,
+                });
+                None
+            } else {
+                let (vi, _) = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.lru)
+                    .expect("non-empty set");
+                let victim = set[vi];
+                set[vi] = Line {
+                    tag,
+                    dirty: write,
+                    lru: self.clock,
+                };
+                evicted_line = Some(victim.tag * self.cfg.sets as u64 + set_idx as u64);
+                if victim.dirty {
+                    self.writebacks.inc();
+                    Some(self.addr_of(set_idx, victim.tag))
+                } else {
+                    None
+                }
+            };
+            self.note_fill(la / self.cfg.line_bytes as u64);
+            if let Some(li) = evicted_line {
+                self.note_evict(li);
+            }
+            CacheOutcome::Miss { victim_writeback }
+        }
+
+        /// Install the line containing `addr` as dirty *without* counting a
+        /// demand access — the path a lower cache level uses to absorb an upper
+        /// level's dirty victim. Returns a displaced dirty victim, if any.
+        pub fn install_dirty(&mut self, addr: u64) -> Option<u64> {
+            self.clock += 1;
+            let la = self.line_addr(addr);
+            let set_idx = self.set_of(la);
+            let tag = self.tag_of(la);
+            let ways = self.cfg.ways as usize;
+            let set = &mut self.sets[set_idx];
+            if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+                line.lru = self.clock;
+                line.dirty = true;
+                return None;
+            }
+            if set.len() < ways {
+                set.push(Line {
+                    tag,
+                    dirty: true,
+                    lru: self.clock,
+                });
+                self.note_fill(la / self.cfg.line_bytes as u64);
+                return None;
+            }
+            let (vi, _) = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.lru)
+                .expect("non-empty set");
+            let victim = set[vi];
+            set[vi] = Line {
+                tag,
+                dirty: true,
+                lru: self.clock,
+            };
+            let victim_li = victim.tag * self.cfg.sets as u64 + set_idx as u64;
+            self.note_fill(la / self.cfg.line_bytes as u64);
+            self.note_evict(victim_li);
+            if victim.dirty {
+                self.writebacks.inc();
+                Some(self.addr_of(set_idx, victim.tag))
+            } else {
+                None
+            }
+        }
+
+        /// True if the line containing `addr` is present (no LRU update).
+        pub fn probe(&self, addr: u64) -> bool {
+            let la = self.line_addr(addr);
+            let tag = self.tag_of(la);
+            self.sets[self.set_of(la)].iter().any(|l| l.tag == tag)
+        }
+
+        /// Drop every line, returning the addresses of dirty ones (the caller
+        /// must write them back). Models the explicit flush before a read-only
+        /// parallel phase.
+        pub fn flush_all(&mut self) -> Vec<u64> {
+            let mut dirty = Vec::new();
+            for set_idx in 0..self.sets.len() {
+                for line in std::mem::take(&mut self.sets[set_idx]) {
+                    if line.dirty {
+                        dirty.push(self.addr_of(set_idx, line.tag));
+                    }
+                }
+            }
+            self.group_lines.clear();
+            self.writebacks.add(dirty.len() as u64);
+            dirty.sort_unstable();
+            dirty
+        }
+
+        /// Drop all lines within `[base, base+len)`, returning dirty addresses.
+        pub fn flush_range(&mut self, base: u64, len: u64) -> Vec<u64> {
+            let mut dirty = Vec::new();
+            let lb = self.cfg.line_bytes as u64;
+            let nsets = self.cfg.sets as u64;
+            let set_shift = nsets.trailing_zeros();
+            // Walk the range one residency group at a time: a group with no
+            // resident lines is skipped with a single map probe — the dominant
+            // case when the swap path flushes a cold victim page on every
+            // page-cache eviction. Within a live group, each line maps to
+            // exactly one (set, tag), so it is a targeted probe per line, not a
+            // whole-cache scan.
+            let first_line = base.div_ceil(lb);
+            let end_line = (base + len).div_ceil(lb).max(first_line);
+            let first_group = first_line >> GROUP_SHIFT;
+            let last_group = if end_line == first_line {
+                first_group
+            } else {
+                ((end_line - 1) >> GROUP_SHIFT) + 1
+            };
+            for g in first_group..last_group {
+                let Some(&count) = self.group_lines.get(&g) else {
+                    continue;
+                };
+                let lo = (g << GROUP_SHIFT).max(first_line);
+                let hi = ((g + 1) << GROUP_SHIFT).min(end_line);
+                let whole_group = hi - lo == 1 << GROUP_SHIFT;
+                let mut removed = 0u32;
+                for li in lo..hi {
+                    if whole_group && removed == count {
+                        break;
+                    }
+                    let set_idx = (li & (nsets - 1)) as usize;
+                    let tag = li >> set_shift;
+                    let set = &mut self.sets[set_idx];
+                    if let Some(pos) = set.iter().position(|l| l.tag == tag) {
+                        let line = set.swap_remove(pos);
+                        if line.dirty {
+                            dirty.push(li * lb);
+                        }
+                        removed += 1;
+                    }
+                }
+                if removed == count {
+                    self.group_lines.remove(&g);
+                } else if removed > 0 {
+                    *self.group_lines.get_mut(&g).expect("group tracked") -= removed;
+                }
+            }
+            self.writebacks.add(dirty.len() as u64);
+            dirty.sort_unstable();
+            dirty
+        }
+
+        /// Lines currently resident.
+        pub fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+
+        /// Hits so far.
+        pub fn hits(&self) -> u64 {
+            self.hits.get()
+        }
+
+        /// Misses so far.
+        pub fn misses(&self) -> u64 {
+            self.misses.get()
+        }
+
+        /// Dirty-victim writebacks so far (including flushes).
+        pub fn writebacks(&self) -> u64 {
+            self.writebacks.get()
+        }
+
+        /// Hit ratio over all accesses (0 when untouched).
+        pub fn hit_ratio(&self) -> f64 {
+            let total = self.hits.get() + self.misses.get();
+            if total == 0 {
+                0.0
+            } else {
+                self.hits.get() as f64 / total as f64
+            }
+        }
+    }
+
+    /// Next address of a seeded test stream over `[0, span)`: the same
+    /// 64-byte line again (a burst), the next line, another line of the same
+    /// 4 KiB page, or a random jump.
+    pub(crate) fn next_addr(rng: &mut Rng, cur: u64, span: u64) -> u64 {
+        match rng.below(10) {
+            0..=4 => (cur & !63) | rng.below(64),
+            5..=6 => (cur + 64) % span,
+            7..=8 => (cur & !4095) | rng.below(4096),
+            _ => rng.below(span),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{next_addr, OracleCache};
     use super::*;
+    use cohfree_sim::Rng;
+
+    /// The flat cache matches the `Vec<Vec<Line>>` oracle on every return
+    /// value and on the hit, miss and write-back counters. The stream is
+    /// mostly same-line and same-page bursts (the MRU memo) with random
+    /// jumps over four times the capacity, interleaved with
+    /// `install_dirty` (which can evict the memo line in a 1-way set),
+    /// probes, `flush_range` and `flush_all`.
+    #[test]
+    fn cache_matches_vec_of_vecs_oracle() {
+        for (line_bytes, sets, ways) in [
+            (64, 1, 1),
+            (64, 4, 2),
+            (32, 8, 3),
+            (64, 16, 4),
+            (64, 64, 16),
+        ] {
+            let cfg = CacheConfig {
+                line_bytes,
+                sets,
+                ways,
+            };
+            let span = (4 * cfg.capacity_bytes()).next_multiple_of(4096);
+            for seed in 0..4u64 {
+                let mut rng = Rng::new(0xF1A7 + seed);
+                let (mut c, mut o) = (Cache::new(cfg), OracleCache::new(cfg));
+                let mut addr = 0;
+                for step in 0..20_000 {
+                    let ctx = || format!("{cfg:?} seed {seed} step {step}");
+                    match rng.below(100) {
+                        0..=84 => {
+                            addr = next_addr(&mut rng, addr, span);
+                            let write = rng.chance(0.3);
+                            assert_eq!(c.access(addr, write), o.access(addr, write), "{}", ctx());
+                        }
+                        85..=91 => {
+                            let a = next_addr(&mut rng, addr, span);
+                            assert_eq!(c.install_dirty(a), o.install_dirty(a), "{}", ctx());
+                        }
+                        92..=95 => {
+                            let a = next_addr(&mut rng, addr, span);
+                            assert_eq!(c.probe(a), o.probe(a), "{}", ctx());
+                        }
+                        96..=98 => {
+                            let base = next_addr(&mut rng, addr, span) & !4095;
+                            let len = if rng.chance(0.5) {
+                                4096
+                            } else {
+                                rng.below(8192)
+                            };
+                            assert_eq!(
+                                c.flush_range(base, len),
+                                o.flush_range(base, len),
+                                "{}",
+                                ctx()
+                            );
+                        }
+                        _ => assert_eq!(c.flush_all(), o.flush_all(), "{}", ctx()),
+                    }
+                    assert_eq!(c.hits(), o.hits(), "{}", ctx());
+                    assert_eq!(c.misses(), o.misses(), "{}", ctx());
+                    assert_eq!(c.writebacks(), o.writebacks(), "{}", ctx());
+                    assert_eq!(c.resident_lines(), o.resident_lines(), "{}", ctx());
+                    assert_eq!(c.hit_ratio(), o.hit_ratio(), "{}", ctx());
+                }
+            }
+        }
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64B = 512B — easy to reason about.
@@ -408,7 +808,7 @@ mod tests {
                         assert!(addr >= base && addr < base + 4096);
                     }
                     for set_idx in 0..16u64 {
-                        for line in &c.sets[set_idx as usize] {
+                        for line in c.set(set_idx as usize) {
                             let addr = (line.tag * 16 + set_idx) * 64;
                             assert!(addr < base || addr >= base + 4096, "line survived flush");
                         }
@@ -421,8 +821,8 @@ mod tests {
             }
             // Rebuild the residency counts from the sets and compare.
             let mut expect: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-            for (set_idx, set) in c.sets.iter().enumerate() {
-                for line in set {
+            for set_idx in 0..16 {
+                for line in c.set(set_idx) {
                     let li = line.tag * 16 + set_idx as u64;
                     *expect.entry(li >> GROUP_SHIFT).or_insert(0) += 1;
                 }

@@ -152,8 +152,117 @@ impl CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::oracle::{next_addr, OracleCache};
     use cohfree_sim::Rng;
     use std::collections::HashSet;
+
+    /// [`CacheHierarchy`]'s NINE logic over the oracle caches.
+    struct OracleHierarchy {
+        l1: Option<OracleCache>,
+        l2: OracleCache,
+    }
+
+    impl OracleHierarchy {
+        fn access(&mut self, addr: u64, write: bool) -> HierarchyOutcome {
+            let mut memory_writebacks = Vec::new();
+            if let Some(l1) = self.l1.as_mut() {
+                match l1.access(addr, write) {
+                    CacheOutcome::Hit => {
+                        return HierarchyOutcome {
+                            level: Level::L1,
+                            memory_writebacks,
+                        };
+                    }
+                    CacheOutcome::Miss { victim_writeback } => {
+                        if let Some(v) = victim_writeback {
+                            memory_writebacks.extend(self.l2.install_dirty(v));
+                        }
+                    }
+                }
+            }
+            let level = match self.l2.access(addr, write) {
+                CacheOutcome::Hit => Level::L2,
+                CacheOutcome::Miss { victim_writeback } => {
+                    memory_writebacks.extend(victim_writeback);
+                    Level::Memory
+                }
+            };
+            HierarchyOutcome {
+                level,
+                memory_writebacks,
+            }
+        }
+
+        fn flush(&mut self, range: Option<(u64, u64)>) -> Vec<u64> {
+            let mut dirty = Vec::new();
+            for c in self.l1.iter_mut().chain([&mut self.l2]) {
+                dirty.extend(match range {
+                    Some((base, len)) => c.flush_range(base, len),
+                    None => c.flush_all(),
+                });
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+            dirty
+        }
+    }
+
+    /// Through [`CacheHierarchy`], with and without an L1, the flat caches
+    /// match the oracle caches on every outcome, write-back list, flush
+    /// result and per-level counter. The stream mixes same-line and
+    /// same-page bursts with random jumps, so L1 dirty victims land in the
+    /// L2 (`install_dirty`) between repeat accesses.
+    #[test]
+    fn hierarchy_matches_oracle_caches() {
+        let c = |sets, ways| CacheConfig {
+            line_bytes: 64,
+            sets,
+            ways,
+        };
+        let shapes = [
+            (None, c(8, 2)),
+            (Some(c(2, 2)), c(8, 2)),
+            (Some(c(4, 1)), c(16, 4)),
+            (Some(c(64, 8)), c(512, 16)),
+        ];
+        for (l1, l2) in shapes {
+            let span = (4 * l2.capacity_bytes()).next_multiple_of(4096);
+            for seed in 0..4u64 {
+                let mut rng = Rng::new(0x41E7 + seed);
+                let mut h = CacheHierarchy::new(l1, l2);
+                let mut o = OracleHierarchy {
+                    l1: l1.map(OracleCache::new),
+                    l2: OracleCache::new(l2),
+                };
+                let mut addr = 0;
+                for step in 0..20_000 {
+                    let ctx = || format!("{l1:?}/{l2:?} seed {seed} step {step}");
+                    match rng.below(100) {
+                        0..=97 => {
+                            addr = next_addr(&mut rng, addr, span);
+                            let write = rng.chance(0.3);
+                            assert_eq!(h.access(addr, write), o.access(addr, write), "{}", ctx());
+                        }
+                        98 => {
+                            let base = addr & !4095;
+                            assert_eq!(
+                                h.flush_range(base, 4096),
+                                o.flush(Some((base, 4096))),
+                                "{}",
+                                ctx()
+                            );
+                        }
+                        _ => assert_eq!(h.flush_all(), o.flush(None), "{}", ctx()),
+                    }
+                    let l1_hits = o.l1.as_ref().map_or(0, OracleCache::hits);
+                    assert_eq!(h.l1_hits(), l1_hits, "{}", ctx());
+                    assert_eq!(h.l2_hits(), o.l2.hits(), "{}", ctx());
+                    assert_eq!(h.misses(), o.l2.misses(), "{}", ctx());
+                    assert_eq!(h.l2().writebacks(), o.l2.writebacks(), "{}", ctx());
+                }
+            }
+        }
+    }
 
     fn small() -> CacheHierarchy {
         CacheHierarchy::new(

@@ -5,11 +5,20 @@
 //! OS). The prototype aggregates 128 GiB across the cluster; a dense model
 //! would be unusable, while the sparse model costs memory proportional to the
 //! bytes actually written.
+//!
+//! Materialized pages sit in a `Vec` in first-touch order, found through a
+//! page-number index. A page is never dropped, so an index into that `Vec`
+//! stays valid for the store's life, and a one-page memo of the last page
+//! found lets runs of accesses to one page skip the index probe.
 
 use cohfree_sim::FastMap;
+use std::cell::Cell;
 
 /// Page size used by the backing store and by the OS model (x86-64 base pages).
 pub const PAGE_BYTES: u64 = 4096;
+
+/// One materialized page.
+type Page = Box<[u8; PAGE_BYTES as usize]>;
 
 /// Sparse byte-addressable memory.
 ///
@@ -17,15 +26,19 @@ pub const PAGE_BYTES: u64 = 4096;
 /// page, so read-mostly probes stay cheap.
 #[derive(Debug, Default)]
 pub struct SparseStore {
-    pages: FastMap<u64, Box<[u8; PAGE_BYTES as usize]>>,
+    /// Materialized pages, in first-touch order.
+    pages: Vec<Page>,
+    /// Page number -> index in `pages`.
+    index: FastMap<u64, usize>,
+    /// `(page number, index in pages)` of the last materialized page a read
+    /// or write found. Exact without invalidation: pages are never removed.
+    last: Cell<Option<(u64, usize)>>,
 }
 
 impl SparseStore {
     /// An empty (all-zero) store.
     pub fn new() -> SparseStore {
-        SparseStore {
-            pages: FastMap::default(),
-        }
+        SparseStore::default()
     }
 
     /// Number of pages materialized so far.
@@ -38,6 +51,19 @@ impl SparseStore {
         self.pages.len() as u64 * PAGE_BYTES
     }
 
+    /// Index in `pages` of page number `page`, if materialized.
+    #[inline]
+    fn find(&self, page: u64) -> Option<usize> {
+        if let Some((last, i)) = self.last.get() {
+            if last == page {
+                return Some(i);
+            }
+        }
+        let i = *self.index.get(&page)?;
+        self.last.set(Some((page, i)));
+        Some(i)
+    }
+
     /// Read `buf.len()` bytes starting at `addr`.
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
         let mut addr = addr;
@@ -47,8 +73,8 @@ impl SparseStore {
             let off = (addr % PAGE_BYTES) as usize;
             let n = rest.len().min(PAGE_BYTES as usize - off);
             let (chunk, tail) = rest.split_at_mut(n);
-            match self.pages.get(&page) {
-                Some(p) => chunk.copy_from_slice(&p[off..off + n]),
+            match self.find(page) {
+                Some(i) => chunk.copy_from_slice(&self.pages[i][off..off + n]),
                 None => chunk.fill(0),
             }
             rest = tail;
@@ -64,11 +90,17 @@ impl SparseStore {
             let page = addr / PAGE_BYTES;
             let off = (addr % PAGE_BYTES) as usize;
             let n = rest.len().min(PAGE_BYTES as usize - off);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_BYTES as usize]));
-            p[off..off + n].copy_from_slice(&rest[..n]);
+            let i = match self.find(page) {
+                Some(i) => i,
+                None => {
+                    let i = self.pages.len();
+                    self.pages.push(Box::new([0u8; PAGE_BYTES as usize]));
+                    self.index.insert(page, i);
+                    self.last.set(Some((page, i)));
+                    i
+                }
+            };
+            self.pages[i][off..off + n].copy_from_slice(&rest[..n]);
             rest = &rest[n..];
             addr += n as u64;
         }
@@ -84,18 +116,6 @@ impl SparseStore {
     /// Write a little-endian `u64` at `addr`.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
         self.write(addr, &v.to_le_bytes());
-    }
-
-    /// Copy `len` bytes from `src` to `dst` (ranges may overlap).
-    pub fn copy(&mut self, src: u64, dst: u64, len: usize) {
-        let mut buf = vec![0u8; len];
-        self.read(src, &mut buf);
-        self.write(dst, &buf);
-    }
-
-    /// Drop the page containing `addr`, returning it to the all-zero state.
-    pub fn discard_page(&mut self, addr: u64) {
-        self.pages.remove(&(addr / PAGE_BYTES));
     }
 }
 
@@ -146,27 +166,6 @@ mod tests {
         let mut s = SparseStore::new();
         s.write_u64(PAGE_BYTES - 4, 0xDEAD_BEEF_CAFE_F00D); // straddles a page
         assert_eq!(s.read_u64(PAGE_BYTES - 4), 0xDEAD_BEEF_CAFE_F00D);
-    }
-
-    #[test]
-    fn copy_moves_bytes() {
-        let mut s = SparseStore::new();
-        s.write(0, b"hello cluster");
-        s.copy(0, 10_000, 13);
-        let mut back = [0u8; 13];
-        s.read(10_000, &mut back);
-        assert_eq!(&back, b"hello cluster");
-    }
-
-    #[test]
-    fn discard_page_zeroes() {
-        let mut s = SparseStore::new();
-        s.write_u64(0, 42);
-        s.write_u64(PAGE_BYTES, 43);
-        s.discard_page(0);
-        assert_eq!(s.read_u64(0), 0);
-        assert_eq!(s.read_u64(PAGE_BYTES), 43);
-        assert_eq!(s.resident_pages(), 1);
     }
 
     #[test]

@@ -10,17 +10,25 @@ use std::collections::HashSet;
 const CASES: u64 = 48;
 
 /// SparseStore behaves exactly like a flat byte array under arbitrary
-/// interleavings of reads and writes.
+/// interleavings of reads and writes. Most accesses stay on the page of the
+/// one before (the store's one-page memo) and some straddle a page boundary.
 #[test]
 fn sparse_store_matches_flat_oracle() {
     for seed in 0..CASES {
         let mut rng = Rng::new(0x570E + seed);
         let mut store = SparseStore::new();
         let mut oracle = vec![0u8; 16_384];
-        let ops = rng.range(1, 100);
+        let ops = rng.range(1, 300);
+        let mut addr = 0usize;
         for _ in 0..ops {
-            let addr = rng.below(8_192) as usize;
             let len0 = rng.range(1, 64) as usize;
+            addr = match rng.below(10) {
+                // Same page as the last access.
+                0..=5 => (addr & !4095) | rng.below(4_096) as usize,
+                // Straddling a page boundary.
+                6..=7 => rng.range(1, 4) as usize * 4_096 - 1 - rng.below(len0 as u64) as usize,
+                _ => rng.below(16_384) as usize,
+            };
             let data: Vec<u8> = (0..len0).map(|_| rng.next_u64() as u8).collect();
             let is_write = rng.chance(0.5);
             let len = data.len().min(oracle.len() - addr);

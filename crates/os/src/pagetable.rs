@@ -8,7 +8,9 @@
 //!
 //! * a page table mapping virtual page numbers to 48-bit physical addresses
 //!   (possibly prefixed) with per-page state,
-//! * a fully-associative LRU [`Tlb`] of configurable size,
+//! * a fully-associative LRU [`Tlb`] of configurable size: one contiguous
+//!   `Vec` of `(vpn, phys, stamp)` slots, scanned from the slot the last
+//!   hit or insert touched, evicting the smallest (unique) stamp,
 //! * translation outcomes distinguishing TLB hits, walks, and faults, so the
 //!   owning backend can charge the right costs.
 
@@ -75,12 +77,31 @@ impl Default for TlbConfig {
     }
 }
 
+/// One resident translation.
+#[derive(Debug, Clone, Copy)]
+struct TlbEntry {
+    vpn: u64,
+    /// Physical page base.
+    phys: u64,
+    /// LRU stamp: larger = more recently used. Every lookup hit and insert
+    /// takes a fresh clock value, so no two entries share a stamp.
+    stamp: u64,
+}
+
 /// Fully-associative LRU TLB.
+///
+/// The entries sit in one contiguous `Vec` of at most `entries` slots, in no
+/// particular order. A lookup checks the slot the last hit or insert touched,
+/// then scans; an eviction takes the smallest stamp; `invalidate` swaps the
+/// last slot into the hole. Stamps are unique, so slot order never decides a
+/// victim.
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    /// vpn -> (phys page base, lru stamp)
-    map: FastMap<u64, (u64, u64)>,
+    slots: Vec<TlbEntry>,
+    /// Slot the last hit or insert touched. Only a hint: [`Tlb::find`]
+    /// checks its vpn, so no mutator has to keep it in step.
+    last: usize,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -92,21 +113,34 @@ impl Tlb {
         assert!(cfg.entries > 0, "TLB needs at least one entry");
         Tlb {
             cfg,
-            map: FastMap::default(),
+            slots: Vec::with_capacity(cfg.entries),
+            last: 0,
             clock: 0,
             hits: 0,
             misses: 0,
         }
     }
 
+    /// Slot holding `vpn`, if resident: the last-touched slot first, then a
+    /// scan.
+    #[inline]
+    fn find(&self, vpn: u64) -> Option<usize> {
+        match self.slots.get(self.last) {
+            Some(e) if e.vpn == vpn => Some(self.last),
+            _ => self.slots.iter().position(|e| e.vpn == vpn),
+        }
+    }
+
     /// Look up a virtual page number; LRU-refresh on hit.
     pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
         self.clock += 1;
-        match self.map.get_mut(&vpn) {
-            Some((phys, stamp)) => {
-                *stamp = self.clock;
+        match self.find(vpn) {
+            Some(i) => {
+                let e = &mut self.slots[i];
+                e.stamp = self.clock;
+                self.last = i;
                 self.hits += 1;
-                Some(*phys)
+                Some(e.phys)
             }
             None => {
                 self.misses += 1;
@@ -118,22 +152,41 @@ impl Tlb {
     /// Install a translation (evicting the LRU entry if full).
     pub fn insert(&mut self, vpn: u64, phys_page: u64) {
         self.clock += 1;
-        if self.map.len() >= self.cfg.entries && !self.map.contains_key(&vpn) {
-            if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, (_, s))| *s) {
-                self.map.remove(&victim);
+        let entry = TlbEntry {
+            vpn,
+            phys: phys_page,
+            stamp: self.clock,
+        };
+        let i = match self.find(vpn) {
+            Some(i) => i,
+            None if self.slots.len() < self.cfg.entries => {
+                self.slots.push(entry);
+                self.slots.len() - 1
             }
-        }
-        self.map.insert(vpn, (phys_page, self.clock));
+            None => {
+                let (lru, _) = self
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.stamp)
+                    .expect("a full TLB has entries");
+                lru
+            }
+        };
+        self.slots[i] = entry;
+        self.last = i;
     }
 
     /// Drop a translation (on unmap / swap-out).
     pub fn invalidate(&mut self, vpn: u64) {
-        self.map.remove(&vpn);
+        if let Some(i) = self.find(vpn) {
+            self.slots.swap_remove(i);
+        }
     }
 
     /// Drop everything (context switch / global shootdown).
     pub fn flush(&mut self) {
-        self.map.clear();
+        self.slots.clear();
     }
 
     /// Hits so far.
@@ -148,12 +201,12 @@ impl Tlb {
 
     /// Resident entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// True if no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 }
 
@@ -243,11 +296,6 @@ impl PageTable {
         }
     }
 
-    /// Current PTE for `vpn`, if any.
-    pub fn pte(&self, vpn: u64) -> Option<Pte> {
-        self.ptes.get(&vpn).copied()
-    }
-
     /// Page walks performed (TLB misses with a valid mapping).
     pub fn walks(&self) -> u64 {
         self.walks
@@ -272,6 +320,153 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cohfree_sim::Rng;
+
+    /// The previous `FastMap` implementation of [`Tlb`], kept verbatim as
+    /// the oracle for the differential test below.
+    #[derive(Debug)]
+    pub struct OracleTlb {
+        cfg: TlbConfig,
+        /// vpn -> (phys page base, lru stamp)
+        map: FastMap<u64, (u64, u64)>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl OracleTlb {
+        /// An empty TLB.
+        pub fn new(cfg: TlbConfig) -> OracleTlb {
+            assert!(cfg.entries > 0, "TLB needs at least one entry");
+            OracleTlb {
+                cfg,
+                map: FastMap::default(),
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        /// Look up a virtual page number; LRU-refresh on hit.
+        pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
+            self.clock += 1;
+            match self.map.get_mut(&vpn) {
+                Some((phys, stamp)) => {
+                    *stamp = self.clock;
+                    self.hits += 1;
+                    Some(*phys)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        /// Install a translation (evicting the LRU entry if full).
+        pub fn insert(&mut self, vpn: u64, phys_page: u64) {
+            self.clock += 1;
+            if self.map.len() >= self.cfg.entries && !self.map.contains_key(&vpn) {
+                if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, (_, s))| *s) {
+                    self.map.remove(&victim);
+                }
+            }
+            self.map.insert(vpn, (phys_page, self.clock));
+        }
+
+        /// Drop a translation (on unmap / swap-out).
+        pub fn invalidate(&mut self, vpn: u64) {
+            self.map.remove(&vpn);
+        }
+
+        /// Drop everything (context switch / global shootdown).
+        pub fn flush(&mut self) {
+            self.map.clear();
+        }
+
+        /// Hits so far.
+        pub fn hits(&self) -> u64 {
+            self.hits
+        }
+
+        /// Misses so far.
+        pub fn misses(&self) -> u64 {
+            self.misses
+        }
+
+        /// Resident entries.
+        pub fn len(&self) -> usize {
+            self.map.len()
+        }
+
+        /// True if no entries are resident.
+        pub fn is_empty(&self) -> bool {
+            self.map.is_empty()
+        }
+    }
+
+    /// The array TLB matches the `FastMap` oracle on every return value and
+    /// counter at sizes 1, 2, 8 and 64. The stream mixes same-page bursts
+    /// (the last-slot check), neighbours and random jumps over four times
+    /// the TLB's reach, translates like [`PageTable::translate`] (insert on
+    /// miss), and interleaves remapping inserts, invalidations and flushes.
+    #[test]
+    fn tlb_matches_fastmap_oracle() {
+        for entries in [1usize, 2, 8, 64] {
+            for seed in 0..6u64 {
+                let mut rng = Rng::new(0x71B0 + seed);
+                let cfg = TlbConfig { entries };
+                let (mut tlb, mut oracle) = (Tlb::new(cfg), OracleTlb::new(cfg));
+                let span = 4 * entries as u64 + 3;
+                let mut vpn = 0;
+                for step in 0..20_000 {
+                    match rng.below(100) {
+                        0..=89 => {
+                            match rng.below(10) {
+                                0..=5 => {}
+                                6..=7 => vpn = rng.below(span),
+                                _ => vpn = (vpn + 1) % span,
+                            }
+                            let got = tlb.lookup(vpn);
+                            assert_eq!(got, oracle.lookup(vpn), "{entries}/{seed} step {step}");
+                            if got.is_none() {
+                                tlb.insert(vpn, vpn * PAGE_BYTES);
+                                oracle.insert(vpn, vpn * PAGE_BYTES);
+                            }
+                        }
+                        90..=94 => {
+                            let v = if rng.chance(0.5) {
+                                vpn
+                            } else {
+                                rng.below(span)
+                            };
+                            let phys = rng.below(1 << 20) * PAGE_BYTES;
+                            tlb.insert(v, phys);
+                            oracle.insert(v, phys);
+                        }
+                        95..=98 => {
+                            let v = if rng.chance(0.5) {
+                                vpn
+                            } else {
+                                rng.below(span)
+                            };
+                            tlb.invalidate(v);
+                            oracle.invalidate(v);
+                        }
+                        _ => {
+                            tlb.flush();
+                            oracle.flush();
+                        }
+                    }
+                    let ctx = || format!("{entries}/{seed} step {step}");
+                    assert_eq!(tlb.hits(), oracle.hits(), "{}", ctx());
+                    assert_eq!(tlb.misses(), oracle.misses(), "{}", ctx());
+                    assert_eq!(tlb.len(), oracle.len(), "{}", ctx());
+                    assert_eq!(tlb.is_empty(), oracle.is_empty(), "{}", ctx());
+                }
+            }
+        }
+    }
 
     #[test]
     fn unmapped_translation() {

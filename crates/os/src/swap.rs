@@ -62,6 +62,10 @@ pub struct PageCache {
     capacity: usize,
     slots: Vec<Slot>,
     map: FastMap<u64, usize>,
+    /// `(vpage, slot)` of the page the last `touch` touched, so a repeat
+    /// touch skips the map probe. A page keeps its slot until it is
+    /// evicted, and the miss that evicts it moves the memo to the new page.
+    last: Option<(u64, usize)>,
     hand: usize,
     stats: SwapStats,
 }
@@ -77,6 +81,7 @@ impl PageCache {
             capacity,
             slots: Vec::with_capacity(capacity),
             map: FastMap::default(),
+            last: None,
             hand: 0,
             stats: SwapStats::default(),
         }
@@ -99,11 +104,16 @@ impl PageCache {
 
     /// Touch `vpage` (write access dirties it). Makes the page resident.
     pub fn touch(&mut self, vpage: u64, write: bool) -> Touch {
-        if let Some(&i) = self.map.get(&vpage) {
+        let hit = match self.last {
+            Some((last, i)) if last == vpage => Some(i),
+            _ => self.map.get(&vpage).copied(),
+        };
+        if let Some(i) = hit {
             let s = &mut self.slots[i];
             s.referenced = true;
             s.dirty |= write;
             self.stats.hits += 1;
+            self.last = Some((vpage, i));
             return Touch::Hit;
         }
         self.stats.major_faults += 1;
@@ -114,6 +124,7 @@ impl PageCache {
                 dirty: write,
             });
             self.map.insert(vpage, self.slots.len() - 1);
+            self.last = Some((vpage, self.slots.len() - 1));
             None
         } else {
             // CLOCK: advance the hand, clearing reference bits, until an
@@ -135,6 +146,7 @@ impl PageCache {
                 dirty: write,
             };
             self.map.insert(vpage, victim_idx);
+            self.last = Some((vpage, victim_idx));
             self.hand = (victim_idx + 1) % self.capacity;
             if victim.dirty {
                 self.stats.writebacks += 1;
@@ -173,6 +185,136 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cohfree_sim::Rng;
+
+    /// Memo-free CLOCK reference: linear search for the page, same hand
+    /// rule and accounting as [`PageCache`].
+    struct RefClock {
+        capacity: usize,
+        /// `(vpage, referenced, dirty)` per slot.
+        slots: Vec<(u64, bool, bool)>,
+        hand: usize,
+    }
+
+    impl RefClock {
+        fn touch(&mut self, vpage: u64, write: bool) -> Touch {
+            if let Some(s) = self.slots.iter_mut().find(|s| s.0 == vpage) {
+                s.1 = true;
+                s.2 |= write;
+                return Touch::Hit;
+            }
+            if self.slots.len() < self.capacity {
+                self.slots.push((vpage, true, write));
+                return Touch::Miss { evicted: None };
+            }
+            while self.slots[self.hand].1 {
+                self.slots[self.hand].1 = false;
+                self.hand = (self.hand + 1) % self.capacity;
+            }
+            let (victim, _, dirty) = self.slots[self.hand];
+            self.slots[self.hand] = (vpage, true, write);
+            self.hand = (self.hand + 1) % self.capacity;
+            Touch::Miss {
+                evicted: Some(Evicted {
+                    vpage: victim,
+                    dirty,
+                }),
+            }
+        }
+
+        fn flush_dirty(&mut self) -> Vec<u64> {
+            let mut dirty: Vec<u64> = self.slots.iter().filter(|s| s.2).map(|s| s.0).collect();
+            self.slots.iter_mut().for_each(|s| s.2 = false);
+            dirty.sort_unstable();
+            dirty
+        }
+    }
+
+    /// The memo page's reference bit is cleared by the CLOCK hand during
+    /// another page's miss; touching it again must set the bit, so the next
+    /// eviction skips it exactly as a memo-free run does. A memo page that
+    /// `flush_dirty` cleaned must be dirtied again by a write touch.
+    #[test]
+    fn memo_page_keeps_clock_bits_exact() {
+        let mut c = PageCache::new(3);
+        for v in [10, 11, 12, 12] {
+            c.touch(v, false);
+        }
+        // 12 is the memo page. 13's miss sweeps every bit clear (12's too)
+        // and evicts 10 from slot 0; the hand stops at slot 1 (page 11).
+        assert_eq!(
+            c.touch(13, false),
+            Touch::Miss {
+                evicted: Some(Evicted {
+                    vpage: 10,
+                    dirty: false
+                })
+            }
+        );
+        // Re-touch 11 and 12 (12 twice: the second is a memo hit), then
+        // miss: 11, 12 and 13 are all referenced, so the hand clears all
+        // three and takes 11. Had the touch of 12 not set its bit, 12
+        // would be the victim.
+        for v in [11, 12, 12] {
+            assert_eq!(c.touch(v, false), Touch::Hit);
+        }
+        assert_eq!(
+            c.touch(14, false),
+            Touch::Miss {
+                evicted: Some(Evicted {
+                    vpage: 11,
+                    dirty: false
+                })
+            }
+        );
+        // Memo page 14 written, cleaned, written again through the memo.
+        c.touch(14, true);
+        assert_eq!(c.flush_dirty(), vec![14]);
+        assert_eq!(c.touch(14, true), Touch::Hit);
+        assert_eq!(c.flush_dirty(), vec![14]);
+    }
+
+    /// Random streams of same-page bursts and jumps, interleaved with
+    /// `flush_dirty`, give the same outcomes, victims and counters as the
+    /// memo-free reference.
+    #[test]
+    fn page_cache_matches_memo_free_reference() {
+        for capacity in [1usize, 2, 3, 8] {
+            for seed in 0..4u64 {
+                let mut rng = Rng::new(0xC10C + seed);
+                let mut c = PageCache::new(capacity);
+                let mut r = RefClock {
+                    capacity,
+                    slots: Vec::new(),
+                    hand: 0,
+                };
+                let span = 3 * capacity as u64 + 2;
+                let mut vpage = 0;
+                let (mut hits, mut faults) = (0, 0);
+                for step in 0..10_000 {
+                    if rng.below(100) == 0 {
+                        assert_eq!(
+                            c.flush_dirty(),
+                            r.flush_dirty(),
+                            "{capacity}/{seed} step {step}"
+                        );
+                        continue;
+                    }
+                    if rng.chance(0.4) {
+                        vpage = rng.below(span);
+                    }
+                    let write = rng.chance(0.3);
+                    let got = c.touch(vpage, write);
+                    assert_eq!(got, r.touch(vpage, write), "{capacity}/{seed} step {step}");
+                    match got {
+                        Touch::Hit => hits += 1,
+                        Touch::Miss { .. } => faults += 1,
+                    }
+                    assert_eq!((c.stats().hits, c.stats().major_faults), (hits, faults));
+                }
+            }
+        }
+    }
 
     #[test]
     fn fills_without_eviction_up_to_capacity() {
