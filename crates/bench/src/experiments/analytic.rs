@@ -138,8 +138,9 @@ pub fn model_params(total: u64, a_page: u64) -> ModelParams {
     let w = World::new(cfg);
     // 8-byte uncached remote load, nearest donor = 1 hop.
     let l_remote = w.estimate_remote_read_latency(super::n(1), super::n(2), 8);
-    // Resident access: cache lookup + DRAM line fill.
-    let l_local = cfg.os.cache_hit + SimDuration::ns(65);
+    // Resident access: cache lookup + unloaded DRAM line fill (what the
+    // swap backend charges without a cluster).
+    let l_local = cfg.os.cache_hit + cfg.dram.unloaded_latency(cfg.cache.line_bytes);
     // Page fault: kernel overhead + network RTT + page wire time.
     let l_swap = cfg.os.fault_overhead + SWAP_RTT + SimDuration::ns_f64(4096.0 / SWAP_BW * 1e3);
     ModelParams {

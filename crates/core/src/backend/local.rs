@@ -6,156 +6,73 @@
 //! hypothetical), so this backend uses the DRAM and cache models directly
 //! without a fabric.
 
-use super::stats::AccessStats;
-use super::MemSpace;
+use super::process::{Backing, Core, Process};
 use crate::config::ClusterConfig;
-use cohfree_mem::{CacheHierarchy, Level, NodeMemory, SparseStore};
-use cohfree_os::pagetable::{PageTable, Translation, PAGE_BYTES};
-use cohfree_sim::{SimDuration, SimTime};
+use cohfree_mem::{DramConfig, NodeMemory};
+use cohfree_os::pagetable::PAGE_BYTES;
 
-/// A process on a machine whose entire memory is local.
-pub struct LocalMachine {
+/// How a [`LocalMachine`] backs its pages: consecutive frames of its own
+/// DRAM, whose sockets are scaled up to hold all installed memory.
+pub struct LocalBacking {
     mem: NodeMemory,
-    cache: CacheHierarchy,
-    pt: PageTable,
-    store: SparseStore,
-    clock: SimTime,
-    stats: AccessStats,
-    timing: crate::config::OsTiming,
-    bump_va: u64,
-    /// First virtual page number not yet backed by a frame.
-    next_vpn: u64,
-    bump_frame: u64,
+    next_frame: u64,
     mem_bytes: u64,
 }
+
+/// A process on a machine whose entire memory is local.
+pub type LocalMachine = Process<LocalBacking>;
 
 impl LocalMachine {
     /// A machine with `total_bytes` of local memory, using `cfg`'s DRAM,
     /// cache and OS timing calibration.
     pub fn new(cfg: ClusterConfig, total_bytes: u64) -> LocalMachine {
-        let big = ClusterConfig::big_local_machine(total_bytes);
-        LocalMachine {
-            mem: NodeMemory::new(big.dram),
-            cache: CacheHierarchy::new(cfg.l1, cfg.cache),
-            pt: PageTable::new(cfg.tlb),
-            store: SparseStore::new(),
-            clock: SimTime::ZERO,
-            stats: AccessStats::default(),
-            timing: cfg.os,
-            bump_va: 0x1000, // keep VA 0 unmapped (null-guard)
-            next_vpn: 1,
-            bump_frame: 0,
+        let dram = DramConfig {
+            bytes_per_socket: total_bytes.div_ceil(cfg.dram.sockets as u64),
+            ..cfg.dram
+        };
+        let backing = LocalBacking {
+            mem: NodeMemory::new(dram),
+            next_frame: 0,
             mem_bytes: total_bytes,
-        }
+        };
+        Process::with_backing(&cfg, backing)
     }
 
     /// Bytes of physical memory installed.
     pub fn memory_bytes(&self) -> u64 {
-        self.mem_bytes
-    }
-
-    /// One timed access covering a single cache line.
-    fn line_access(&mut self, va: u64, write: bool) {
-        let phys = match self.pt.translate(va) {
-            Translation::TlbHit { phys } => phys,
-            Translation::Walked { phys } => {
-                self.stats.tlb_walks += 1;
-                self.clock += self.timing.tlb_walk;
-                phys
-            }
-            Translation::MajorFault { .. } => unreachable!("local machine never swaps"),
-            Translation::Unmapped => panic!("access to unallocated VA {va:#x}"),
-        };
-        let out = self.cache.access(phys, write);
-        match out.level {
-            Level::L1 => {
-                self.stats.cache_hits += 1;
-                self.clock += self.timing.l1_hit;
-            }
-            Level::L2 => {
-                self.stats.cache_hits += 1;
-                self.clock += self.timing.cache_hit;
-            }
-            Level::Memory => {
-                self.stats.cache_misses += 1;
-                self.clock += self.timing.cache_hit; // lookup cost
-                self.clock = self.mem.access(self.clock, phys, self.cache.line_bytes());
-            }
-        }
-        for victim in out.memory_writebacks {
-            // Writebacks to local DRAM are buffered by hardware: they
-            // occupy the controller but do not stall the core.
-            self.mem.access(self.clock, victim, self.cache.line_bytes());
-        }
-    }
-
-    fn timed_range(&mut self, va: u64, len: usize, write: bool) {
-        let line = self.cache.line_bytes() as u64;
-        let mut a = va & !(line - 1);
-        let end = va + len as u64;
-        while a < end {
-            self.line_access(a, write);
-            if write {
-                self.stats.writes += 1;
-            } else {
-                self.stats.reads += 1;
-            }
-            a += line;
-        }
+        self.backing.mem_bytes
     }
 }
 
-impl MemSpace for LocalMachine {
-    fn alloc(&mut self, bytes: u64) -> u64 {
-        assert!(bytes > 0, "zero-byte allocation");
-        self.clock += self.timing.malloc_overhead;
-        // Allocations pack (16-byte aligned), like a real malloc: B-tree
-        // nodes straddle page boundaries exactly as the paper describes.
-        let va = self.bump_va;
-        self.bump_va = (va + bytes + 15) & !15;
-        let last_vpn = PageTable::vpn(self.bump_va - 1);
-        while self.next_vpn <= last_vpn {
-            assert!(
-                self.bump_frame + PAGE_BYTES <= self.mem_bytes,
-                "local machine out of memory ({} bytes installed)",
-                self.mem_bytes
-            );
-            self.pt.map(self.next_vpn, self.bump_frame);
-            self.bump_frame += PAGE_BYTES;
-            self.next_vpn += 1;
+impl Backing for LocalBacking {
+    fn back_page(&mut self, core: &mut Core, vpn: u64) {
+        assert!(
+            self.next_frame + PAGE_BYTES <= self.mem_bytes,
+            "local machine out of memory ({} bytes installed)",
+            self.mem_bytes
+        );
+        core.pt.map(vpn, self.next_frame);
+        self.next_frame += PAGE_BYTES;
+    }
+
+    fn fill(&mut self, core: &mut Core, phys: u64, missed: bool, victims: &[u64]) {
+        let line = core.cache.line_bytes();
+        if missed {
+            core.clock = self.mem.access(core.clock, phys, line);
         }
-        self.stats.allocations += 1;
-        va
-    }
-
-    fn read(&mut self, va: u64, buf: &mut [u8]) {
-        self.timed_range(va, buf.len(), false);
-        self.stats.bytes_read += buf.len() as u64;
-        self.store.read(va, buf);
-    }
-
-    fn write(&mut self, va: u64, data: &[u8]) {
-        self.timed_range(va, data.len(), true);
-        self.stats.bytes_written += data.len() as u64;
-        self.store.write(va, data);
-    }
-
-    fn compute(&mut self, d: SimDuration) {
-        self.clock += d;
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock
-    }
-
-    fn stats(&self) -> AccessStats {
-        self.stats
+        for &victim in victims {
+            // Writebacks to local DRAM are buffered by hardware: they
+            // occupy the controller but do not stall the core.
+            self.mem.access(core.clock, victim, line);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemSpace;
+    use cohfree_sim::{SimDuration, SimTime};
 
     fn machine() -> LocalMachine {
         LocalMachine::new(ClusterConfig::prototype(), 128 << 30)
@@ -226,5 +143,20 @@ mod tests {
     fn exhaustion_panics() {
         let mut m = LocalMachine::new(ClusterConfig::prototype(), 1 << 20);
         m.alloc(2 << 20);
+    }
+
+    #[test]
+    fn sockets_hold_all_installed_memory() {
+        // Configured sockets of 64 KiB each, 1 MiB installed: the sockets
+        // are scaled up, so the last page is backed by the last socket
+        // instead of being rejected as beyond node memory.
+        let mut cfg = ClusterConfig::prototype();
+        cfg.dram.bytes_per_socket = 64 << 10;
+        let mut m = LocalMachine::new(cfg, 1 << 20);
+        let va = m.alloc((1 << 20) - 4096);
+        let last = va + (1 << 20) - 4096 - 8;
+        m.write_u64(last, 9);
+        assert_eq!(m.read_u64(last), 9);
+        assert_eq!(m.memory_bytes(), 1 << 20);
     }
 }

@@ -9,21 +9,40 @@
 //! |---------|--------|-------------|
 //! | [`LocalMachine`] | one machine with all the memory local | TLB → cache → local DRAM |
 //! | [`RemoteMemorySpace`] | **the paper's system** | TLB → cache → (local DRAM \| RMC → fabric → home DRAM) |
-//! | [`SwapSpace`] (remote) | remote swap over the same fabric | TLB → page cache → fault: OS + 4 KiB page messages |
+//! | [`SwapSpace`] (remote) | remote swap over Ethernet (or, idealized, the same fabric) | TLB → page cache → fault: OS + 4 KiB page transfers |
 //! | `SwapSpace` (disk) | classic disk swap | TLB → page cache → fault: OS + disk |
 //!
-//! All timing flows through the same component models, so comparisons
-//! isolate the *architecture*, not the calibration.
+//! All three are one type, [`Process`], over a different backing, so the
+//! process side of every access runs through one path: the packed bump
+//! allocator that lays out virtual addresses, the line split, TLB
+//! translation with its walk charge, the cache lookup with its L1-hit,
+//! L2-hit or miss-lookup charge, the functional [`cohfree_mem::SparseStore`]
+//! and the [`AccessStats`] counters. Each backing supplies only what
+//! differs:
+//!
+//! | backing | a new page is | fault handler | miss fill, then victim write-back |
+//! |---------|---------------|---------------|-----------------------------------|
+//! | [`LocalBacking`] | the next local frame | — | local DRAM; write-backs buffered |
+//! | [`RemoteBacking`] | a frame of a reserved remote zone (or a private frame first) | — | victims home first (remote ones stall the core), then a local or remote fetch |
+//! | [`SwapBacking`] | a slot on the swap device, non-resident | CLOCK eviction, page out, page in | local DRAM (unloaded latency without a cluster); write-backs buffered |
+//!
+//! Every dirty line the cache hierarchy displaces is handed to the backing,
+//! whichever level served the access. All timing flows through the same
+//! component models, so comparisons isolate the *architecture*, not the
+//! calibration.
 
 mod local;
+mod process;
 mod remote;
 mod stats;
 mod swap;
 
-pub use local::LocalMachine;
-pub use remote::{AllocPolicy, RemoteMemorySpace, RemoteOptions};
+pub use local::{LocalBacking, LocalMachine};
+pub(crate) use process::lines;
+pub use process::Process;
+pub use remote::{AllocPolicy, RemoteBacking, RemoteMemorySpace, RemoteOptions};
 pub use stats::AccessStats;
-pub use swap::{SwapConfig, SwapSpace, SwapTransport};
+pub use swap::{SwapBacking, SwapConfig, SwapSpace, SwapTransport};
 
 use cohfree_sim::{SimDuration, SimTime};
 

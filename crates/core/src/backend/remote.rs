@@ -13,16 +13,13 @@
 //!   unloaded round-trip estimate (optimistic-overlap model, documented in
 //!   DESIGN.md).
 
-use super::stats::AccessStats;
-use super::MemSpace;
+use super::process::{Backing, Core, Process, Zones};
 use crate::config::ClusterConfig;
 use crate::world::World;
 use cohfree_fabric::{MsgKind, NodeId};
-use cohfree_mem::{CacheHierarchy, Level, SparseStore};
-use cohfree_os::pagetable::{PageTable, Translation, PAGE_BYTES};
 use cohfree_rmc::addr::RemoteRef;
 use cohfree_rmc::{Prefetcher, PrefetcherConfig};
-use cohfree_sim::{FastMap, SimDuration, SimTime};
+use cohfree_sim::{FastMap, SimTime};
 
 /// Where allocations land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +49,8 @@ pub struct RemoteOptions {
     /// Frames per reservation zone (amortizes the software cost).
     pub zone_frames: u64,
     /// Explicit memory-server list (round-robin); `None` lets the
-    /// directory's donor policy decide.
+    /// directory's donor policy decide. An empty list is rejected at
+    /// construction.
     pub servers: Option<Vec<NodeId>>,
 }
 
@@ -68,32 +66,23 @@ impl Default for RemoteOptions {
     }
 }
 
-struct Zone {
-    prefixed_base: u64,
-    frames: u64,
-    used: u64,
-}
-
-/// A process on `node` using the paper's remote-memory architecture.
-pub struct RemoteMemorySpace {
+/// How a [`RemoteMemorySpace`] backs its pages: frames of borrowed remote
+/// zones (or private local frames first, under
+/// [`AllocPolicy::LocalFirst`]), reached through the node's RMC.
+pub struct RemoteBacking {
     world: World,
     node: NodeId,
-    pt: PageTable,
-    cache: CacheHierarchy,
-    store: SparseStore,
-    clock: SimTime,
-    stats: AccessStats,
     policy: AllocPolicy,
-    opts: RemoteOptions,
-    bump_va: u64,
-    /// First virtual page number not yet backed by a frame.
-    next_vpn: u64,
-    zone: Option<Zone>,
-    server_rr: usize,
+    cacheable: bool,
+    posted_writes: bool,
+    zones: Zones,
     prefetcher: Option<Prefetcher>,
     /// line address -> instant the prefetched line becomes usable.
     prefetch_ready: FastMap<u64, SimTime>,
 }
+
+/// A process on `node` using the paper's remote-memory architecture.
+pub type RemoteMemorySpace = Process<RemoteBacking>;
 
 impl RemoteMemorySpace {
     /// A process on `node` of a cluster described by `cfg`.
@@ -102,118 +91,64 @@ impl RemoteMemorySpace {
     }
 
     /// Full-control constructor.
+    ///
+    /// # Panics
+    /// Panics if `opts.servers` is an empty list.
     pub fn with_options(
         cfg: ClusterConfig,
         node: NodeId,
         policy: AllocPolicy,
         opts: RemoteOptions,
     ) -> RemoteMemorySpace {
-        let prefetcher = opts.prefetch.map(Prefetcher::new);
-        RemoteMemorySpace {
+        let backing = RemoteBacking {
             world: World::new(cfg),
             node,
-            pt: PageTable::new(cfg.tlb),
-            cache: CacheHierarchy::new(cfg.l1, cfg.cache),
-            store: SparseStore::new(),
-            clock: SimTime::ZERO,
-            stats: AccessStats::default(),
             policy,
-            opts,
-            bump_va: 0x1000,
-            next_vpn: 1,
-            zone: None,
-            server_rr: 0,
-            prefetcher,
+            cacheable: opts.cacheable,
+            posted_writes: opts.posted_writes,
+            zones: Zones::new(node, opts.servers, opts.zone_frames),
+            prefetcher: opts.prefetch.map(Prefetcher::new),
             prefetch_ready: FastMap::default(),
-        }
+        };
+        Process::with_backing(&cfg, backing)
     }
 
     /// The node this process runs on.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.backing.node
     }
 
     /// Access to the underlying cluster (statistics).
     pub fn world(&self) -> &World {
-        &self.world
+        &self.backing.world
     }
 
     /// Bytes of remote memory currently borrowed by this process's region.
     pub fn borrowed_bytes(&self) -> u64 {
-        self.world.region(self.node).borrowed_bytes()
-    }
-
-    /// Grab a frame of remote memory, reserving a fresh zone when needed.
-    fn next_remote_frame(&mut self) -> u64 {
-        let need_new = match &self.zone {
-            Some(z) => z.used == z.frames,
-            None => true,
-        };
-        if need_new {
-            let donor = self.opts.servers.as_ref().map(|s| {
-                let d = s[self.server_rr % s.len()];
-                self.server_rr += 1;
-                d
-            });
-            let resv = self
-                .world
-                .reserve_remote(self.node, self.opts.zone_frames, donor);
-            self.clock += self.world.config().os.reservation;
-            self.stats.reservations += 1;
-            self.zone = Some(Zone {
-                prefixed_base: resv.prefixed_base,
-                frames: resv.frames,
-                used: 0,
-            });
-        }
-        let z = self.zone.as_mut().expect("zone just ensured");
-        let frame = z.prefixed_base + z.used * PAGE_BYTES;
-        z.used += 1;
-        frame
-    }
-
-    /// Blocking remote read of one line; returns completion time.
-    fn remote_read(&mut self, phys: u64, home: NodeId, bytes: u32) -> SimTime {
-        self.stats.remote_reads += 1;
-        self.world.blocking_transaction(
-            self.clock,
-            self.node,
-            home,
-            MsgKind::ReadReq { bytes },
-            phys,
-        )
-    }
-
-    /// Remote write of one line; returns the instant the core continues
-    /// (full round trip, or RMC acceptance under posted semantics).
-    fn remote_write(&mut self, phys: u64, home: NodeId, bytes: u32) -> SimTime {
-        self.stats.remote_writes += 1;
-        if self.opts.posted_writes {
-            self.world.posted_transaction(
-                self.clock,
-                self.node,
-                home,
-                MsgKind::WriteReq { bytes },
-                phys,
-            )
-        } else {
-            self.world.blocking_transaction(
-                self.clock,
-                self.node,
-                home,
-                MsgKind::WriteReq { bytes },
-                phys,
-            )
-        }
+        self.backing
+            .world
+            .region(self.backing.node)
+            .borrowed_bytes()
     }
 
     /// Settle all in-flight posted writes (a memory-barrier/`sfence`
     /// equivalent); the clock advances to the drain point.
     pub fn quiesce(&mut self) {
-        let t = self.world.drain_background();
-        self.clock = self.clock.max(t);
+        let t = self.backing.world.drain_background();
+        self.core.clock = self.core.clock.max(t);
     }
 
+    /// Flush the CPU cache, writing every dirty line back to its home — the
+    /// explicit flush the prototype performs before a read-only parallel
+    /// phase (Section IV-B).
+    pub fn flush_cache(&mut self) {
+        for victim in self.core.cache.flush_all() {
+            self.backing.write_home(&mut self.core, victim);
+        }
+    }
+}
+
+impl RemoteBacking {
     fn home_of(&self, phys: u64) -> Option<NodeId> {
         match cohfree_rmc::addr::decode(self.node, phys).expect_no_loopback() {
             RemoteRef::Remote { home, .. } => Some(home),
@@ -222,195 +157,126 @@ impl RemoteMemorySpace {
         }
     }
 
-    /// Fetch one remote line into the cache path, consulting the prefetcher.
-    fn fetch_remote_line(&mut self, line_phys: u64, home: NodeId, line_bytes: u32) {
-        let decision = match self.prefetcher.as_mut() {
-            Some(pf) => pf.access(line_phys),
-            None => {
-                self.clock = self.remote_read(line_phys, home, line_bytes);
-                return;
-            }
-        };
-        if decision.buffer_hit {
-            let ready = self.prefetch_ready.remove(&line_phys).unwrap_or(self.clock);
-            // Wait for the prefetch to land, then a buffer-speed fill.
-            self.clock = self.clock.max(ready) + self.world.config().os.cache_hit;
-            self.stats.prefetch_hits += 1;
+    /// Blocking remote read of `bytes` at `phys`; the core waits for it.
+    fn remote_read(&mut self, core: &mut Core, phys: u64, home: NodeId, bytes: u32) {
+        core.stats.remote_reads += 1;
+        let kind = MsgKind::ReadReq { bytes };
+        core.clock = self
+            .world
+            .blocking_transaction(core.clock, self.node, home, kind, phys);
+    }
+
+    /// Remote write of `bytes` at `phys`; the core continues after the full
+    /// round trip, or at RMC acceptance under posted semantics.
+    fn remote_write(&mut self, core: &mut Core, phys: u64, home: NodeId, bytes: u32) {
+        core.stats.remote_writes += 1;
+        let kind = MsgKind::WriteReq { bytes };
+        core.clock = if self.posted_writes {
+            self.world
+                .posted_transaction(core.clock, self.node, home, kind, phys)
         } else {
-            self.clock = self.remote_read(line_phys, home, line_bytes);
+            self.world
+                .blocking_transaction(core.clock, self.node, home, kind, phys)
+        };
+    }
+
+    /// Write one dirty line back to its home. Local lines are absorbed by
+    /// the write buffer; remote ones hold the single RMC slot.
+    fn write_home(&mut self, core: &mut Core, line: u64) {
+        let bytes = core.cache.line_bytes();
+        match self.home_of(line) {
+            None => {
+                self.world.local_access(core.clock, self.node, line, bytes);
+            }
+            Some(home) => self.remote_write(core, line, home, bytes),
+        }
+    }
+
+    /// Fetch one remote line into the cache path, consulting the prefetcher.
+    fn fetch_remote_line(&mut self, core: &mut Core, line_phys: u64, home: NodeId, bytes: u32) {
+        let Some(pf) = self.prefetcher.as_mut() else {
+            self.remote_read(core, line_phys, home, bytes);
+            return;
+        };
+        let decision = pf.access(line_phys);
+        if decision.buffer_hit {
+            let ready = self.prefetch_ready.remove(&line_phys).unwrap_or(core.clock);
+            // Wait for the prefetch to land, then a buffer-speed fill.
+            core.clock = core.clock.max(ready) + core.os.cache_hit;
+            core.stats.prefetch_hits += 1;
+        } else {
+            self.remote_read(core, line_phys, home, bytes);
         }
         // Launch newly decided prefetches (optimistic overlap: they complete
         // one unloaded round trip later without stalling the core; see
         // DESIGN.md).
         let est = self
             .world
-            .estimate_remote_read_latency(self.node, home, line_bytes);
+            .estimate_remote_read_latency(self.node, home, bytes);
         for l in decision.issue {
-            self.prefetch_ready.insert(l, self.clock + est);
+            self.prefetch_ready.insert(l, core.clock + est);
             self.prefetcher
                 .as_mut()
                 .expect("prefetcher present on this path")
                 .fill(l);
-            self.stats.prefetch_issued += 1;
-        }
-    }
-
-    /// One timed access covering a single cache line.
-    fn line_access(&mut self, va: u64, write: bool) {
-        let phys = match self.pt.translate(va) {
-            Translation::TlbHit { phys } => phys,
-            Translation::Walked { phys } => {
-                self.stats.tlb_walks += 1;
-                self.clock += self.world.config().os.tlb_walk;
-                phys
-            }
-            Translation::MajorFault { .. } => {
-                unreachable!("remote-memory pages are pinned, never swapped")
-            }
-            Translation::Unmapped => panic!("access to unallocated VA {va:#x}"),
-        };
-        let line_bytes = self.cache.line_bytes();
-        let home = self.home_of(phys);
-
-        if let (Some(home), false) = (home, self.opts.cacheable) {
-            // Uncached I/O-space access: every load/store is a transaction
-            // of the access size (8 B), no cache involved.
-            if write {
-                self.clock = self.remote_write(phys, home, 8);
-            } else {
-                self.clock = self.remote_read(phys, home, 8);
-            }
-            return;
-        }
-
-        let out = self.cache.access(phys, write);
-        match out.level {
-            Level::L1 => {
-                self.stats.cache_hits += 1;
-                self.clock += self.world.config().os.l1_hit;
-            }
-            Level::L2 => {
-                self.stats.cache_hits += 1;
-                self.clock += self.world.config().os.cache_hit;
-            }
-            Level::Memory => {
-                self.stats.cache_misses += 1;
-                self.clock += self.world.config().os.cache_hit;
-                // Victims displaced out of the hierarchy go home first: the
-                // single RMC slot serializes remote write-backs before the
-                // demand fetch (local ones are absorbed by the write buffer).
-                for victim in &out.memory_writebacks {
-                    match self.home_of(*victim) {
-                        None => {
-                            self.world
-                                .local_access(self.clock, self.node, *victim, line_bytes);
-                        }
-                        Some(vhome) => {
-                            self.clock = self.remote_write(*victim, vhome, line_bytes);
-                        }
-                    }
-                }
-                match home {
-                    None => {
-                        self.clock = self
-                            .world
-                            .local_access(self.clock, self.node, phys, line_bytes);
-                    }
-                    Some(h) => {
-                        self.fetch_remote_line(phys & !(line_bytes as u64 - 1), h, line_bytes)
-                    }
-                }
-            }
-        }
-    }
-
-    fn timed_range(&mut self, va: u64, len: usize, write: bool) {
-        let line = self.cache.line_bytes() as u64;
-        let mut a = va & !(line - 1);
-        let end = va + len as u64;
-        while a < end {
-            self.line_access(a, write);
-            if write {
-                self.stats.writes += 1;
-            } else {
-                self.stats.reads += 1;
-            }
-            a += line;
-        }
-    }
-
-    /// Flush the CPU cache, writing every dirty line back to its home — the
-    /// explicit flush the prototype performs before a read-only parallel
-    /// phase (Section IV-B).
-    pub fn flush_cache(&mut self) {
-        for victim in self.cache.flush_all() {
-            match self.home_of(victim) {
-                None => {
-                    let lb = self.cache.line_bytes();
-                    self.world.local_access(self.clock, self.node, victim, lb);
-                }
-                Some(h) => {
-                    let lb = self.cache.line_bytes();
-                    self.clock = self.remote_write(victim, h, lb);
-                }
-            }
+            core.stats.prefetch_issued += 1;
         }
     }
 }
 
-impl MemSpace for RemoteMemorySpace {
-    fn alloc(&mut self, bytes: u64) -> u64 {
-        assert!(bytes > 0, "zero-byte allocation");
-        self.clock += self.world.config().os.malloc_overhead;
-        // Packed bump allocation (16-byte aligned), like the interposed
-        // malloc of the prototype; pages are mapped as the cursor crosses
-        // page boundaries.
-        let va = self.bump_va;
-        self.bump_va = (va + bytes + 15) & !15;
-        let last_vpn = PageTable::vpn(self.bump_va - 1);
-        while self.next_vpn <= last_vpn {
-            let frame = match self.policy {
-                AllocPolicy::AlwaysRemote => self.next_remote_frame(),
-                AllocPolicy::LocalFirst => match self.world.alloc_private_frame(self.node) {
-                    Some(f) => f,
-                    None => self.next_remote_frame(),
-                },
-            };
-            self.pt.map(self.next_vpn, frame);
-            self.next_vpn += 1;
+impl Backing for RemoteBacking {
+    fn back_page(&mut self, core: &mut Core, vpn: u64) {
+        let private = match self.policy {
+            AllocPolicy::AlwaysRemote => None,
+            AllocPolicy::LocalFirst => self.world.alloc_private_frame(self.node),
+        };
+        let frame = match private {
+            Some(f) => f,
+            None => self.zones.next_frame(&mut self.world, core),
+        };
+        core.pt.map(vpn, frame);
+    }
+
+    fn touch(&mut self, core: &mut Core, _vpn: u64, phys: u64, write: bool) -> bool {
+        if self.cacheable {
+            return false;
         }
-        self.stats.allocations += 1;
-        va
+        let Some(home) = self.home_of(phys) else {
+            return false;
+        };
+        // Uncached I/O-space access: every load/store is a transaction of
+        // the access size (8 B), no cache involved.
+        if write {
+            self.remote_write(core, phys, home, 8);
+        } else {
+            self.remote_read(core, phys, home, 8);
+        }
+        true
     }
 
-    fn read(&mut self, va: u64, buf: &mut [u8]) {
-        self.timed_range(va, buf.len(), false);
-        self.stats.bytes_read += buf.len() as u64;
-        self.store.read(va, buf);
-    }
-
-    fn write(&mut self, va: u64, data: &[u8]) {
-        self.timed_range(va, data.len(), true);
-        self.stats.bytes_written += data.len() as u64;
-        self.store.write(va, data);
-    }
-
-    fn compute(&mut self, d: SimDuration) {
-        self.clock += d;
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock
-    }
-
-    fn stats(&self) -> AccessStats {
-        self.stats
+    fn fill(&mut self, core: &mut Core, phys: u64, missed: bool, victims: &[u64]) {
+        // Victims displaced out of the hierarchy go home first: the single
+        // RMC slot serializes remote write-backs before the demand fetch.
+        for &victim in victims {
+            self.write_home(core, victim);
+        }
+        if !missed {
+            return;
+        }
+        let bytes = core.cache.line_bytes();
+        match self.home_of(phys) {
+            None => core.clock = self.world.local_access(core.clock, self.node, phys, bytes),
+            Some(home) => self.fetch_remote_line(core, phys & !(bytes as u64 - 1), home, bytes),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemSpace;
+    use cohfree_mem::{CacheConfig, CacheHierarchy, Level};
+    use cohfree_sim::SimDuration;
 
     fn n(i: u16) -> NodeId {
         NodeId::new(i)
@@ -638,6 +504,66 @@ mod tests {
         assert!(
             with_pf.as_ns_f64() < base.as_ns_f64() * 0.8,
             "prefetching should cut sequential scan time: {with_pf} vs {base}"
+        );
+    }
+
+    #[test]
+    fn write_back_displaced_on_an_l2_hit_goes_home() {
+        // L1: 1 set x 2 ways; L2: 1 set x 3 ways. In the last read, the
+        // L1's dirty victim (line 0) displaces dirty line 64 out of the L2,
+        // and the read itself hits the L2.
+        let mut cfg = ClusterConfig::prototype();
+        cfg.l1 = Some(CacheConfig {
+            line_bytes: 64,
+            sets: 1,
+            ways: 2,
+        });
+        cfg.cache = CacheConfig {
+            line_bytes: 64,
+            sets: 1,
+            ways: 3,
+        };
+        let seq = [
+            (0, true),
+            (64, true),
+            (0, true),
+            (128, false),
+            (0, true),
+            (192, false),
+            (128, false),
+        ];
+        let mut h = CacheHierarchy::new(cfg.l1, cfg.cache);
+        let outs: Vec<_> = seq.iter().map(|&(a, w)| h.access(a, w)).collect();
+        let last = outs.last().expect("non-empty");
+        assert_eq!(last.level, Level::L2);
+        assert_eq!(last.memory_writebacks, vec![64]);
+        let spilled: usize = outs.iter().map(|o| o.memory_writebacks.len()).sum();
+        assert_eq!(spilled, 2);
+
+        let mut m = RemoteMemorySpace::new(cfg, n(1), AllocPolicy::AlwaysRemote);
+        let va = m.alloc(4096);
+        for (off, write) in seq {
+            if write {
+                m.write_u64(va + off, off);
+            } else {
+                m.read_u64(va + off);
+            }
+        }
+        assert_eq!(m.stats().remote_writes, spilled as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "`servers` is an empty list")]
+    fn empty_server_list_is_rejected() {
+        let opts = RemoteOptions {
+            servers: Some(vec![]),
+            ..RemoteOptions::default()
+        };
+        RemoteMemorySpace::with_options(
+            ClusterConfig::prototype(),
+            n(1),
+            AllocPolicy::AlwaysRemote,
+            opts,
         );
     }
 }

@@ -4,24 +4,25 @@
 //! keeps a bounded set of pages in local memory; touching a non-resident
 //! page raises a major fault whose handler, *in software*,
 //!
-//! 1. picks a victim (CLOCK), writing it back to its backing slot if dirty
-//!    (a 4 KiB `PageWrite` message over the same fabric, or a disk write),
-//! 2. fetches the faulting page (4 KiB `PageReq`/`PageResp`, or disk read),
+//! 1. picks a victim (CLOCK), writing it back to its backing slot if dirty,
+//! 2. fetches the faulting page,
 //! 3. remaps and returns — charging the kernel fault overhead on top.
+//!
+//! A page moves in one timed transfer: through the NIC over Ethernet (the
+//! default), as a 4 KiB `PageWrite` or `PageReq` message over the RMC
+//! fabric, or to or from the disk.
 //!
 //! Resident pages are accessed at full local speed, which is why locality
 //! decides everything for this baseline: Equation 1 of the paper.
 
-use super::stats::AccessStats;
-use super::MemSpace;
+use super::process::{Backing, Core, Process, Zones};
 use crate::config::ClusterConfig;
 use crate::world::World;
 use cohfree_fabric::{MsgKind, NodeId};
-use cohfree_mem::{CacheHierarchy, Level, SparseStore};
 use cohfree_os::disk::{Disk, DiskConfig};
-use cohfree_os::pagetable::{PageTable, Translation, PAGE_BYTES};
-use cohfree_os::swap::{PageCache, Touch};
-use cohfree_sim::{FastMap, SimDuration, SimTime};
+use cohfree_os::pagetable::PAGE_BYTES;
+use cohfree_os::swap::{PageCache, SwapStats, Touch};
+use cohfree_sim::{FastMap, FifoServer, SimDuration};
 
 /// How remote-swap pages travel.
 ///
@@ -61,7 +62,8 @@ pub struct SwapConfig {
     /// Pages the local memory can hold (the resident-set bound).
     pub cache_pages: usize,
     /// Explicit backing servers for fabric-transport remote swap
-    /// (round-robin); `None` lets the donor policy pick.
+    /// (round-robin); `None` lets the donor policy pick. An empty list is
+    /// rejected when a fabric-transport swap space is built.
     pub servers: Option<Vec<NodeId>>,
     /// Frames per backing-zone reservation (fabric transport).
     pub zone_frames: u64,
@@ -80,25 +82,32 @@ impl Default for SwapConfig {
     }
 }
 
+/// Kernel overhead of a minor (demand-zero) fault.
+const MINOR_FAULT: SimDuration = SimDuration::us(2);
+
 /// Where evicted pages live.
-enum Backing {
+enum Device {
     /// Remote node memory over the RMC fabric (idealized swap). The world
     /// is boxed: it is by far the largest variant.
-    FabricRemote {
-        world: Box<World>,
-        zone: Option<(u64, u64, u64)>,
-        server_rr: usize,
-    },
+    Fabric { world: Box<World>, zones: Zones },
     /// Remote memory server over an Ethernet-class kernel path (the
     /// baseline the paper compares against).
     Ethernet {
-        nic: cohfree_sim::FifoServer,
+        nic: FifoServer,
         rtt: SimDuration,
         bytes_per_us: f64,
-        next_offset: u64,
     },
     /// A local disk (disk swap).
-    Disk { disk: Disk, next_offset: u64 },
+    Disk(Disk),
+}
+
+/// Direction of a page transfer between local memory and a backing slot.
+#[derive(Clone, Copy)]
+enum Transfer {
+    /// Fetch a page (major fault).
+    In,
+    /// Write a dirty page back.
+    Out,
 }
 
 /// Page residency metadata.
@@ -111,47 +120,46 @@ struct PageHome {
     materialized: bool,
 }
 
-/// A process whose memory overflows into a swap device.
-pub struct SwapSpace {
-    cfg: ClusterConfig,
+/// How a [`SwapSpace`] backs its pages: a bounded resident set in local
+/// memory, with every page's home in a slot of the swap device.
+pub struct SwapBacking {
     node: NodeId,
-    backing: Backing,
-    pt: PageTable,
-    cache: CacheHierarchy,
+    device: Device,
     page_cache: PageCache,
     homes: FastMap<u64, PageHome>,
     frame_of: FastMap<u64, u64>,
     next_frame: u64,
-    store: SparseStore,
-    clock: SimTime,
-    stats: AccessStats,
-    swap_cfg: SwapConfig,
-    bump_va: u64,
-    /// First virtual page number not yet assigned a backing slot.
-    next_vpn: u64,
-    /// Charged per minor (zero-fill) fault.
-    minor_fault_cost: SimDuration,
+    /// Next backing offset on an Ethernet server or disk.
+    next_offset: u64,
+    /// Unloaded DRAM latency of one line fill, charged where no cluster
+    /// models the memory controllers (Ethernet and disk swap).
+    dram_fill: SimDuration,
 }
+
+/// A process whose memory overflows into a swap device.
+pub type SwapSpace = Process<SwapBacking>;
 
 impl SwapSpace {
     /// Remote swap: pages beyond `swap_cfg.cache_pages` live in another
     /// node's memory, fetched page-at-a-time through the kernel over
     /// `swap_cfg.transport`.
+    ///
+    /// # Panics
+    /// Panics if the transport is [`SwapTransport::Fabric`] and
+    /// `swap_cfg.servers` is an empty list.
     pub fn remote(cfg: ClusterConfig, node: NodeId, swap_cfg: SwapConfig) -> SwapSpace {
-        let backing = match swap_cfg.transport {
-            SwapTransport::Ethernet { rtt, bytes_per_us } => Backing::Ethernet {
-                nic: cohfree_sim::FifoServer::new(),
+        let device = match swap_cfg.transport {
+            SwapTransport::Ethernet { rtt, bytes_per_us } => Device::Ethernet {
+                nic: FifoServer::new(),
                 rtt,
                 bytes_per_us,
-                next_offset: 0,
             },
-            SwapTransport::Fabric => Backing::FabricRemote {
+            SwapTransport::Fabric => Device::Fabric {
                 world: Box::new(World::new(cfg)),
-                zone: None,
-                server_rr: 0,
+                zones: Zones::new(node, swap_cfg.servers, swap_cfg.zone_frames),
             },
         };
-        Self::build(cfg, node, backing, swap_cfg)
+        Self::build(cfg, node, device, swap_cfg.cache_pages)
     }
 
     /// Disk swap: pages beyond the resident bound live on a local disk.
@@ -164,357 +172,194 @@ impl SwapSpace {
         Self::build(
             cfg,
             node,
-            Backing::Disk {
-                disk: Disk::new(disk),
-                next_offset: 0,
-            },
-            swap_cfg,
+            Device::Disk(Disk::new(disk)),
+            swap_cfg.cache_pages,
         )
     }
 
-    fn build(
-        cfg: ClusterConfig,
-        node: NodeId,
-        backing: Backing,
-        swap_cfg: SwapConfig,
-    ) -> SwapSpace {
-        SwapSpace {
-            pt: PageTable::new(cfg.tlb),
-            cache: CacheHierarchy::new(cfg.l1, cfg.cache),
-            page_cache: PageCache::new(swap_cfg.cache_pages),
+    fn build(cfg: ClusterConfig, node: NodeId, device: Device, cache_pages: usize) -> SwapSpace {
+        let backing = SwapBacking {
+            node,
+            device,
+            page_cache: PageCache::new(cache_pages),
             homes: FastMap::default(),
             frame_of: FastMap::default(),
             next_frame: 0,
-            store: SparseStore::new(),
-            clock: SimTime::ZERO,
-            stats: AccessStats::default(),
-            bump_va: 0x1000,
-            next_vpn: 1,
-            minor_fault_cost: SimDuration::us(2),
-            cfg,
-            node,
-            backing,
-            swap_cfg,
-        }
+            next_offset: 0,
+            dram_fill: cfg.dram.unloaded_latency(cfg.cache.line_bytes),
+        };
+        Process::with_backing(&cfg, backing)
     }
 
     /// The node this process runs on.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.backing.node
     }
 
     /// The underlying cluster when pages travel over the RMC fabric
     /// (statistics, span traces); `None` for Ethernet/disk backing, which
     /// never instantiate a cluster.
     pub fn world(&self) -> Option<&World> {
-        match &self.backing {
-            Backing::FabricRemote { world, .. } => Some(world),
-            Backing::Ethernet { .. } | Backing::Disk { .. } => None,
+        match &self.backing.device {
+            Device::Fabric { world, .. } => Some(world),
+            Device::Ethernet { .. } | Device::Disk(_) => None,
         }
     }
 
     /// Resident-set statistics from the page cache.
-    pub fn swap_stats(&self) -> cohfree_os::swap::SwapStats {
-        self.page_cache.stats()
+    pub fn swap_stats(&self) -> SwapStats {
+        self.backing.page_cache.stats()
     }
 
     /// Write every dirty resident page out to its backing slot (timed) —
     /// the equivalent of `msync`/quiescing the dirty list. Lets experiments
     /// separate a dirty populate phase from a clean read phase.
     pub fn flush_dirty_pages(&mut self) {
-        for vpn in self.page_cache.flush_dirty() {
-            let slot = self.homes.get(&vpn).expect("dirty page has a home").slot;
-            self.page_out(slot);
+        let b = &mut self.backing;
+        for vpn in b.page_cache.flush_dirty() {
+            let slot = b.homes.get(&vpn).expect("dirty page has a home").slot;
+            b.transfer(&mut self.core, slot, Transfer::Out);
         }
     }
+}
 
-    /// Assign a backing slot for one new page.
-    fn new_slot(&mut self) -> u64 {
-        match &mut self.backing {
-            Backing::FabricRemote {
-                world,
-                zone,
-                server_rr,
+impl SwapBacking {
+    /// One timed page transfer between local memory and backing `slot`.
+    fn transfer(&mut self, core: &mut Core, slot: u64, dir: Transfer) {
+        match dir {
+            Transfer::In => core.stats.pages_in += 1,
+            Transfer::Out => core.stats.pages_out += 1,
+        }
+        let bytes = PAGE_BYTES as u32;
+        core.clock = match &mut self.device {
+            // Request/response through the kernel and the NIC.
+            Device::Ethernet {
+                nic,
+                rtt,
+                bytes_per_us,
             } => {
-                let need_new = match zone {
-                    Some((_, frames, used)) => used == frames,
-                    None => true,
+                let wire = SimDuration::ns_f64(PAGE_BYTES as f64 / *bytes_per_us * 1e3);
+                nic.accept(core.clock, wire) + *rtt
+            }
+            Device::Fabric { world, .. } => {
+                let (prefix, _) = cohfree_rmc::addr::split(slot);
+                let kind = match dir {
+                    Transfer::In => MsgKind::PageReq { bytes },
+                    Transfer::Out => MsgKind::PageWrite { bytes },
                 };
-                if need_new {
-                    let donor = self.swap_cfg.servers.as_ref().map(|s| {
-                        let d = s[*server_rr % s.len()];
-                        *server_rr += 1;
-                        d
-                    });
-                    let resv = world.reserve_remote(self.node, self.swap_cfg.zone_frames, donor);
-                    self.clock += self.cfg.os.reservation;
-                    self.stats.reservations += 1;
-                    *zone = Some((resv.prefixed_base, resv.frames, 0));
-                }
-                let (base, _, used) = zone.as_mut().expect("zone ensured");
-                let slot = *base + *used * PAGE_BYTES;
-                *used += 1;
+                world.blocking_transaction(core.clock, self.node, NodeId::new(prefix), kind, slot)
+            }
+            Device::Disk(disk) => disk.access(core.clock, slot, bytes),
+        };
+    }
+}
+
+impl Backing for SwapBacking {
+    /// Assign the page a backing slot; it stays non-resident until first
+    /// touched.
+    fn back_page(&mut self, core: &mut Core, vpn: u64) {
+        let slot = match &mut self.device {
+            Device::Fabric { world, zones } => zones.next_frame(world, core),
+            Device::Ethernet { .. } | Device::Disk(_) => {
+                let slot = self.next_offset;
+                self.next_offset += PAGE_BYTES;
                 slot
             }
-            Backing::Ethernet { next_offset, .. } | Backing::Disk { next_offset, .. } => {
-                let slot = *next_offset;
-                *next_offset += PAGE_BYTES;
-                slot
-            }
-        }
+        };
+        self.homes.insert(
+            vpn,
+            PageHome {
+                slot,
+                materialized: false,
+            },
+        );
+        core.pt.mark_swapped(vpn, slot);
     }
 
-    /// Timed Ethernet page operation (request/response through the NIC).
-    fn ethernet_page_op(
-        clock: SimTime,
-        nic: &mut cohfree_sim::FifoServer,
-        rtt: SimDuration,
-        bytes_per_us: f64,
-    ) -> SimTime {
-        let wire = SimDuration::ns_f64(PAGE_BYTES as f64 / bytes_per_us * 1e3);
-        nic.accept(clock, wire) + rtt
-    }
-
-    /// Timed page write-out to the backing store.
-    fn page_out(&mut self, slot: u64) {
-        self.stats.pages_out += 1;
-        match &mut self.backing {
-            Backing::Ethernet {
-                nic,
-                rtt,
-                bytes_per_us,
-                ..
-            } => {
-                self.clock = Self::ethernet_page_op(self.clock, nic, *rtt, *bytes_per_us);
-            }
-            Backing::FabricRemote { world, .. } => {
-                let (prefix, _) = cohfree_rmc::addr::split(slot);
-                let home = NodeId::new(prefix);
-                self.clock = world.blocking_transaction(
-                    self.clock,
-                    self.node,
-                    home,
-                    MsgKind::PageWrite {
-                        bytes: PAGE_BYTES as u32,
-                    },
-                    slot,
-                );
-            }
-            Backing::Disk { disk, .. } => {
-                self.clock = disk.access(self.clock, slot, PAGE_BYTES as u32);
-            }
-        }
-    }
-
-    /// Timed page fetch from the backing store.
-    fn page_in(&mut self, slot: u64) {
-        self.stats.pages_in += 1;
-        match &mut self.backing {
-            Backing::Ethernet {
-                nic,
-                rtt,
-                bytes_per_us,
-                ..
-            } => {
-                self.clock = Self::ethernet_page_op(self.clock, nic, *rtt, *bytes_per_us);
-            }
-            Backing::FabricRemote { world, .. } => {
-                let (prefix, _) = cohfree_rmc::addr::split(slot);
-                let home = NodeId::new(prefix);
-                self.clock = world.blocking_transaction(
-                    self.clock,
-                    self.node,
-                    home,
-                    MsgKind::PageReq {
-                        bytes: PAGE_BYTES as u32,
-                    },
-                    slot,
-                );
-            }
-            Backing::Disk { disk, .. } => {
-                self.clock = disk.access(self.clock, slot, PAGE_BYTES as u32);
-            }
-        }
-    }
-
-    /// Major/minor fault handler: make `vpn` resident and return its frame.
-    fn fault_in(&mut self, vpn: u64, write: bool) -> u64 {
+    /// Major/minor fault handler: make `vpn` resident.
+    fn fault(&mut self, core: &mut Core, vpn: u64, write: bool) {
         let home = *self
             .homes
             .get(&vpn)
             .unwrap_or_else(|| panic!("fault on unallocated vpn {vpn:#x}"));
-        let touch = self.page_cache.touch(vpn, write);
-        let frame = match touch {
+        let frame = match self.page_cache.touch(vpn, write) {
             Touch::Hit => unreachable!("fault raised for a resident page"),
-            Touch::Miss { evicted } => {
-                // Evict the victim first (its frame is reused).
-                let frame = if let Some(e) = evicted {
-                    let victim_frame = self
-                        .frame_of
-                        .remove(&e.vpage)
-                        .expect("resident victim must have a frame");
-                    let victim_home = self.homes.get(&e.vpage).expect("victim has a home").slot;
-                    self.pt.mark_swapped(e.vpage, victim_home);
-                    // Page mover copies through/around the CPU cache; drop
-                    // the victim's lines (their write-back cost is part of
-                    // the page-out below).
-                    self.cache.flush_range(victim_frame, PAGE_BYTES);
-                    if e.dirty {
-                        self.page_out(victim_home);
-                    }
-                    victim_frame
-                } else {
-                    let f = self.next_frame;
-                    self.next_frame += PAGE_BYTES;
-                    f
-                };
+            // Evict the victim first (its frame is reused).
+            Touch::Miss { evicted: Some(e) } => {
+                let frame = self
+                    .frame_of
+                    .remove(&e.vpage)
+                    .expect("resident victim must have a frame");
+                let slot = self.homes.get(&e.vpage).expect("victim has a home").slot;
+                core.pt.mark_swapped(e.vpage, slot);
+                // Page mover copies through/around the CPU cache; drop the
+                // victim's lines (their write-back cost is part of the
+                // page-out below).
+                core.cache.flush_range(frame, PAGE_BYTES);
+                if e.dirty {
+                    self.transfer(core, slot, Transfer::Out);
+                }
+                frame
+            }
+            Touch::Miss { evicted: None } => {
+                let frame = self.next_frame;
+                self.next_frame += PAGE_BYTES;
                 frame
             }
         };
         if home.materialized {
             // Real major fault: kernel overhead + device fetch.
-            self.stats.major_faults += 1;
-            self.clock += self.cfg.os.fault_overhead;
-            self.page_in(home.slot);
+            core.stats.major_faults += 1;
+            core.clock += core.os.fault_overhead;
+            self.transfer(core, home.slot, Transfer::In);
         } else {
             // Demand-zero: kernel overhead only.
-            self.stats.minor_faults += 1;
-            self.clock += self.minor_fault_cost;
+            core.stats.minor_faults += 1;
+            core.clock += MINOR_FAULT;
             self.homes.get_mut(&vpn).expect("checked").materialized = true;
         }
         self.frame_of.insert(vpn, frame);
-        self.pt.map(vpn, frame);
-        frame
+        core.pt.map(vpn, frame);
     }
 
-    /// One timed access covering a single cache line.
-    fn line_access(&mut self, va: u64, write: bool) {
-        let vpn = PageTable::vpn(va);
-        let phys = loop {
-            match self.pt.translate(va) {
-                Translation::TlbHit { phys } => break phys,
-                Translation::Walked { phys } => {
-                    self.stats.tlb_walks += 1;
-                    self.clock += self.cfg.os.tlb_walk;
-                    break phys;
-                }
-                Translation::MajorFault { .. } => {
-                    self.fault_in(vpn, write);
-                }
-                Translation::Unmapped => panic!("access to unallocated VA {va:#x}"),
-            }
-        };
+    fn touch(&mut self, _core: &mut Core, vpn: u64, _phys: u64, write: bool) -> bool {
         // Keep CLOCK reference bits warm on resident hits.
         if matches!(self.page_cache.touch(vpn, write), Touch::Miss { .. }) {
             unreachable!("page translated as present but not resident");
         }
-        let line_bytes = self.cache.line_bytes();
-        let out = self.cache.access(phys, write);
-        match out.level {
-            Level::L1 => {
-                self.stats.cache_hits += 1;
-                self.clock += self.cfg.os.l1_hit;
+        false
+    }
+
+    fn fill(&mut self, core: &mut Core, phys: u64, missed: bool, victims: &[u64]) {
+        let line = core.cache.line_bytes();
+        match &mut self.device {
+            Device::Fabric { world, .. } => {
+                if missed {
+                    core.clock = world.local_access(core.clock, self.node, phys, line);
+                }
+                // All frames are local; the hardware write buffer absorbs
+                // the write-back off the critical path.
+                for &victim in victims {
+                    world.local_access(core.clock, self.node, victim, line);
+                }
             }
-            Level::L2 => {
-                self.stats.cache_hits += 1;
-                self.clock += self.cfg.os.cache_hit;
-            }
-            Level::Memory => {
-                self.stats.cache_misses += 1;
-                self.clock += self.cfg.os.cache_hit;
-                // Demand fill from local DRAM.
-                let fill = match &mut self.backing {
-                    Backing::FabricRemote { world, .. } => {
-                        world.local_access(self.clock, self.node, phys, line_bytes)
-                    }
-                    // No fabric world on these machines: charge the
-                    // unloaded DRAM latency.
-                    Backing::Ethernet { .. } | Backing::Disk { .. } => {
-                        self.clock + SimDuration::ns(65)
-                    }
-                };
-                self.clock = fill;
+            // No cluster models these machines' controllers: a fill costs
+            // the unloaded DRAM latency and write-backs cost the core
+            // nothing.
+            Device::Ethernet { .. } | Device::Disk(_) => {
+                if missed {
+                    core.clock += self.dram_fill;
+                }
             }
         }
-        for victim in out.memory_writebacks {
-            // All frames are local; the hardware write buffer absorbs the
-            // writeback off the critical path (the controller occupancy is
-            // accounted when a world exists).
-            if let Backing::FabricRemote { world, .. } = &mut self.backing {
-                world.local_access(self.clock, self.node, victim, line_bytes);
-            }
-        }
-    }
-
-    fn timed_range(&mut self, va: u64, len: usize, write: bool) {
-        let line = self.cache.line_bytes() as u64;
-        let mut a = va & !(line - 1);
-        let end = va + len as u64;
-        while a < end {
-            self.line_access(a, write);
-            if write {
-                self.stats.writes += 1;
-            } else {
-                self.stats.reads += 1;
-            }
-            a += line;
-        }
-    }
-}
-
-impl MemSpace for SwapSpace {
-    fn alloc(&mut self, bytes: u64) -> u64 {
-        assert!(bytes > 0, "zero-byte allocation");
-        self.clock += self.cfg.os.malloc_overhead;
-        // Packed bump allocation (16-byte aligned); backing slots are
-        // assigned as the cursor crosses page boundaries.
-        let va = self.bump_va;
-        self.bump_va = (va + bytes + 15) & !15;
-        let last_vpn = PageTable::vpn(self.bump_va - 1);
-        while self.next_vpn <= last_vpn {
-            let slot = self.new_slot();
-            self.homes.insert(
-                self.next_vpn,
-                PageHome {
-                    slot,
-                    materialized: false,
-                },
-            );
-            self.pt.mark_swapped(self.next_vpn, slot);
-            self.next_vpn += 1;
-        }
-        self.stats.allocations += 1;
-        va
-    }
-
-    fn read(&mut self, va: u64, buf: &mut [u8]) {
-        self.timed_range(va, buf.len(), false);
-        self.stats.bytes_read += buf.len() as u64;
-        self.store.read(va, buf);
-    }
-
-    fn write(&mut self, va: u64, data: &[u8]) {
-        self.timed_range(va, data.len(), true);
-        self.stats.bytes_written += data.len() as u64;
-        self.store.write(va, data);
-    }
-
-    fn compute(&mut self, d: SimDuration) {
-        self.clock += d;
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock
-    }
-
-    fn stats(&self) -> AccessStats {
-        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemSpace;
+    use cohfree_sim::SimTime;
 
     fn n(i: u16) -> NodeId {
         NodeId::new(i)
@@ -704,5 +549,16 @@ mod tests {
     fn wild_access_panics() {
         let mut m = small_remote(4);
         m.read_u64(0xF000_0000);
+    }
+
+    #[test]
+    #[should_panic(expected = "`servers` is an empty list")]
+    fn empty_server_list_is_rejected() {
+        let swap_cfg = SwapConfig {
+            servers: Some(vec![]),
+            transport: SwapTransport::Fabric,
+            ..SwapConfig::default()
+        };
+        SwapSpace::remote(ClusterConfig::prototype(), n(1), swap_cfg);
     }
 }

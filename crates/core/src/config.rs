@@ -154,17 +154,6 @@ impl ClusterConfig {
         }
     }
 
-    /// A hypothetical single machine with `total_bytes` of *local* memory —
-    /// the paper's "local memory" comparison point (it has no usable pool
-    /// and its sockets are scaled up to hold everything).
-    pub fn big_local_machine(total_bytes: u64) -> ClusterConfig {
-        let mut cfg = ClusterConfig::prototype();
-        cfg.dram.bytes_per_socket = total_bytes.div_ceil(cfg.dram.sockets as u64);
-        cfg.private_bytes = total_bytes;
-        cfg.pool_bytes = 4096; // minimal non-empty pool (unused)
-        cfg
-    }
-
     /// Frames each node contributes to the pool.
     pub fn pool_frames_per_node(&self) -> u64 {
         self.pool_bytes / cohfree_os::frames::PAGE_FRAME_BYTES
@@ -218,13 +207,6 @@ mod tests {
         assert_eq!(c.dram.node_bytes(), 16 << 30);
         assert_eq!(c.cluster_pool_bytes(), 128 << 30, "the 128 GiB pool");
         assert_eq!(c.pool_frames_per_node(), (8 << 30) / 4096);
-    }
-
-    #[test]
-    fn big_local_machine_holds_everything_locally() {
-        let c = ClusterConfig::big_local_machine(128 << 30);
-        assert!(c.dram.node_bytes() >= 128 << 30);
-        assert_eq!(c.private_bytes, 128 << 30);
     }
 
     #[test]

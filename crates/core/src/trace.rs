@@ -16,8 +16,9 @@
 //! swap/remote-memory time from its trace via the paper's equations, then
 //! validates the predictions against full simulation.
 
-use crate::backend::{AccessStats, MemSpace};
+use crate::backend::{lines, AccessStats, MemSpace};
 use cohfree_mem::{Cache, CacheConfig, CacheOutcome};
+use cohfree_os::pagetable::{PageTable, Tlb, TlbConfig};
 use cohfree_os::swap::{PageCache, Touch};
 use cohfree_sim::{SimDuration, SimTime};
 use std::collections::HashSet;
@@ -115,8 +116,9 @@ impl<M: MemSpace> MemSpace for Tracer<M> {
 }
 
 /// Replay a trace against `mem` (same deterministic VA layout as the
-/// original run, since every backend uses the same packed bump allocator).
-/// Returns the simulated time the replay took.
+/// original run, since every backend is a [`crate::backend::Process`] with
+/// its one packed bump allocator). Returns the simulated time the replay
+/// took.
 pub fn replay<M: MemSpace + ?Sized>(mem: &mut M, trace: &[Op]) -> SimDuration {
     let t0 = mem.now();
     let mut buf = vec![0u8; 4096];
@@ -141,6 +143,21 @@ pub fn replay<M: MemSpace + ?Sized>(mem: &mut M, trace: &[Op]) -> SimDuration {
         }
     }
     mem.now().since(t0)
+}
+
+/// Every line-granular access of `trace` as `(line address, write)`, split
+/// exactly as the backends split them.
+fn line_accesses(trace: &[Op], line_bytes: u64) -> impl Iterator<Item = (u64, bool)> + '_ {
+    trace
+        .iter()
+        .filter_map(|op| match *op {
+            Op::Read { va, len } => Some((va, len, false)),
+            Op::Write { va, len } => Some((va, len, true)),
+            Op::Alloc { .. } | Op::Compute { .. } => None,
+        })
+        .flat_map(move |(va, len, write)| {
+            lines(va, len as u64, line_bytes).map(move |a| (a, write))
+        })
 }
 
 /// Exact page-level locality profile of a trace under a given resident-set
@@ -173,30 +190,18 @@ pub fn page_profile(trace: &[Op], cache_pages: usize, line_bytes: u64) -> PagePr
         pages_out: 0,
         accesses_per_page: f64::INFINITY,
     };
-    for op in trace {
-        let (va, len, write) = match *op {
-            Op::Read { va, len } => (va, len, false),
-            Op::Write { va, len } => (va, len, true),
-            _ => continue,
-        };
-        let mut a = va & !(line_bytes - 1);
-        let end = va + len as u64;
-        while a < end {
-            p.accesses += 1;
-            let vpn = a / 4096;
-            if let Touch::Miss { evicted } = cache.touch(vpn, write) {
-                if let Some(e) = evicted {
-                    if e.dirty {
-                        p.pages_out += 1;
-                    }
-                }
-                if materialized.insert(vpn) {
-                    p.minor_faults += 1;
-                } else {
-                    p.major_faults += 1;
-                }
+    for (a, write) in line_accesses(trace, line_bytes) {
+        p.accesses += 1;
+        let vpn = PageTable::vpn(a);
+        if let Touch::Miss { evicted } = cache.touch(vpn, write) {
+            if evicted.is_some_and(|e| e.dirty) {
+                p.pages_out += 1;
             }
-            a += line_bytes;
+            if materialized.insert(vpn) {
+                p.minor_faults += 1;
+            } else {
+                p.major_faults += 1;
+            }
         }
     }
     if p.major_faults > 0 {
@@ -228,27 +233,16 @@ pub fn cache_profile(trace: &[Op], cfg: CacheConfig) -> CacheProfile {
         misses: 0,
         writebacks: 0,
     };
-    let line = cfg.line_bytes as u64;
-    for op in trace {
-        let (va, len, write) = match *op {
-            Op::Read { va, len } => (va, len, false),
-            Op::Write { va, len } => (va, len, true),
-            _ => continue,
-        };
-        let mut a = va & !(line - 1);
-        let end = va + len as u64;
-        while a < end {
-            p.accesses += 1;
-            match cache.access(a, write) {
-                CacheOutcome::Hit => p.hits += 1,
-                CacheOutcome::Miss { victim_writeback } => {
-                    p.misses += 1;
-                    if victim_writeback.is_some() {
-                        p.writebacks += 1;
-                    }
+    for (a, write) in line_accesses(trace, cfg.line_bytes as u64) {
+        p.accesses += 1;
+        match cache.access(a, write) {
+            CacheOutcome::Hit => p.hits += 1,
+            CacheOutcome::Miss { victim_writeback } => {
+                p.misses += 1;
+                if victim_writeback.is_some() {
+                    p.writebacks += 1;
                 }
             }
-            a += line;
         }
     }
     p
@@ -259,22 +253,13 @@ pub fn cache_profile(trace: &[Op], cfg: CacheConfig) -> CacheProfile {
 /// paths (a faulting access TLB-misses first), so callers comparing against
 /// backend `tlb_walks` should subtract the fault counts.
 pub fn tlb_misses(trace: &[Op], entries: usize, line_bytes: u64) -> u64 {
-    let mut tlb = cohfree_os::pagetable::Tlb::new(cohfree_os::pagetable::TlbConfig { entries });
+    let mut tlb = Tlb::new(TlbConfig { entries });
     let mut misses = 0;
-    for op in trace {
-        let (va, len) = match *op {
-            Op::Read { va, len } | Op::Write { va, len } => (va, len),
-            _ => continue,
-        };
-        let mut a = va & !(line_bytes - 1);
-        let end = va + len as u64;
-        while a < end {
-            let vpn = a / 4096;
-            if tlb.lookup(vpn).is_none() {
-                misses += 1;
-                tlb.insert(vpn, vpn * 4096);
-            }
-            a += line_bytes;
+    for (a, _) in line_accesses(trace, line_bytes) {
+        let vpn = PageTable::vpn(a);
+        if tlb.lookup(vpn).is_none() {
+            misses += 1;
+            tlb.insert(vpn, vpn * 4096);
         }
     }
     misses

@@ -40,6 +40,13 @@ impl DramConfig {
     pub fn node_bytes(&self) -> u64 {
         self.bytes_per_socket * self.sockets as u64
     }
+
+    /// Unloaded latency of a `bytes`-sized access (no queueing): one burst
+    /// occupancy per 64 bytes plus the array access latency.
+    pub fn unloaded_latency(&self, bytes: u32) -> SimDuration {
+        let bursts = bytes.div_ceil(64).max(1) as u64;
+        self.burst_occupancy * bursts + self.access_latency
+    }
 }
 
 /// The node's local memory controllers.
@@ -99,8 +106,7 @@ impl NodeMemory {
     /// Unloaded latency for a `bytes`-sized access (no queueing) — the
     /// analytic model's `L_local`.
     pub fn unloaded_latency(&self, bytes: u32) -> SimDuration {
-        let bursts = bytes.div_ceil(64).max(1) as u64;
-        self.cfg.burst_occupancy * bursts + self.cfg.access_latency
+        self.cfg.unloaded_latency(bytes)
     }
 
     /// Total accesses served.

@@ -22,7 +22,8 @@
 //! * [`resv`] — the reservation protocol: request/ack/release message flows
 //!   whose *functional* effect lands in [`frames`] and [`region`],
 //! * [`swap`] — the remote-swap / disk-swap baseline: a bounded page cache
-//!   with LRU eviction and dirty write-back, plus fault-cost accounting,
+//!   with CLOCK eviction and dirty write-back accounting (the fault costs
+//!   are charged by the swap backend in `cohfree-core`),
 //! * [`disk`] — a rotational-disk timing model for the disk-swap baseline,
 //! * [`balloon`] — the hot-plug/hot-remove watermark policy deciding when a
 //!   node borrows or returns zones,
