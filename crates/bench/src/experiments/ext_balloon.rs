@@ -22,7 +22,7 @@ use crate::Scale;
 use cohfree_core::world::World;
 use cohfree_core::NodeId;
 use cohfree_os::balloon::{Balloon, BalloonAction, BalloonConfig};
-use cohfree_os::resv::Reservation;
+use cohfree_os::region::Reservation;
 
 /// One policy's outcome.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct Row {
     pub peak_pool_mib: f64,
     /// Mean pool frames held over the run.
     pub mean_pool_mib: f64,
-    /// Reservation protocol round trips performed (grows + releases).
+    /// Reservation calls performed (grows + releases).
     pub reservation_ops: u64,
     /// Demand steps that could not be satisfied (must be zero).
     pub unmet: u64,

@@ -29,8 +29,9 @@ pub fn run(scale: Scale) -> (f64, Vec<Row>) {
 }
 
 /// Run the sweep with an explicit trace configuration. `record` controls
-/// whether per-hop snapshots land in the report collector (the overhead
-/// benchmark re-runs the figure and must not duplicate them).
+/// whether per-hop snapshots land in the report collector (the
+/// Aggregate-tracing test in `ext_breakdown` re-runs the figure and must
+/// not duplicate them).
 pub fn run_traced(scale: Scale, trace: TraceConfig, record: bool) -> (f64, Vec<Row>) {
     let accesses = scale.pick(50u64, 2_000, 20_000);
     let client = super::n(1);

@@ -70,7 +70,6 @@ pub fn run_all(s: crate::Scale) {
     ext_balloon::table(s).print();
     ext_failover::table(s).print();
     ext_breakdown::table(s).print();
-    ext_breakdown::overhead_table(s).print();
     ext_chaos::table(s).print();
     ext_serving::table(s).print();
 }

@@ -11,10 +11,6 @@ use cohfree_bench::{experiments, report, Scale};
 
 #[test]
 fn full_suite_is_byte_identical_across_reruns() {
-    // The Aggregate-tracing overhead check reports a host wall-clock ratio —
-    // the one genuinely non-reproducible number. Disable it so the byte
-    // comparison covers every simulated result.
-    std::env::set_var("COHFREE_NO_WALLCLOCK", "1");
     let run_once = || {
         report::reset();
         experiments::run_all(Scale::Smoke);

@@ -1,9 +1,10 @@
 //! The paper's system: non-coherent remote memory behind plain loads/stores.
 //!
 //! * **Allocation** interposes `malloc` (Section IV-B): zones are reserved
-//!   from donor nodes through the reservation protocol, and page-table
-//!   entries point straight at **prefixed** physical addresses. One
-//!   reservation covers many allocations; its software cost is charged once.
+//!   from donor nodes through [`crate::World::reserve_remote`], and
+//!   page-table entries point straight at **prefixed** physical addresses.
+//!   One reservation covers many allocations; its software cost is charged
+//!   once.
 //! * **Access** is pure hardware: TLB → cache → (local controller | RMC →
 //!   fabric → home DRAM). Remote ranges are write-back cacheable, exactly
 //!   like the prototype; dirty victims whose line lives remotely stall the

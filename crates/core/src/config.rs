@@ -27,8 +27,9 @@ pub struct OsTiming {
     /// Kernel overhead of a major fault (trap, handler, driver, return) —
     /// charged *in addition to* the device/page transfer itself.
     pub fault_overhead: SimDuration,
-    /// One-time software cost of a remote-zone reservation round
-    /// (request/ack over the kernels; off the access path).
+    /// One-time software cost of a remote-zone reservation: the paper's
+    /// kernel-to-kernel request and grant, charged as this one delay (off
+    /// the access path).
     pub reservation: SimDuration,
     /// Interposed `malloc` bookkeeping per allocation call.
     pub malloc_overhead: SimDuration,

@@ -198,7 +198,7 @@ fn reservation_conservation() {
         let mut rng = Rng::new(0x2E5E2E + seed);
         let mut w = World::new(ClusterConfig::prototype());
         let pool_total = w.directory().total_free();
-        let mut held: Vec<(NodeId, cohfree_os::resv::Reservation)> = Vec::new();
+        let mut held: Vec<(NodeId, cohfree_os::region::Reservation)> = Vec::new();
         let ops = rng.range(1, 40);
         for _ in 0..ops {
             if rng.chance(0.5) && !held.is_empty() {

@@ -1,10 +1,9 @@
 //! Fabric messages.
 //!
-//! Messages are HT-style packets exchanged between RMCs (and, for the OS
-//! substrate, between kernels over the same wires). Every message carries a
-//! `tag` so responses can be matched to outstanding requests, and a wire size
-//! derived from its kind — requests are header-only (plus data for writes),
-//! responses carry the requested data.
+//! Messages are HT-style packets exchanged between RMCs. Every message
+//! carries a `tag` so responses can be matched to outstanding requests, and
+//! a wire size derived from its kind — requests are header-only (plus data
+//! for writes), responses carry the requested data.
 
 use std::fmt;
 use std::num::NonZeroU16;
@@ -94,15 +93,6 @@ pub enum MsgKind {
     },
     /// Write completion acknowledgement.
     WriteAck,
-    /// OS-level memory reservation request for `frames` page frames.
-    ResvReq {
-        /// Page frames requested.
-        frames: u64,
-    },
-    /// Reservation acknowledgement carrying the granted base address.
-    ResvAck,
-    /// OS-level release of a previous reservation.
-    ResvRelease,
     /// Remote-swap page fetch request.
     PageReq {
         /// Page size requested.
@@ -145,9 +135,6 @@ impl MsgKind {
             MsgKind::ReadResp { bytes } => bytes,
             MsgKind::WriteReq { bytes } => bytes,
             MsgKind::WriteAck => 0,
-            MsgKind::ResvReq { .. } => 16,
-            MsgKind::ResvAck => 16,
-            MsgKind::ResvRelease => 16,
             MsgKind::PageReq { .. } => 0,
             MsgKind::PageResp { bytes } => bytes,
             MsgKind::PageWrite { bytes } => bytes,
@@ -169,7 +156,6 @@ impl MsgKind {
             self,
             MsgKind::ReadResp { .. }
                 | MsgKind::WriteAck
-                | MsgKind::ResvAck
                 | MsgKind::PageResp { .. }
                 | MsgKind::PageWriteAck
                 | MsgKind::ProbeResp
@@ -189,7 +175,7 @@ pub struct Message {
     /// Correlation tag: responses copy the request's tag.
     pub tag: u64,
     /// Physical address the message refers to (prefixed form for memory
-    /// operations; reservation base for OS messages; 0 when meaningless).
+    /// operations; 0 when meaningless).
     pub addr: u64,
 }
 
@@ -298,8 +284,9 @@ mod tests {
         assert!(MsgKind::WriteAck.is_response());
         assert!(!MsgKind::PageReq { bytes: 4096 }.is_response());
         assert!(MsgKind::PageWriteAck.is_response());
-        assert!(!MsgKind::ResvReq { frames: 1 }.is_response());
-        assert!(MsgKind::ResvAck.is_response());
+        assert!(!MsgKind::CohReadReq { bytes: 64 }.is_response());
+        assert!(!MsgKind::ProbeReq.is_response());
+        assert!(MsgKind::ProbeResp.is_response());
     }
 
     #[test]

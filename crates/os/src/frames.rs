@@ -26,7 +26,8 @@ pub enum FrameError {
         /// Frames that were requested.
         requested_frames: u64,
     },
-    /// Release of a zone that was never granted (or wrong base/size).
+    /// Release of a zone that was never granted, or not at this base or to
+    /// this borrower.
     UnknownGrant {
         /// Base address the caller tried to release.
         base: u64,
@@ -153,13 +154,16 @@ impl FrameAllocator {
         Ok(base)
     }
 
-    /// Release a previously granted zone by its base address. The zone is
-    /// coalesced back into the free map.
-    pub fn release(&mut self, base: u64) -> Result<Grant, FrameError> {
-        let grant = self
-            .grants
-            .remove(&base)
-            .ok_or(FrameError::UnknownGrant { base })?;
+    /// Release the zone granted to `borrower` at base address `base`. The
+    /// zone is coalesced back into the free map. A grant at `base` to
+    /// another borrower is left alone: after a restart the same base may
+    /// belong to a new grant while an old borrower still names it.
+    pub fn release(&mut self, base: u64, borrower: NodeId) -> Result<Grant, FrameError> {
+        match self.grants.get(&base) {
+            Some(g) if g.borrower == borrower => {}
+            _ => return Err(FrameError::UnknownGrant { base }),
+        }
+        let grant = self.grants.remove(&base).expect("grant checked above");
         self.insert_free(base, grant.frames);
         Ok(grant)
     }
@@ -246,7 +250,7 @@ mod tests {
         assert_eq!(base, a.pool_base());
         assert_eq!(a.free_frames(), 240);
         assert_eq!(a.granted_frames(), 16);
-        let g = a.release(base).unwrap();
+        let g = a.release(base, n(2)).unwrap();
         assert_eq!(g.frames, 16);
         assert_eq!(g.borrower, n(2));
         assert_eq!(a.free_frames(), 256);
@@ -291,9 +295,9 @@ mod tests {
         let b2 = a.reserve(10, n(2)).unwrap();
         let b3 = a.reserve(10, n(2)).unwrap();
         // Free middle, then sides; afterwards a full-size zone must fit.
-        a.release(b2).unwrap();
-        a.release(b1).unwrap();
-        a.release(b3).unwrap();
+        a.release(b2, n(2)).unwrap();
+        a.release(b1, n(2)).unwrap();
+        a.release(b3, n(2)).unwrap();
         assert_eq!(a.free_frames(), 256);
         let big = a.reserve(256, n(4)).unwrap();
         assert_eq!(big, a.pool_base());
@@ -303,14 +307,17 @@ mod tests {
     fn unknown_release_rejected() {
         let mut a = alloc();
         assert_eq!(
-            a.release(0x9999),
+            a.release(0x9999, n(2)),
             Err(FrameError::UnknownGrant { base: 0x9999 })
         );
         let b = a.reserve(4, n(2)).unwrap();
         // Releasing an interior address is also unknown: grants are by base.
-        assert!(a.release(b + PAGE_FRAME_BYTES).is_err());
-        assert!(a.release(b).is_ok());
-        assert!(a.release(b).is_err(), "double release rejected");
+        assert!(a.release(b + PAGE_FRAME_BYTES, n(2)).is_err());
+        // So is a release by anyone but the borrower, which keeps the grant.
+        assert!(a.release(b, n(3)).is_err());
+        assert_eq!(a.granted_frames(), 4);
+        assert!(a.release(b, n(2)).is_ok());
+        assert!(a.release(b, n(2)).is_err(), "double release rejected");
     }
 
     #[test]
@@ -331,7 +338,7 @@ mod tests {
         let mut a = alloc();
         let b1 = a.reserve(8, n(2)).unwrap();
         let _b2 = a.reserve(8, n(2)).unwrap();
-        a.release(b1).unwrap();
+        a.release(b1, n(2)).unwrap();
         let b3 = a.reserve(4, n(3)).unwrap();
         assert_eq!(b3, b1, "first-fit should reuse the first hole");
     }

@@ -4,7 +4,7 @@
 //!
 //! The paper keeps software *off the access path* but needs OS machinery
 //! around it: hot-pluggable physical memory, cluster-wide knowledge of free
-//! memory, a reservation protocol, and (for the baseline) a swap subsystem.
+//! memory, zone reservation, and (for the baseline) a swap subsystem.
 //! This crate implements those pieces as deterministic models:
 //!
 //! * [`frames`] — per-node physical frame accounting: a private region for
@@ -18,9 +18,10 @@
 //! * [`directory`] — the cluster free-memory directory and donor-selection
 //!   policies used to decide *which* node lends memory,
 //! * [`region`] — memory regions (Fig. 1): one per node, listing the local
-//!   and borrowed segments that form that node's coherency domain,
-//! * [`resv`] — the reservation protocol: request/ack/release message flows
-//!   whose *functional* effect lands in [`frames`] and [`region`],
+//!   and borrowed segments that form that node's coherency domain. A
+//!   reservation (Fig. 4) is a function call in `cohfree-core`'s `World`:
+//!   the donor's [`frames`] carves the zone, the directory is debited and
+//!   the asker's [`region`] grows by a [`Reservation`],
 //! * [`swap`] — the remote-swap / disk-swap baseline: a bounded page cache
 //!   with CLOCK eviction and dirty write-back accounting (the fault costs
 //!   are charged by the swap backend in `cohfree-core`),
@@ -38,7 +39,6 @@ pub mod frames;
 pub mod manager;
 pub mod pagetable;
 pub mod region;
-pub mod resv;
 pub mod swap;
 
 pub use balloon::{Balloon, BalloonAction, BalloonConfig};
@@ -47,6 +47,5 @@ pub use disk::{Disk, DiskConfig};
 pub use frames::{FrameAllocator, FrameError, PAGE_FRAME_BYTES};
 pub use manager::{ManagerAction, ManagerConfig, NodeObservation, RecoveryManager};
 pub use pagetable::{PageFlags, PageTable, Tlb, TlbConfig, Translation};
-pub use region::{Region, Segment};
-pub use resv::{ResvDonor, ResvRequester};
+pub use region::{Region, Reservation, Segment};
 pub use swap::{PageCache, SwapStats};

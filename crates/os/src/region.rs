@@ -7,7 +7,9 @@
 //! the whole region and nothing outside it.
 //!
 //! [`Region`] tracks the segments making up one region, in the prefixed
-//! physical address space the owning node's processes see.
+//! physical address space the owning node's processes see. A borrowed
+//! segment is the asker's only record of its grant; the donor's record is
+//! the grant in its [`crate::frames::FrameAllocator`].
 
 use crate::frames::PAGE_FRAME_BYTES;
 use cohfree_fabric::NodeId;
@@ -34,6 +36,19 @@ impl Segment {
     pub fn contains(&self, addr: u64) -> bool {
         addr >= self.base && addr < self.base + self.bytes()
     }
+}
+
+/// A zone granted to an asker, as the asker sees it: the segment
+/// [`Region::extend`] adds, returned by the reservation call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reservation {
+    /// Donor node.
+    pub home: NodeId,
+    /// Prefixed physical base address usable directly in page tables: the
+    /// donor's node id in the 14 top bits over the zone's local base.
+    pub prefixed_base: u64,
+    /// Frames granted.
+    pub frames: u64,
 }
 
 /// The memory region of one node.

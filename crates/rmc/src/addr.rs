@@ -10,8 +10,9 @@
 //!
 //! The codec also exposes the paper's *overlapped segment* quirk: node `k`
 //! addressing prefix `k` would reach its own memory through the fabric
-//! (loopback). The reservation protocol never produces such addresses, and
-//! [`RemoteRef::expect_no_loopback`] lets callers assert that.
+//! (loopback). A reservation never produces such addresses (a node never
+//! lends to itself), and [`RemoteRef::expect_no_loopback`] lets callers
+//! assert that.
 
 use cohfree_fabric::NodeId;
 use cohfree_mem::map::{NODE_ADDR_BITS, NODE_WINDOW_BYTES};
@@ -107,7 +108,7 @@ impl RemoteRef {
     pub fn expect_no_loopback(self) -> RemoteRef {
         assert!(
             !matches!(self, RemoteRef::Loopback { .. }),
-            "loopback address observed: the reservation protocol must never map a \
+            "loopback address observed: a reservation must never map a \
              node's own memory through its RMC"
         );
         self

@@ -63,9 +63,8 @@ impl RmcServer {
     /// memory access to perform.
     ///
     /// # Panics
-    /// Panics if the message is not addressed to this node, is a response,
-    /// or is an OS-level message (those are handled by the kernel model, not
-    /// the RMC datapath).
+    /// Panics if the message is not addressed to this node or is not a
+    /// memory request: responses and snoop probes never reach the datapath.
     pub fn on_request(&mut self, now: SimTime, msg: &Message) -> MemIssue {
         assert_eq!(msg.dst, self.node, "misrouted message at server RMC");
         let (bytes, is_write) = match msg.kind {
@@ -313,8 +312,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "server RMC datapath got")]
     fn os_message_rejected_by_datapath() {
+        // Only memory requests reach the datapath; a response is refused.
         let mut s = server();
-        let msg = Message::new(n(1), n(3), MsgKind::ResvReq { frames: 4 }, 0);
+        let msg = Message::new(n(1), n(3), MsgKind::WriteAck, 0);
         s.on_request(SimTime::ZERO, &msg);
     }
 }

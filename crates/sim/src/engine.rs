@@ -19,7 +19,7 @@
 //! * **front** — every pending event in the *current* bucket (and any event
 //!   scheduled at-or-before it), kept sorted by `(time, key)` in a
 //!   `VecDeque`; `pop` is `O(1)` from the head and a same-instant
-//!   `schedule_now` is a sorted insert near the tail.
+//!   `schedule` is a sorted insert near the tail.
 //! * **ring** — `NUM_BUCKETS` FIFO buckets of `2^BUCKET_WIDTH_BITS`
 //!   picoseconds each covering the near future; scheduling is an `O(1)`
 //!   push plus an occupancy-bitmap update.
@@ -37,7 +37,7 @@
 //! a `#[cfg(test)]` oracle driven against the calendar queue by seeded
 //! differential tests (sequence-keyed and content-keyed).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -85,9 +85,9 @@ impl<E> Ord for Entry<E> {
 /// use cohfree_sim::{EventQueue, SimDuration, SimTime};
 ///
 /// let mut q: EventQueue<&'static str> = EventQueue::new();
-/// q.schedule_in(SimDuration::ns(10), "b");
-/// q.schedule_in(SimDuration::ns(5), "a");
-/// q.schedule_in(SimDuration::ns(10), "c"); // same instant as "b", after it
+/// q.schedule(SimTime::ZERO + SimDuration::ns(10), "b");
+/// q.schedule(SimTime::ZERO + SimDuration::ns(5), "a");
+/// q.schedule(SimTime::ZERO + SimDuration::ns(10), "c"); // same instant as "b", after it
 ///
 /// assert_eq!(q.pop(), Some((SimTime::ZERO + SimDuration::ns(5), "a")));
 /// assert_eq!(q.pop(), Some((SimTime::ZERO + SimDuration::ns(10), "b")));
@@ -223,19 +223,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` after `delay` from the current clock.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Schedule `event` at the current instant (fires after all events
-    /// already scheduled for this instant).
-    #[inline]
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule(self.now, event);
-    }
-
     /// Timestamp of the next pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
@@ -350,35 +337,13 @@ impl<E> EventQueue<E> {
         }
         None
     }
-
-    /// Run the event loop to completion: pop every event and feed it to
-    /// `handler`, which may schedule further events. Returns the number of
-    /// events processed by this call.
-    ///
-    /// The `step_limit` guards against accidental non-termination (a model
-    /// bug that endlessly reschedules); exceeding it panics with the current
-    /// simulated time to aid debugging.
-    pub fn run<F>(&mut self, step_limit: u64, mut handler: F) -> u64
-    where
-        F: FnMut(SimTime, E, &mut Self),
-    {
-        let mut steps = 0;
-        while let Some((at, ev)) = self.pop() {
-            handler(at, ev, self);
-            steps += 1;
-            assert!(
-                steps <= step_limit,
-                "event loop exceeded step limit {step_limit} at {at}"
-            );
-        }
-        steps
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
+    use crate::time::SimDuration;
 
     /// Width of one calendar bucket in picoseconds.
     const BUCKET_WIDTH_PS: u64 = 1 << BUCKET_WIDTH_BITS;
@@ -461,40 +426,6 @@ mod tests {
         q.schedule(SimTime(10), ());
         q.pop();
         q.schedule(SimTime(5), ());
-    }
-
-    #[test]
-    fn schedule_now_fires_after_existing_same_instant_events() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, "first");
-        q.schedule_now("second");
-        assert_eq!(q.pop().unwrap().1, "first");
-        assert_eq!(q.pop().unwrap().1, "second");
-    }
-
-    #[test]
-    fn run_drives_cascading_events() {
-        // A chain: each event below 10 schedules its successor 1ns later.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 0u64);
-        let mut seen = Vec::new();
-        let steps = q.run(1_000, |_, ev, q| {
-            seen.push(ev);
-            if ev < 10 {
-                q.schedule_in(SimDuration::ns(1), ev + 1);
-            }
-        });
-        assert_eq!(steps, 11);
-        assert_eq!(seen, (0..=10).collect::<Vec<_>>());
-        assert_eq!(q.now().as_ns(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "step limit")]
-    fn run_panics_past_step_limit() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, ());
-        q.run(10, |_, _, q| q.schedule_in(SimDuration::ns(1), ()));
     }
 
     #[test]

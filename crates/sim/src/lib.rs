@@ -11,7 +11,7 @@
 //! * [`queueing`] — small analytic building blocks ([`queueing::FifoServer`])
 //!   for modelling contended serial resources (memory controllers, RMC
 //!   front-ends, links),
-//! * [`stats`] — counters, histograms and online summaries used by every
+//! * [`stats`] — counters and latency histograms used by every
 //!   model component,
 //! * [`rng`] — a self-contained xoshiro256** PRNG so that every simulation is
 //!   reproducible from a single `u64` seed with no external dependencies,

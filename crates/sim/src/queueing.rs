@@ -4,9 +4,7 @@
 //! front-end, fabric links — are well described as single servers with FIFO
 //! discipline and deterministic per-item service times. [`FifoServer`]
 //! computes departure times in O(1) without materializing queue entries,
-//! while tracking utilization statistics. [`BoundedFifoServer`] adds a finite
-//! queue with explicit rejection, which the RMC model uses to produce
-//! NACK/retry behaviour under overload.
+//! while tracking utilization statistics.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -67,16 +65,6 @@ impl FifoServer {
         self.busy_until.saturating_since(now)
     }
 
-    /// True if the server would start a new item immediately at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
-    /// Instant the server drains completely.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Items accepted so far.
     pub fn accepted(&self) -> u64 {
         self.accepted
@@ -106,89 +94,6 @@ impl FifoServer {
             self.busy_time.as_ps() as f64 / horizon.as_ps() as f64
         }
     }
-
-    /// Reset to idle, clearing statistics.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// Outcome of offering an item to a [`BoundedFifoServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Offer {
-    /// Item accepted; service completes at the contained instant.
-    Accepted(SimTime),
-    /// Queue full; retry no earlier than the contained instant (when a slot
-    /// is guaranteed to have freed).
-    Rejected {
-        /// Earliest instant a slot is guaranteed free.
-        retry_at: SimTime,
-    },
-}
-
-/// A FIFO server with a bounded queue.
-///
-/// Models a hardware unit with `depth` request slots (including the one in
-/// service). An item offered while all slots are full is rejected — the
-/// caller must retry, which is how HyperTransport-style NACK/retry
-/// arbitration is modelled. Rejections are counted: heavy rejection traffic
-/// is itself a throughput drag the RMC model charges for.
-#[derive(Debug, Clone)]
-pub struct BoundedFifoServer {
-    inner: FifoServer,
-    /// Departure times of items currently occupying slots.
-    slots: std::collections::VecDeque<SimTime>,
-    depth: usize,
-    rejected: u64,
-}
-
-impl BoundedFifoServer {
-    /// A server with `depth` total slots (must be ≥ 1).
-    pub fn new(depth: usize) -> Self {
-        assert!(depth >= 1, "BoundedFifoServer requires depth >= 1");
-        BoundedFifoServer {
-            inner: FifoServer::new(),
-            slots: std::collections::VecDeque::with_capacity(depth),
-            depth,
-            rejected: 0,
-        }
-    }
-
-    /// Offer an item arriving at `now` with the given `service` demand.
-    pub fn offer(&mut self, now: SimTime, service: SimDuration) -> Offer {
-        // Free slots whose items have departed by `now`.
-        while let Some(&front) = self.slots.front() {
-            if front <= now {
-                self.slots.pop_front();
-            } else {
-                break;
-            }
-        }
-        if self.slots.len() >= self.depth {
-            self.rejected += 1;
-            // The earliest slot frees when the oldest resident departs.
-            let retry_at = *self.slots.front().expect("full queue has a front");
-            return Offer::Rejected { retry_at };
-        }
-        let depart = self.inner.accept(now, service);
-        self.slots.push_back(depart);
-        Offer::Accepted(depart)
-    }
-
-    /// Occupied slots as seen at `now`.
-    pub fn occupancy(&self, now: SimTime) -> usize {
-        self.slots.iter().filter(|&&d| d > now).count()
-    }
-
-    /// Total rejections so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Access to the underlying server's statistics.
-    pub fn stats(&self) -> &FifoServer {
-        &self.inner
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +107,7 @@ mod tests {
     #[test]
     fn idle_server_serves_immediately() {
         let mut s = FifoServer::new();
-        assert!(s.is_idle(t(0)));
+        assert_eq!(s.backlog(t(0)), SimDuration::ZERO);
         let d = s.accept(t(5), SimDuration::ns(10));
         assert_eq!(d, t(15));
         assert_eq!(s.mean_wait(), SimDuration::ZERO);
@@ -227,7 +132,7 @@ mod tests {
         let d = s.accept(t(100), SimDuration::ns(10));
         assert_eq!(d, t(110));
         assert_eq!(s.backlog(t(100)), SimDuration::ns(10));
-        assert!(s.is_idle(t(200)));
+        assert_eq!(s.backlog(t(200)), SimDuration::ZERO);
     }
 
     #[test]
@@ -237,48 +142,5 @@ mod tests {
         s.accept(t(50), SimDuration::ns(10));
         let u = s.utilization(t(100));
         assert!((u - 0.2).abs() < 1e-12, "{u}");
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = FifoServer::new();
-        s.accept(t(0), SimDuration::ns(10));
-        s.reset();
-        assert_eq!(s.accepted(), 0);
-        assert!(s.is_idle(t(0)));
-    }
-
-    #[test]
-    fn bounded_rejects_when_full() {
-        let mut s = BoundedFifoServer::new(2);
-        let a = s.offer(t(0), SimDuration::ns(10));
-        let b = s.offer(t(0), SimDuration::ns(10));
-        assert_eq!(a, Offer::Accepted(t(10)));
-        assert_eq!(b, Offer::Accepted(t(20)));
-        // Both slots held; third offer at t=0 is rejected, retry when the
-        // first departs (t=10).
-        match s.offer(t(0), SimDuration::ns(10)) {
-            Offer::Rejected { retry_at } => assert_eq!(retry_at, t(10)),
-            other => panic!("expected rejection, got {other:?}"),
-        }
-        assert_eq!(s.rejected(), 1);
-        assert_eq!(s.occupancy(t(0)), 2);
-    }
-
-    #[test]
-    fn bounded_frees_slots_over_time() {
-        let mut s = BoundedFifoServer::new(1);
-        assert_eq!(s.offer(t(0), SimDuration::ns(10)), Offer::Accepted(t(10)));
-        // At t=10 the slot has freed.
-        assert_eq!(s.offer(t(10), SimDuration::ns(10)), Offer::Accepted(t(20)));
-        assert_eq!(s.rejected(), 0);
-        assert_eq!(s.occupancy(t(15)), 1);
-        assert_eq!(s.occupancy(t(25)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "depth >= 1")]
-    fn bounded_zero_depth_panics() {
-        let _ = BoundedFifoServer::new(0);
     }
 }

@@ -9,8 +9,8 @@
 //! current state; higher-level crates compose these into per-component and
 //! cluster-wide snapshots.
 
-use crate::queueing::{BoundedFifoServer, FifoServer};
-use crate::stats::{Counter, LatencyHistogram, OnlineSummary, TimeWeighted};
+use crate::queueing::FifoServer;
+use crate::stats::{Counter, LatencyHistogram};
 use crate::time::SimTime;
 use std::fmt;
 
@@ -425,19 +425,6 @@ impl Counter {
     }
 }
 
-impl OnlineSummary {
-    /// Serializable view: count and distribution moments.
-    pub fn snapshot(&self) -> Json {
-        Json::obj([
-            ("count", Json::from(self.count())),
-            ("mean", Json::from(self.mean())),
-            ("stddev", Json::from(self.stddev())),
-            ("min", Json::from(self.min().unwrap_or(0.0))),
-            ("max", Json::from(self.max().unwrap_or(0.0))),
-        ])
-    }
-}
-
 impl LatencyHistogram {
     /// Serializable view: count, mean and key quantiles in nanoseconds.
     pub fn snapshot(&self) -> Json {
@@ -452,18 +439,6 @@ impl LatencyHistogram {
     }
 }
 
-impl TimeWeighted {
-    /// Serializable view: current/peak level and the time-weighted mean over
-    /// `[0, horizon]`.
-    pub fn snapshot(&self, horizon: SimTime) -> Json {
-        Json::obj([
-            ("current", Json::from(self.current())),
-            ("peak", Json::from(self.peak())),
-            ("mean", Json::from(self.mean(horizon))),
-        ])
-    }
-}
-
 impl FifoServer {
     /// Serializable view: throughput and queueing statistics, with
     /// utilization computed against `horizon`.
@@ -474,18 +449,6 @@ impl FifoServer {
             ("mean_wait_ns", Json::from(self.mean_wait().as_ns_f64())),
             ("max_backlog_ns", Json::from(self.max_backlog().as_ns_f64())),
         ])
-    }
-}
-
-impl BoundedFifoServer {
-    /// Serializable view: the inner server's statistics plus rejections.
-    pub fn snapshot(&self, horizon: SimTime) -> Json {
-        let mut fields = match self.stats().snapshot(horizon) {
-            Json::Obj(fields) => fields,
-            _ => unreachable!("FifoServer snapshot is an object"),
-        };
-        fields.push(("rejected".to_string(), Json::from(self.rejected())));
-        Json::Obj(fields)
     }
 }
 
@@ -569,13 +532,6 @@ mod tests {
         c.add(7);
         assert_eq!(c.snapshot().as_u64(), Some(7));
 
-        let mut s = OnlineSummary::new();
-        s.record(1.0);
-        s.record(3.0);
-        let snap = s.snapshot();
-        assert_eq!(snap.get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(snap.get("mean").unwrap().as_f64(), Some(2.0));
-
         let mut h = LatencyHistogram::new();
         h.record(SimDuration::ns(100));
         let snap = h.snapshot();
@@ -583,23 +539,10 @@ mod tests {
         assert!(snap.get("p99_ns").unwrap().as_f64().unwrap() > 0.0);
 
         let t = |ns| SimTime::ZERO + SimDuration::ns(ns);
-        let mut w = TimeWeighted::new();
-        w.set(t(0), 4.0);
-        w.set(t(10), 0.0);
-        let snap = w.snapshot(t(20));
-        assert_eq!(snap.get("peak").unwrap().as_f64(), Some(4.0));
-        assert_eq!(snap.get("mean").unwrap().as_f64(), Some(2.0));
-
         let mut srv = FifoServer::new();
         srv.accept(t(0), SimDuration::ns(10));
         let snap = srv.snapshot(t(100));
         assert_eq!(snap.get("accepted").unwrap().as_u64(), Some(1));
         assert!((snap.get("utilization").unwrap().as_f64().unwrap() - 0.1).abs() < 1e-12);
-
-        let mut b = BoundedFifoServer::new(1);
-        let _ = b.offer(t(0), SimDuration::ns(10));
-        let _ = b.offer(t(0), SimDuration::ns(10));
-        let snap = b.snapshot(t(100));
-        assert_eq!(snap.get("rejected").unwrap().as_u64(), Some(1));
     }
 }

@@ -46,38 +46,11 @@
 //! hop traversals, so a phase's `count()` is the number of transactions
 //! that touched it and `total_ns()` is aggregate time in the phase.
 
+use crate::fxhash::FastMap;
 use crate::snapshot::Json;
 use crate::stats::{Counter, LatencyHistogram};
 use crate::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hasher for the tx-id-keyed pending map. Transaction ids
-/// are sequential counters hit several times per transaction on the
-/// simulation hot path; SipHash is measurable overhead there and provides
-/// nothing (the keys are not attacker-controlled).
-#[derive(Default)]
-pub struct TxIdHasher(u64);
-
-impl Hasher for TxIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        // Fibonacci multiplicative scramble: sequential ids spread over the
-        // whole table.
-        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type TxIdMap<V> = HashMap<u64, V, BuildHasherDefault<TxIdHasher>>;
+use std::collections::VecDeque;
 
 /// One phase of a traced transaction's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,7 +77,7 @@ pub enum Phase {
     /// Loss-recovery backoff: waiting out a timeout, retransmit passes, and
     /// time on in-flight attempts that a retransmission superseded.
     Retry = 9,
-    /// OS reservation protocol round (zone lease negotiation).
+    /// OS reservation of a zone (one `OsTiming::reservation` charge).
     Resv = 10,
     /// OS evacuation protocol: re-homing a zone after a failure.
     Evac = 11,
@@ -298,14 +271,14 @@ pub struct TraceSink {
     spans: VecDeque<SpanRecord>,
     dropped: Counter,
     phases: [LatencyHistogram; PHASE_COUNT],
-    pending: TxIdMap<PendingTx>,
+    pending: FastMap<u64, PendingTx>,
     /// One-entry cache in front of `pending`: the memory-access hot path
     /// touches the same transaction ~10 times back-to-back (begin, one push
     /// per phase, finish), and a tag compare is cheaper than even a good
     /// hash-map probe. Overflow (a second concurrent open transaction)
     /// falls through to the map.
     hot: Option<(u64, PendingTx)>,
-    lanes: HashMap<u16, Vec<Lane>>,
+    lanes: FastMap<u16, Vec<Lane>>,
     completed: Counter,
     failed: Counter,
     next_proto_id: u64,
@@ -339,9 +312,9 @@ impl TraceSink {
             spans: VecDeque::new(),
             dropped: Counter::new(),
             phases: std::array::from_fn(|_| LatencyHistogram::new()),
-            pending: TxIdMap::default(),
+            pending: FastMap::default(),
             hot: None,
-            lanes: HashMap::new(),
+            lanes: FastMap::default(),
             completed: Counter::new(),
             failed: Counter::new(),
             next_proto_id: 1,
@@ -844,6 +817,7 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn t(ns: u64) -> SimTime {
         SimTime::ZERO + SimDuration::ns(ns)

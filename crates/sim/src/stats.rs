@@ -3,14 +3,10 @@
 //! Every model component exposes its behaviour through these types:
 //!
 //! * [`Counter`] — monotonically increasing event counts,
-//! * [`OnlineSummary`] — numerically stable streaming mean/variance/min/max
-//!   (Welford's algorithm),
 //! * [`LatencyHistogram`] — log₂-bucketed latency distribution with
-//!   approximate quantiles, cheap enough to keep per component,
-//! * [`TimeWeighted`] — time-weighted average of a piecewise-constant signal
-//!   (queue depth, occupancy).
+//!   approximate quantiles, cheap enough to keep per component.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use std::fmt;
 
 /// Monotonically increasing event counter.
@@ -45,81 +41,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Streaming mean / variance / extrema via Welford's algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineSummary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineSummary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        OnlineSummary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for < 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
     }
 }
 
@@ -272,80 +193,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal.
-///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the accumulator
-/// weights each value by how long it was held.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    peak: f64,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// A signal starting at 0 at time 0.
-    pub fn new() -> Self {
-        TimeWeighted {
-            value: 0.0,
-            last_change: SimTime::ZERO,
-            weighted_sum: 0.0,
-            peak: 0.0,
-        }
-    }
-
-    /// Record that the signal takes `value` from `now` onwards.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        debug_assert!(now >= self.last_change, "TimeWeighted: time regression");
-        let held = now.saturating_since(self.last_change);
-        self.weighted_sum += self.value * held.as_ns_f64();
-        self.value = value;
-        self.last_change = now;
-        if value > self.peak {
-            self.peak = value;
-        }
-    }
-
-    /// Adjust the signal by `delta` at `now` (convenience for queue depths).
-    pub fn adjust(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Peak value ever set.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Time-weighted mean over `[0, horizon]`.
-    ///
-    /// The accumulator integrates up to the latest `set()`; if `horizon` is
-    /// earlier than that, the window is clamped to `last_change` — the
-    /// integral cannot be partially undone, and dividing the full sum by a
-    /// shorter horizon would overstate the mean.
-    pub fn mean(&self, horizon: SimTime) -> f64 {
-        let end = horizon.max(self.last_change);
-        if end == SimTime::ZERO {
-            return 0.0;
-        }
-        let tail = horizon.saturating_since(self.last_change);
-        let total = self.weighted_sum + self.value * tail.as_ns_f64();
-        total / end.as_ns_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,29 +204,6 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(format!("{c}"), "5");
-    }
-
-    #[test]
-    fn summary_matches_closed_form() {
-        let mut s = OnlineSummary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn empty_summary_is_sane() {
-        let s = OnlineSummary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
     }
 
     #[test]
@@ -511,77 +335,5 @@ mod tests {
         let before = a.mean_ns();
         a.merge(&LatencyHistogram::new());
         assert_eq!(a.mean_ns(), before);
-    }
-
-    #[test]
-    fn time_weighted_mean_and_peak() {
-        let mut w = TimeWeighted::new();
-        let t = |ns| SimTime::ZERO + SimDuration::ns(ns);
-        w.set(t(0), 2.0);
-        w.set(t(10), 4.0); // 2.0 held for 10ns
-        w.set(t(20), 0.0); // 4.0 held for 10ns
-                           // Over [0, 40]: (2*10 + 4*10 + 0*20) / 40 = 1.5
-        assert!((w.mean(t(40)) - 1.5).abs() < 1e-12);
-        assert_eq!(w.peak(), 4.0);
-        assert_eq!(w.current(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_clamps_early_horizon() {
-        let mut w = TimeWeighted::new();
-        let t = |ns| SimTime::ZERO + SimDuration::ns(ns);
-        w.set(t(0), 10.0);
-        w.set(t(100), 0.0); // 10.0 held for 100ns, integral = 1000
-                            // A horizon inside the already-integrated window must not divide the
-                            // full integral by the shorter span (which would report 20.0 here);
-                            // the window clamps to last_change.
-        assert!((w.mean(t(50)) - 10.0).abs() < 1e-12, "{}", w.mean(t(50)));
-        // At and past last_change the mean dilutes as normal.
-        assert!((w.mean(t(100)) - 10.0).abs() < 1e-12);
-        assert!((w.mean(t(200)) - 5.0).abs() < 1e-12);
-        // Degenerate: nothing integrated at all.
-        assert_eq!(TimeWeighted::new().mean(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_change_at_horizon_contributes_zero() {
-        let mut w = TimeWeighted::new();
-        let t = |ns| SimTime::ZERO + SimDuration::ns(ns);
-        w.set(t(0), 4.0);
-        // A state change landing exactly on the horizon is held for zero
-        // time: the new value must not leak a stale tail into the mean.
-        w.set(t(100), 1_000.0);
-        assert!((w.mean(t(100)) - 4.0).abs() < 1e-12, "{}", w.mean(t(100)));
-        // Same-instant overwrite: the replaced value was held for zero time
-        // and must carry zero weight.
-        let mut v = TimeWeighted::new();
-        v.set(t(10), 3.0);
-        v.set(t(10), 9.0);
-        assert!((v.mean(t(20)) - 4.5).abs() < 1e-12, "{}", v.mean(t(20)));
-        assert_eq!(v.peak(), 9.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_never_divides_by_zero_span() {
-        let mut w = TimeWeighted::new();
-        // Value set at t=0, horizon at t=0: zero span, must yield a finite 0.
-        w.set(SimTime::ZERO, 7.0);
-        let m = w.mean(SimTime::ZERO);
-        assert!(m.is_finite());
-        assert_eq!(m, 0.0);
-        // Untouched accumulator at a zero horizon.
-        assert_eq!(TimeWeighted::new().mean(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_adjust() {
-        let mut w = TimeWeighted::new();
-        let t = |ns| SimTime::ZERO + SimDuration::ns(ns);
-        w.adjust(t(0), 1.0);
-        w.adjust(t(5), 1.0);
-        w.adjust(t(10), -2.0);
-        assert_eq!(w.current(), 0.0);
-        // (1*5 + 2*5) / 20 = 0.75
-        assert!((w.mean(t(20)) - 0.75).abs() < 1e-12);
     }
 }

@@ -4,8 +4,7 @@
 //! framework these tests drive the same invariants with the crate's own
 //! deterministic [`Rng`]: every case is reproducible from the loop seed.
 
-use cohfree_sim::queueing::{BoundedFifoServer, Offer};
-use cohfree_sim::stats::{LatencyHistogram, OnlineSummary, TimeWeighted};
+use cohfree_sim::stats::LatencyHistogram;
 use cohfree_sim::{EventQueue, FifoServer, Rng, SimDuration, SimTime};
 
 const CASES: u64 = 64;
@@ -71,30 +70,6 @@ fn fifo_server_conservation() {
     }
 }
 
-/// Bounded server never exceeds its depth and rejections always come with a
-/// usable retry hint.
-#[test]
-fn bounded_server_respects_depth() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(0xB0D + seed);
-        let depth = rng.range(1, 8) as usize;
-        let count = rng.range(1, 100) as usize;
-        let mut offers: Vec<(u64, u64)> = (0..count)
-            .map(|_| (rng.below(1_000), rng.range(1, 200)))
-            .collect();
-        offers.sort_by_key(|&(a, _)| a);
-        let mut s = BoundedFifoServer::new(depth);
-        for &(a, d) in &offers {
-            let now = SimTime(a);
-            match s.offer(now, SimDuration(d)) {
-                Offer::Accepted(t) => assert!(t >= now + SimDuration(d), "seed {seed}"),
-                Offer::Rejected { retry_at } => assert!(retry_at > now, "seed {seed}"),
-            }
-            assert!(s.occupancy(now) <= depth, "seed {seed}");
-        }
-    }
-}
-
 /// Lemire sampling stays in range for arbitrary bounds.
 #[test]
 fn rng_below_in_range() {
@@ -123,36 +98,6 @@ fn rng_range_in_range() {
     }
 }
 
-/// Online summary matches a direct two-pass computation.
-#[test]
-fn summary_matches_two_pass() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(0x5DD + seed);
-        let count = rng.range(2, 200) as usize;
-        let xs: Vec<f64> = (0..count)
-            .map(|_| (rng.f64() - 0.5) * 2e6) // [-1e6, 1e6)
-            .collect();
-        let mut s = OnlineSummary::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        assert!(
-            (s.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()),
-            "seed {seed}: mean {} vs {mean}",
-            s.mean()
-        );
-        assert!(
-            (s.variance() - var).abs() <= 1e-5 * (1.0 + var.abs()),
-            "seed {seed}: var {} vs {var}",
-            s.variance()
-        );
-        assert_eq!(s.count(), xs.len() as u64);
-    }
-}
-
 /// Histogram quantiles are monotone in q and bounded by the max.
 #[test]
 fn histogram_quantiles_monotone() {
@@ -173,31 +118,5 @@ fn histogram_quantiles_monotone() {
         // Log-bucket quantiles can overshoot the true max by < 2x.
         let max = *ns.iter().max().unwrap() as f64;
         assert!(prev <= max * 2.0 + 2.0, "seed {seed}");
-    }
-}
-
-/// Time-weighted mean is bounded by the signal's extremes.
-#[test]
-fn time_weighted_mean_bounded() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(0x714E + seed);
-        let count = rng.range(1, 50) as usize;
-        let mut w = TimeWeighted::new();
-        let mut t = 0u64;
-        let mut lo = 0.0f64; // signal starts at 0
-        let mut hi = 0.0f64;
-        for _ in 0..count {
-            t += rng.range(1, 1_000);
-            let v = rng.f64() * 100.0;
-            w.set(SimTime(t * 1_000), v);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let horizon = SimTime((t + 10) * 1_000);
-        let mean = w.mean(horizon);
-        assert!(
-            mean >= lo - 1e-9 && mean <= hi + 1e-9,
-            "seed {seed}: mean {mean} outside [{lo}, {hi}]"
-        );
     }
 }

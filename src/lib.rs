@@ -12,7 +12,7 @@
 //! * [`fabric`] — HyperTransport / HNC-HT interconnect model,
 //! * [`mem`] — node DRAM, caches and the sparse functional store,
 //! * [`rmc`] — the Remote Memory Controller (the paper's contribution),
-//! * [`os`] — virtual memory, reservation protocol, regions, swap,
+//! * [`os`] — virtual memory, frame allocation, regions, directory, swap,
 //! * [`core`] — cluster assembly, memory backends, analytic model,
 //! * [`workloads`] — B-tree / hash / PARSEC-class applications.
 //!
