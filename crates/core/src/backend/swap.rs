@@ -14,6 +14,11 @@
 //!
 //! Resident pages are accessed at full local speed, which is why locality
 //! decides everything for this baseline: Equation 1 of the paper.
+//!
+//! A resident page's local frame is its page-cache slot: frame `i` starts
+//! at `i × PAGE_BYTES`. The page cache hands out slots in order from 0 and
+//! gives a victim's slot to the page that displaced it, so no map from page
+//! to frame is kept, and a hit finds its slot from the translated address.
 
 use super::process::{Backing, Core, Process, Zones};
 use crate::config::ClusterConfig;
@@ -21,7 +26,7 @@ use crate::world::World;
 use cohfree_fabric::{MsgKind, NodeId};
 use cohfree_os::disk::{Disk, DiskConfig};
 use cohfree_os::pagetable::PAGE_BYTES;
-use cohfree_os::swap::{PageCache, SwapStats, Touch};
+use cohfree_os::swap::{PageCache, SwapStats};
 use cohfree_sim::{FastMap, FifoServer, SimDuration};
 
 /// How remote-swap pages travel.
@@ -127,8 +132,6 @@ pub struct SwapBacking {
     device: Device,
     page_cache: PageCache,
     homes: FastMap<u64, PageHome>,
-    frame_of: FastMap<u64, u64>,
-    next_frame: u64,
     /// Next backing offset on an Ethernet server or disk.
     next_offset: u64,
     /// Unloaded DRAM latency of one line fill, charged where no cluster
@@ -183,8 +186,6 @@ impl SwapSpace {
             device,
             page_cache: PageCache::new(cache_pages),
             homes: FastMap::default(),
-            frame_of: FastMap::default(),
-            next_frame: 0,
             next_offset: 0,
             dram_fill: cfg.dram.unloaded_latency(cfg.cache.line_bytes),
         };
@@ -282,31 +283,20 @@ impl Backing for SwapBacking {
             .homes
             .get(&vpn)
             .unwrap_or_else(|| panic!("fault on unallocated vpn {vpn:#x}"));
-        let frame = match self.page_cache.touch(vpn, write) {
-            Touch::Hit => unreachable!("fault raised for a resident page"),
-            // Evict the victim first (its frame is reused).
-            Touch::Miss { evicted: Some(e) } => {
-                let frame = self
-                    .frame_of
-                    .remove(&e.vpage)
-                    .expect("resident victim must have a frame");
-                let slot = self.homes.get(&e.vpage).expect("victim has a home").slot;
-                core.pt.mark_swapped(e.vpage, slot);
-                // Page mover copies through/around the CPU cache; drop the
-                // victim's lines (their write-back cost is part of the
-                // page-out below).
-                core.cache.flush_range(frame, PAGE_BYTES);
-                if e.dirty {
-                    self.transfer(core, slot, Transfer::Out);
-                }
-                frame
+        let (frame_no, evicted) = self.page_cache.admit(vpn, write);
+        let frame = frame_no as u64 * PAGE_BYTES;
+        // Evict the victim first: the page takes over its frame.
+        if let Some(e) = evicted {
+            let slot = self.homes.get(&e.vpage).expect("victim has a home").slot;
+            core.pt.mark_swapped(e.vpage, slot);
+            // Page mover copies through/around the CPU cache; drop the
+            // victim's lines (their write-back cost is part of the
+            // page-out below).
+            core.cache.flush_range(frame, PAGE_BYTES);
+            if e.dirty {
+                self.transfer(core, slot, Transfer::Out);
             }
-            Touch::Miss { evicted: None } => {
-                let frame = self.next_frame;
-                self.next_frame += PAGE_BYTES;
-                frame
-            }
-        };
+        }
         if home.materialized {
             // Real major fault: kernel overhead + device fetch.
             core.stats.major_faults += 1;
@@ -318,15 +308,14 @@ impl Backing for SwapBacking {
             core.clock += MINOR_FAULT;
             self.homes.get_mut(&vpn).expect("checked").materialized = true;
         }
-        self.frame_of.insert(vpn, frame);
         core.pt.map(vpn, frame);
     }
 
-    fn touch(&mut self, _core: &mut Core, vpn: u64, _phys: u64, write: bool) -> bool {
-        // Keep CLOCK reference bits warm on resident hits.
-        if matches!(self.page_cache.touch(vpn, write), Touch::Miss { .. }) {
-            unreachable!("page translated as present but not resident");
-        }
+    fn touch(&mut self, _core: &mut Core, vpn: u64, phys: u64, write: bool) -> bool {
+        // Keep CLOCK reference bits warm on resident hits; the frame
+        // number is the page's slot.
+        self.page_cache
+            .touch_slot((phys / PAGE_BYTES) as usize, vpn, write);
         false
     }
 

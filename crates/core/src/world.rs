@@ -707,7 +707,8 @@ impl World {
     ///
     /// # Panics
     /// Panics if no donor can satisfy the request (callers size experiments
-    /// within the pool) or if `donor` is `asker`.
+    /// within the pool), if `donor` is `asker`, or if `donor` is a crashed
+    /// node; nothing has changed when it panics.
     pub fn reserve_remote(
         &mut self,
         asker: NodeId,
@@ -718,6 +719,10 @@ impl World {
             .or_else(|| self.directory.choose_donor(asker, frames))
             .unwrap_or_else(|| panic!("no donor can lend {frames} frames to {asker}"));
         assert_ne!(home, asker, "reservation donor must differ from asker");
+        assert!(
+            !self.dead[home.index()],
+            "reservation donor {home} is down: it cannot lend {frames} frames to {asker}"
+        );
         let local_base = self.nodes[home.index()]
             .frames
             .reserve(frames, asker)
@@ -2364,6 +2369,30 @@ mod tests {
         assert_eq!(w.region(n(1)).borrowed_bytes(), 0);
         assert_eq!(w.directory().free_frames(n(2)), 0);
         assert_ne!(w.directory().choose_donor(n(3), 512), Some(n(2)));
+    }
+
+    #[test]
+    fn reserving_from_a_dead_donor_changes_nothing() {
+        // Regression: the dead donor's allocator granted the zone before
+        // the directory debit panicked, leaving frames nobody holds.
+        let mut cfg = ClusterConfig::prototype();
+        cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
+            at: t(10),
+            node: n(2),
+        });
+        let mut w = World::new(cfg);
+        w.drain_background();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.reserve_remote(n(1), 16, Some(n(2)))
+        }))
+        .expect_err("a dead donor cannot lend");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
+        assert!(msg.contains("donor n2 is down"), "{msg}");
+        assert_eq!(w.nodes[n(2).index()].frames.granted_frames(), 0);
+        assert_eq!(w.directory().free_frames(n(2)), 0);
+        assert_eq!(w.region(n(1)).borrowed_bytes(), 0);
     }
 
     #[test]

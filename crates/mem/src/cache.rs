@@ -17,13 +17,19 @@
 //! victim is the smallest stamp (stamps are unique). The cache remembers
 //! which line its last `access` touched, so a repeat access to that line
 //! hits without scanning the set; every other mutator clears the memo.
+//!
+//! Beside the sets, every 64-line group of the physical line space that
+//! holds a resident line has a 64-bit mask with one bit per resident line.
+//! A range flush reads the masks and looks up only the lines whose bits are
+//! set, so flushing a 4 KiB page costs one set probe per cached line of the
+//! page, not one per line of it.
 
 use cohfree_sim::stats::Counter;
 use cohfree_sim::FastMap;
 
 /// Log2 of the residency-group size in lines: groups of 64 lines (one 4 KiB
-/// page at 64 B lines) get a resident-line count so range flushes can skip
-/// groups with nothing cached.
+/// page at 64 B lines) get a resident-line mask, so a range flush visits the
+/// resident lines of the range and no others.
 const GROUP_SHIFT: u32 = 6;
 
 /// Cache geometry.
@@ -90,15 +96,22 @@ pub struct Cache {
     /// touched, so a repeat access hits without the set scan. Cleared by
     /// every other mutator.
     last: Option<(u64, usize)>,
-    /// Resident lines per 64-line group (key: line index >> GROUP_SHIFT).
-    /// Lets `flush_range` skip groups with no cached lines — the dominant
-    /// case when the swap path flushes a cold victim page on every
-    /// page-cache eviction.
-    group_lines: FastMap<u64, u32>,
+    /// Resident-line mask per 64-line group (key: line index >>
+    /// GROUP_SHIFT; bit `li % 64` is set while line `li` is resident).
+    /// Groups with no resident line have no entry. Lets `flush_range` visit
+    /// only the resident lines of its range.
+    group_lines: FastMap<u64, u64>,
     clock: u64,
     hits: Counter,
     misses: Counter,
     writebacks: Counter,
+}
+
+/// Bits `[lo, hi)` of a 64-bit mask, for `lo < hi <= 64`.
+#[inline]
+fn bit_range(lo: u64, hi: u64) -> u64 {
+    debug_assert!(lo < hi && hi <= 64);
+    (u64::MAX >> (64 - (hi - lo))) << lo
 }
 
 impl Cache {
@@ -178,22 +191,27 @@ impl Cache {
         Some(self.base_of(set) + pos)
     }
 
-    /// Track a line fill in the per-group residency count.
+    /// Set line `li`'s bit in its group's residency mask.
     #[inline]
     fn note_fill(&mut self, li: u64) {
-        *self.group_lines.entry(li >> GROUP_SHIFT).or_insert(0) += 1;
+        *self.group_lines.entry(li >> GROUP_SHIFT).or_insert(0) |= 1 << (li % 64);
     }
 
-    /// Track a line eviction in the per-group residency count.
+    /// Clear line `li`'s bit in its group's residency mask.
     #[inline]
     fn note_evict(&mut self, li: u64) {
         let g = li >> GROUP_SHIFT;
-        match self.group_lines.get_mut(&g) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.group_lines.remove(&g);
-            }
-            None => debug_assert!(false, "evicting a line from an untracked group"),
+        let mask = self
+            .group_lines
+            .get_mut(&g)
+            .expect("an evicted line's group is tracked");
+        debug_assert!(
+            *mask & 1 << (li % 64) != 0,
+            "evicting a line not marked resident"
+        );
+        *mask &= !(1 << (li % 64));
+        if *mask == 0 {
+            self.group_lines.remove(&g);
         }
     }
 
@@ -299,55 +317,49 @@ impl Cache {
     }
 
     /// Drop all lines within `[base, base+len)`, returning dirty addresses.
+    /// The range is taken in whole lines: from the first line that starts
+    /// at or after `base` to the line holding its last byte.
     pub fn flush_range(&mut self, base: u64, len: u64) -> Vec<u64> {
         self.last = None;
         let mut dirty = Vec::new();
         let lb = self.cfg.line_bytes as u64;
         let nsets = self.cfg.sets as u64;
         let set_shift = nsets.trailing_zeros();
-        // Walk the range one residency group at a time: a group with no
-        // resident lines is skipped with a single map probe — the dominant
-        // case when the swap path flushes a cold victim page on every
-        // page-cache eviction. Within a live group, each line maps to
-        // exactly one (set, tag), so it is a targeted probe per line, not a
-        // whole-cache scan.
         let first_line = base.div_ceil(lb);
-        let end_line = (base + len).div_ceil(lb).max(first_line);
-        let first_group = first_line >> GROUP_SHIFT;
-        let last_group = if end_line == first_line {
-            first_group
-        } else {
-            ((end_line - 1) >> GROUP_SHIFT) + 1
-        };
-        for g in first_group..last_group {
-            let Some(&count) = self.group_lines.get(&g) else {
+        let end_line = (base + len).div_ceil(lb);
+        // Walk the range one residency group at a time and look up only
+        // the lines whose mask bits are set: a cold victim page (the common
+        // case on the swap path) costs one map probe, and a warm one one
+        // set probe per resident line.
+        for g in first_line >> GROUP_SHIFT..end_line.div_ceil(1 << GROUP_SHIFT) {
+            let g_base = g << GROUP_SHIFT;
+            let lo = first_line.max(g_base) - g_base;
+            let hi = end_line.min(g_base + (1 << GROUP_SHIFT)) - g_base;
+            if lo >= hi {
+                continue;
+            }
+            let Some(mask) = self.group_lines.get_mut(&g) else {
                 continue;
             };
-            let lo = (g << GROUP_SHIFT).max(first_line);
-            let hi = ((g + 1) << GROUP_SHIFT).min(end_line);
-            let whole_group = hi - lo == 1 << GROUP_SHIFT;
-            let mut removed = 0u32;
-            for li in lo..hi {
-                if whole_group && removed == count {
-                    break;
-                }
-                let set = (li & (nsets - 1)) as usize;
-                if let Some(i) = self.find(set, li >> set_shift) {
-                    // Move the set's last line into the hole.
-                    self.fill[set] -= 1;
-                    let last = self.base_of(set) + self.fill[set] as usize;
-                    let line = self.lines[i];
-                    self.lines[i] = self.lines[last];
-                    if line.dirty {
-                        dirty.push(li * lb);
-                    }
-                    removed += 1;
-                }
-            }
-            if removed == count {
+            let mut gone = *mask & bit_range(lo, hi);
+            *mask &= !gone;
+            if *mask == 0 {
                 self.group_lines.remove(&g);
-            } else if removed > 0 {
-                *self.group_lines.get_mut(&g).expect("group tracked") -= removed;
+            }
+            while gone != 0 {
+                let li = g_base + gone.trailing_zeros() as u64;
+                gone &= gone - 1;
+                let set = (li & (nsets - 1)) as usize;
+                let i = self
+                    .find(set, li >> set_shift)
+                    .expect("a line marked resident is in its set");
+                // Move the set's last line into the hole.
+                self.fill[set] -= 1;
+                let last = self.base_of(set) + self.fill[set] as usize;
+                if self.lines[i].dirty {
+                    dirty.push(li * lb);
+                }
+                self.lines[i] = self.lines[last];
             }
         }
         self.writebacks.add(dirty.len() as u64);
@@ -710,7 +722,9 @@ mod tests {
     /// mostly same-line and same-page bursts (the MRU memo) with random
     /// jumps over four times the capacity, interleaved with
     /// `install_dirty` (which can evict the memo line in a 1-way set),
-    /// probes, `flush_range` and `flush_all`.
+    /// probes, `flush_range` and `flush_all`. Range flushes start at any
+    /// byte offset, and their lengths include 0 and cross 64-line group
+    /// boundaries, so both ends of a residency-mask range are exercised.
     #[test]
     fn cache_matches_vec_of_vecs_oracle() {
         for (line_bytes, sets, ways) in [
@@ -747,11 +761,11 @@ mod tests {
                             assert_eq!(c.probe(a), o.probe(a), "{}", ctx());
                         }
                         96..=98 => {
-                            let base = next_addr(&mut rng, addr, span) & !4095;
-                            let len = if rng.chance(0.5) {
-                                4096
-                            } else {
-                                rng.below(8192)
+                            let base = next_addr(&mut rng, addr, span);
+                            let len = match rng.below(4) {
+                                0 => 0,
+                                1 => 4096,
+                                _ => rng.below(3 * 4096),
                             };
                             assert_eq!(
                                 c.flush_range(base, len),
@@ -781,18 +795,34 @@ mod tests {
         })
     }
 
-    /// The group residency counts must mirror the sets exactly through any
-    /// access/install/flush interleaving, and flush_range must behave
-    /// identically to a brute-force scan of every set.
+    /// Resident `(line index, dirty)` pairs of `c`, in line order.
+    fn resident(c: &Cache) -> Vec<(u64, bool)> {
+        let nsets = c.cfg.sets as u64;
+        let mut lines: Vec<_> = (0..c.fill.len())
+            .flat_map(|set| {
+                c.set(set)
+                    .iter()
+                    .map(move |l| (l.tag * nsets + set as u64, l.dirty))
+            })
+            .collect();
+        lines.sort_unstable();
+        lines
+    }
+
+    /// The residency masks mirror the sets bit for bit through any
+    /// access/install/flush interleaving, and `flush_range` at any byte
+    /// offset and length drops exactly the lines of its range (from the
+    /// first line that starts at or after `base` to the line holding its
+    /// last byte) and returns exactly the dirty ones.
     #[test]
     fn group_residency_tracks_sets_through_random_ops() {
-        let mut rng = cohfree_sim::Rng::new(77);
+        let mut rng = Rng::new(77);
         let mut c = Cache::new(CacheConfig {
             line_bytes: 64,
             sets: 16,
             ways: 2,
         });
-        for _ in 0..20_000 {
+        for step in 0..20_000 {
             match rng.below(100) {
                 0..=79 => {
                     let addr = rng.below(1 << 14);
@@ -802,34 +832,31 @@ mod tests {
                     c.install_dirty(rng.below(1 << 14));
                 }
                 90..=97 => {
-                    let base = rng.below(1 << 14) & !4095;
-                    let dirty = c.flush_range(base, 4096);
-                    for addr in dirty {
-                        assert!(addr >= base && addr < base + 4096);
-                    }
-                    for set_idx in 0..16u64 {
-                        for line in c.set(set_idx as usize) {
-                            let addr = (line.tag * 16 + set_idx) * 64;
-                            assert!(addr < base || addr >= base + 4096, "line survived flush");
-                        }
-                    }
+                    let base = rng.below(1 << 14);
+                    let len = match rng.below(3) {
+                        0 => 0,
+                        1 => 4096,
+                        _ => rng.below(3 * 4096),
+                    };
+                    let lines = base.div_ceil(64)..(base + len).div_ceil(64);
+                    let (gone, kept): (Vec<_>, Vec<_>) = resident(&c)
+                        .into_iter()
+                        .partition(|(li, _)| lines.contains(li));
+                    let dirty: Vec<u64> = gone.iter().filter(|l| l.1).map(|l| l.0 * 64).collect();
+                    assert_eq!(c.flush_range(base, len), dirty, "step {step}");
+                    assert_eq!(resident(&c), kept, "step {step}");
                 }
                 _ => {
                     c.flush_all();
                     assert_eq!(c.resident_lines(), 0);
                 }
             }
-            // Rebuild the residency counts from the sets and compare.
-            let mut expect: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-            for set_idx in 0..16 {
-                for line in c.set(set_idx) {
-                    let li = line.tag * 16 + set_idx as u64;
-                    *expect.entry(li >> GROUP_SHIFT).or_insert(0) += 1;
-                }
+            // Rebuild the residency masks from the sets and compare.
+            let mut expect: FastMap<u64, u64> = FastMap::default();
+            for (li, _) in resident(&c) {
+                *expect.entry(li >> GROUP_SHIFT).or_insert(0) |= 1 << (li % 64);
             }
-            let got: std::collections::HashMap<u64, u32> =
-                c.group_lines.iter().map(|(&k, &v)| (k, v)).collect();
-            assert_eq!(got, expect);
+            assert_eq!(c.group_lines, expect, "step {step}");
         }
     }
 

@@ -9,8 +9,9 @@
 //! * a page table mapping virtual page numbers to 48-bit physical addresses
 //!   (possibly prefixed) with per-page state,
 //! * a fully-associative LRU [`Tlb`] of configurable size: one contiguous
-//!   `Vec` of `(vpn, phys, stamp)` slots, scanned from the slot the last
-//!   hit or insert touched, evicting the smallest (unique) stamp,
+//!   `Vec` of slots with a vpn → slot index and an intrusive recency list,
+//!   so a lookup, insert or invalidation touches a constant number of
+//!   slots and an eviction takes the list's tail,
 //! * translation outcomes distinguishing TLB hits, walks, and faults, so the
 //!   owning backend can charge the right costs.
 
@@ -77,32 +78,40 @@ impl Default for TlbConfig {
     }
 }
 
-/// One resident translation.
+/// Link value that points at no slot.
+const NIL: usize = usize::MAX;
+
+/// One resident translation and its links in the recency list.
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
     vpn: u64,
     /// Physical page base.
     phys: u64,
-    /// LRU stamp: larger = more recently used. Every lookup hit and insert
-    /// takes a fresh clock value, so no two entries share a stamp.
-    stamp: u64,
+    /// Next more recently used slot, or `NIL` at the head.
+    newer: usize,
+    /// Next less recently used slot, or `NIL` at the tail.
+    older: usize,
 }
 
 /// Fully-associative LRU TLB.
 ///
 /// The entries sit in one contiguous `Vec` of at most `entries` slots, in no
-/// particular order. A lookup checks the slot the last hit or insert touched,
-/// then scans; an eviction takes the smallest stamp; `invalidate` swaps the
-/// last slot into the hole. Stamps are unique, so slot order never decides a
-/// victim.
+/// particular order, with a vpn → slot index beside it. The slots are also
+/// threaded on an intrusive recency list: the head is the slot the last hit
+/// or insert touched, and the tail is the least recently used one, the next
+/// victim. A lookup checks the head, then the index; a hit moves its slot to
+/// the head; `invalidate` unlinks its slot and moves the last slot into the
+/// hole. No operation visits more than a constant number of slots.
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
     slots: Vec<TlbEntry>,
-    /// Slot the last hit or insert touched. Only a hint: [`Tlb::find`]
-    /// checks its vpn, so no mutator has to keep it in step.
-    last: usize,
-    clock: u64,
+    /// vpn → slot of every resident translation.
+    index: FastMap<u64, usize>,
+    /// Most recently used slot, or `NIL` when empty.
+    head: usize,
+    /// Least recently used slot, or `NIL` when empty.
+    tail: usize,
     hits: u64,
     misses: u64,
 }
@@ -114,33 +123,53 @@ impl Tlb {
         Tlb {
             cfg,
             slots: Vec::with_capacity(cfg.entries),
-            last: 0,
-            clock: 0,
+            index: FastMap::default(),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Slot holding `vpn`, if resident: the last-touched slot first, then a
-    /// scan.
-    #[inline]
-    fn find(&self, vpn: u64) -> Option<usize> {
-        match self.slots.get(self.last) {
-            Some(e) if e.vpn == vpn => Some(self.last),
-            _ => self.slots.iter().position(|e| e.vpn == vpn),
+    /// Take slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let TlbEntry { newer, older, .. } = self.slots[i];
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o].newer = newer,
         }
     }
 
+    /// Link the unlinked slot `i` in as the most recently used.
+    fn push_head(&mut self, i: usize) {
+        self.slots[i].newer = NIL;
+        self.slots[i].older = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].newer = i,
+        }
+        self.head = i;
+    }
+
     /// Look up a virtual page number; LRU-refresh on hit.
+    #[inline]
     pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
-        self.clock += 1;
-        match self.find(vpn) {
-            Some(i) => {
-                let e = &mut self.slots[i];
-                e.stamp = self.clock;
-                self.last = i;
+        if let Some(e) = self.slots.get(self.head) {
+            if e.vpn == vpn {
                 self.hits += 1;
-                Some(e.phys)
+                return Some(e.phys);
+            }
+        }
+        match self.index.get(&vpn) {
+            Some(&i) => {
+                self.hits += 1;
+                self.unlink(i);
+                self.push_head(i);
+                Some(self.slots[i].phys)
             }
             None => {
                 self.misses += 1;
@@ -151,42 +180,66 @@ impl Tlb {
 
     /// Install a translation (evicting the LRU entry if full).
     pub fn insert(&mut self, vpn: u64, phys_page: u64) {
-        self.clock += 1;
-        let entry = TlbEntry {
-            vpn,
-            phys: phys_page,
-            stamp: self.clock,
-        };
-        let i = match self.find(vpn) {
-            Some(i) => i,
+        let i = match self.index.get(&vpn) {
+            Some(&i) => {
+                self.unlink(i);
+                i
+            }
             None if self.slots.len() < self.cfg.entries => {
-                self.slots.push(entry);
+                self.slots.push(TlbEntry {
+                    vpn,
+                    phys: phys_page,
+                    newer: NIL,
+                    older: NIL,
+                });
+                self.index.insert(vpn, self.slots.len() - 1);
                 self.slots.len() - 1
             }
             None => {
-                let (lru, _) = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .expect("a full TLB has entries");
+                let lru = self.tail;
+                self.unlink(lru);
+                self.index.remove(&self.slots[lru].vpn);
+                self.index.insert(vpn, lru);
+                self.slots[lru].vpn = vpn;
                 lru
             }
         };
-        self.slots[i] = entry;
-        self.last = i;
+        self.slots[i].phys = phys_page;
+        self.push_head(i);
     }
 
     /// Drop a translation (on unmap / swap-out).
     pub fn invalidate(&mut self, vpn: u64) {
-        if let Some(i) = self.find(vpn) {
-            self.slots.swap_remove(i);
+        let Some(i) = self.index.remove(&vpn) else {
+            return;
+        };
+        self.unlink(i);
+        self.slots.swap_remove(i);
+        // The last slot moved into the hole: point its neighbours and its
+        // index entry at its new place.
+        let Some(&moved) = self.slots.get(i) else {
+            return;
+        };
+        match moved.newer {
+            NIL => self.head = i,
+            n => self.slots[n].older = i,
         }
+        match moved.older {
+            NIL => self.tail = i,
+            o => self.slots[o].newer = i,
+        }
+        *self
+            .index
+            .get_mut(&moved.vpn)
+            .expect("a resident slot is indexed") = i;
     }
 
     /// Drop everything (context switch / global shootdown).
     pub fn flush(&mut self) {
         self.slots.clear();
+        self.index.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Hits so far.
@@ -270,6 +323,7 @@ impl PageTable {
     }
 
     /// Translate a virtual address.
+    #[inline]
     pub fn translate(&mut self, va: u64) -> Translation {
         let vpn = Self::vpn(va);
         let off = va % PAGE_BYTES;
@@ -405,18 +459,59 @@ mod tests {
         }
     }
 
-    /// The array TLB matches the `FastMap` oracle on every return value and
-    /// counter at sizes 1, 2, 8 and 64. The stream mixes same-page bursts
-    /// (the last-slot check), neighbours and random jumps over four times
-    /// the TLB's reach, translates like [`PageTable::translate`] (insert on
-    /// miss), and interleaves remapping inserts, invalidations and flushes.
+    /// Resident `(vpn, phys)` pairs from most to least recently used, read
+    /// by walking the recency list; checks the links and the index on the
+    /// way.
+    fn recency(tlb: &Tlb) -> Vec<(u64, u64)> {
+        let mut order = Vec::new();
+        let (mut i, mut newer) = (tlb.head, NIL);
+        while i != NIL {
+            let e = tlb.slots[i];
+            assert_eq!(e.newer, newer, "back link of slot {i}");
+            assert_eq!(tlb.index.get(&e.vpn), Some(&i), "index of vpn {}", e.vpn);
+            order.push((e.vpn, e.phys));
+            (newer, i) = (i, e.older);
+        }
+        assert_eq!(tlb.tail, newer, "tail");
+        assert_eq!(order.len(), tlb.slots.len(), "every slot is on the list");
+        assert_eq!(tlb.index.len(), tlb.slots.len(), "every slot is indexed");
+        order
+    }
+
+    /// The oracle's entries in the same order: descending stamp.
+    fn oracle_recency(o: &OracleTlb) -> Vec<(u64, u64)> {
+        let mut by_stamp: Vec<_> = o.map.iter().map(|(&v, &(p, s))| (s, v, p)).collect();
+        by_stamp.sort_unstable_by(|a, b| b.cmp(a));
+        by_stamp.into_iter().map(|(_, v, p)| (v, p)).collect()
+    }
+
+    /// The indexed TLB matches the `FastMap` oracle on every return value,
+    /// every counter and its whole recency order (unique stamps order
+    /// entries exactly as a recency list does), at sizes 1, 2, 3, 8 and 64.
+    ///
+    /// Phase 1 mixes same-page bursts (the head check), neighbours and
+    /// random jumps over four times the TLB's reach, translates like
+    /// [`PageTable::translate`] (insert on miss), and interleaves remapping
+    /// inserts, invalidations and flushes. Phase 2 is shaped like swap: a
+    /// resident set larger than the TLB over a footprint larger still. A
+    /// touch of a non-resident page evicts a resident one, invalidating it
+    /// (`mark_swapped`) and the new page (`map`), so translations leave from
+    /// anywhere in the list, holes are filled, and invalidated pages come
+    /// back later through the tail eviction.
     #[test]
     fn tlb_matches_fastmap_oracle() {
-        for entries in [1usize, 2, 8, 64] {
+        for entries in [1usize, 2, 3, 8, 64] {
             for seed in 0..6u64 {
                 let mut rng = Rng::new(0x71B0 + seed);
                 let cfg = TlbConfig { entries };
                 let (mut tlb, mut oracle) = (Tlb::new(cfg), OracleTlb::new(cfg));
+                let check = |tlb: &Tlb, oracle: &OracleTlb, ctx: &dyn Fn() -> String| {
+                    assert_eq!(tlb.hits(), oracle.hits(), "{}", ctx());
+                    assert_eq!(tlb.misses(), oracle.misses(), "{}", ctx());
+                    assert_eq!(tlb.len(), oracle.len(), "{}", ctx());
+                    assert_eq!(tlb.is_empty(), oracle.is_empty(), "{}", ctx());
+                    assert_eq!(recency(tlb), oracle_recency(oracle), "{}", ctx());
+                };
                 let span = 4 * entries as u64 + 3;
                 let mut vpn = 0;
                 for step in 0..20_000 {
@@ -458,11 +553,38 @@ mod tests {
                             oracle.flush();
                         }
                     }
-                    let ctx = || format!("{entries}/{seed} step {step}");
-                    assert_eq!(tlb.hits(), oracle.hits(), "{}", ctx());
-                    assert_eq!(tlb.misses(), oracle.misses(), "{}", ctx());
-                    assert_eq!(tlb.len(), oracle.len(), "{}", ctx());
-                    assert_eq!(tlb.is_empty(), oracle.is_empty(), "{}", ctx());
+                    check(&tlb, &oracle, &|| format!("{entries}/{seed} step {step}"));
+                }
+
+                // Phase 2: swap-shaped churn on fresh TLBs.
+                let (mut tlb, mut oracle) = (Tlb::new(cfg), OracleTlb::new(cfg));
+                let footprint = 6 * entries as u64 + 5;
+                let mut resident: Vec<u64> = Vec::new();
+                let capacity = 2 * entries + 1;
+                let mut vpn = 0;
+                for step in 0..10_000 {
+                    let ctx = || format!("{entries}/{seed} swap step {step}");
+                    if rng.chance(0.3) {
+                        vpn = rng.below(footprint);
+                    }
+                    let got = tlb.lookup(vpn);
+                    assert_eq!(got, oracle.lookup(vpn), "{}", ctx());
+                    if got.is_none() {
+                        if !resident.contains(&vpn) {
+                            if resident.len() == capacity {
+                                let victim =
+                                    resident.swap_remove(rng.below(capacity as u64) as usize);
+                                tlb.invalidate(victim);
+                                oracle.invalidate(victim);
+                            }
+                            resident.push(vpn);
+                            tlb.invalidate(vpn);
+                            oracle.invalidate(vpn);
+                        }
+                        tlb.insert(vpn, vpn * PAGE_BYTES);
+                        oracle.insert(vpn, vpn * PAGE_BYTES);
+                    }
+                    check(&tlb, &oracle, &ctx);
                 }
             }
         }

@@ -108,57 +108,75 @@ impl PageCache {
             Some((last, i)) if last == vpage => Some(i),
             _ => self.map.get(&vpage).copied(),
         };
-        if let Some(i) = hit {
-            let s = &mut self.slots[i];
-            s.referenced = true;
-            s.dirty |= write;
-            self.stats.hits += 1;
-            self.last = Some((vpage, i));
-            return Touch::Hit;
-        }
-        self.stats.major_faults += 1;
-        let evicted = if self.slots.len() < self.capacity {
-            self.slots.push(Slot {
-                vpage,
-                referenced: true,
-                dirty: write,
-            });
-            self.map.insert(vpage, self.slots.len() - 1);
-            self.last = Some((vpage, self.slots.len() - 1));
-            None
-        } else {
-            // CLOCK: advance the hand, clearing reference bits, until an
-            // unreferenced victim is found.
-            let victim_idx = loop {
-                let s = &mut self.slots[self.hand];
-                if s.referenced {
-                    s.referenced = false;
-                    self.hand = (self.hand + 1) % self.capacity;
-                } else {
-                    break self.hand;
-                }
-            };
-            let victim = self.slots[victim_idx];
-            self.map.remove(&victim.vpage);
-            self.slots[victim_idx] = Slot {
-                vpage,
-                referenced: true,
-                dirty: write,
-            };
-            self.map.insert(vpage, victim_idx);
-            self.last = Some((vpage, victim_idx));
-            self.hand = (victim_idx + 1) % self.capacity;
-            if victim.dirty {
-                self.stats.writebacks += 1;
-            } else {
-                self.stats.clean_evictions += 1;
+        match hit {
+            Some(i) => {
+                self.touch_slot(i, vpage, write);
+                Touch::Hit
             }
-            Some(Evicted {
-                vpage: victim.vpage,
-                dirty: victim.dirty,
-            })
+            None => Touch::Miss {
+                evicted: self.admit(vpage, write).1,
+            },
+        }
+    }
+
+    /// Touch the resident `vpage` through the slot it occupies (see
+    /// [`PageCache::admit`]), skipping the lookup: the same state change
+    /// and accounting as a [`Touch::Hit`].
+    pub fn touch_slot(&mut self, slot: usize, vpage: u64, write: bool) {
+        let s = &mut self.slots[slot];
+        debug_assert_eq!(s.vpage, vpage, "page-cache slot {slot} holds another page");
+        s.referenced = true;
+        s.dirty |= write;
+        self.stats.hits += 1;
+        self.last = Some((vpage, slot));
+    }
+
+    /// Make the non-resident `vpage` resident (a major fault). Returns the
+    /// slot it now occupies and the page it displaced, if the cache was
+    /// full. Slots are handed out in order from 0 while the cache fills;
+    /// after that a page takes its victim's slot, and keeps its slot until
+    /// it is evicted.
+    pub fn admit(&mut self, vpage: u64, write: bool) -> (usize, Option<Evicted>) {
+        debug_assert!(!self.contains(vpage), "admitting a resident page");
+        self.stats.major_faults += 1;
+        let page = Slot {
+            vpage,
+            referenced: true,
+            dirty: write,
         };
-        Touch::Miss { evicted }
+        if self.slots.len() < self.capacity {
+            self.slots.push(page);
+            let i = self.slots.len() - 1;
+            self.map.insert(vpage, i);
+            self.last = Some((vpage, i));
+            return (i, None);
+        }
+        // CLOCK: advance the hand, clearing reference bits, until an
+        // unreferenced victim is found.
+        let victim_idx = loop {
+            let s = &mut self.slots[self.hand];
+            if s.referenced {
+                s.referenced = false;
+                self.hand = (self.hand + 1) % self.capacity;
+            } else {
+                break self.hand;
+            }
+        };
+        let victim = std::mem::replace(&mut self.slots[victim_idx], page);
+        self.map.remove(&victim.vpage);
+        self.map.insert(vpage, victim_idx);
+        self.last = Some((vpage, victim_idx));
+        self.hand = (victim_idx + 1) % self.capacity;
+        if victim.dirty {
+            self.stats.writebacks += 1;
+        } else {
+            self.stats.clean_evictions += 1;
+        }
+        let evicted = Evicted {
+            vpage: victim.vpage,
+            dirty: victim.dirty,
+        };
+        (victim_idx, Some(evicted))
     }
 
     /// Write back every dirty page (e.g. at program exit); returns the
@@ -276,7 +294,10 @@ mod tests {
 
     /// Random streams of same-page bursts and jumps, interleaved with
     /// `flush_dirty`, give the same outcomes, victims and counters as the
-    /// memo-free reference.
+    /// memo-free reference. Half the touches go through the slot API the
+    /// swap backend uses: `touch_slot` at the reference's slot of a resident
+    /// page, `admit` for the rest, whose returned slot must be where the
+    /// reference put the page.
     #[test]
     fn page_cache_matches_memo_free_reference() {
         for capacity in [1usize, 2, 3, 8] {
@@ -304,8 +325,23 @@ mod tests {
                         vpage = rng.below(span);
                     }
                     let write = rng.chance(0.3);
-                    let got = c.touch(vpage, write);
-                    assert_eq!(got, r.touch(vpage, write), "{capacity}/{seed} step {step}");
+                    let ctx = || format!("{capacity}/{seed} step {step}");
+                    let resident = r.slots.iter().position(|s| s.0 == vpage);
+                    let (got, admitted) = match (rng.chance(0.5), resident) {
+                        (false, _) => (c.touch(vpage, write), None),
+                        (true, Some(i)) => {
+                            c.touch_slot(i, vpage, write);
+                            (Touch::Hit, None)
+                        }
+                        (true, None) => {
+                            let (slot, evicted) = c.admit(vpage, write);
+                            (Touch::Miss { evicted }, Some(slot))
+                        }
+                    };
+                    assert_eq!(got, r.touch(vpage, write), "{}", ctx());
+                    if let Some(slot) = admitted {
+                        assert_eq!(r.slots[slot].0, vpage, "{}", ctx());
+                    }
                     match got {
                         Touch::Hit => hits += 1,
                         Touch::Miss { .. } => faults += 1,
