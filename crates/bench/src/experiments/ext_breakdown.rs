@@ -26,7 +26,7 @@ use crate::table::Table;
 use crate::Scale;
 use cohfree_core::backend::{LocalMachine, MemSpace, SwapConfig, SwapSpace, SwapTransport};
 use cohfree_core::world::{ThreadSpec, World};
-use cohfree_core::{MsgKind, Phase, Rng, SimDuration, SimTime, TraceConfig};
+use cohfree_core::{MsgKind, Phase, Rng, SimDuration, SimTime, TraceMode};
 
 /// Phases reported as share columns, in table order.
 pub const SHARE_PHASES: [Phase; 9] = [
@@ -95,7 +95,7 @@ fn fig6_like(scale: Scale, hops: u32) -> (Row, World) {
     let accesses = scale.pick(200u64, 2_000, 20_000);
     let client = super::n(1);
     let mut cfg = super::cluster();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = TraceMode::Full;
     let mut w = World::new(cfg);
     let server = *w
         .config()
@@ -128,7 +128,7 @@ fn fig7_like(scale: Scale, threads: u64) -> (Row, World) {
     let client = super::n(6); // interior node
     let mut cfg = super::cluster();
     cfg.rmc.request_slots = 1;
-    cfg.trace = TraceConfig::full();
+    cfg.trace = TraceMode::Full;
     let mut w = World::new(cfg);
     let server = *w
         .config()
@@ -171,7 +171,7 @@ fn swap_like(scale: Scale) -> Row {
     let pages = scale.pick(32u64, 128, 512);
     let sweeps = scale.pick(2u32, 4, 8);
     let mut cfg = super::cluster();
-    cfg.trace = TraceConfig::aggregate();
+    cfg.trace = TraceMode::Aggregate;
     let mut m = SwapSpace::remote(
         cfg,
         super::n(1),
@@ -372,8 +372,8 @@ mod tests {
             (local, rows)
         };
         assert_eq!(
-            rows(TraceConfig::default()),
-            rows(TraceConfig::aggregate()),
+            rows(TraceMode::Off),
+            rows(TraceMode::Aggregate),
             "tracing must not perturb the simulation"
         );
     }

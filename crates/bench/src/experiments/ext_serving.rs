@@ -22,7 +22,7 @@
 use crate::table::Table;
 use crate::Scale;
 use cohfree_core::{
-    envknob, FaultEvent, FaultPlan, ManagerConfig, SimDuration, SimTime, TraceConfig, World,
+    envknob, FaultEvent, FaultPlan, ManagerConfig, SimDuration, SimTime, TraceMode, World,
 };
 use cohfree_sim::stats::LatencyHistogram;
 use cohfree_workloads::serving::{
@@ -151,7 +151,7 @@ fn run_one(scale: Scale, crash: bool, record: bool) -> Vec<Row> {
     let mut cfg = super::cluster();
     // Aggregate tracing feeds the SLO phase histograms; the manager is
     // live in both cells so the comparison isolates the fault itself.
-    cfg.trace = TraceConfig::aggregate();
+    cfg.trace = TraceMode::Aggregate;
     cfg.manager = ManagerConfig::enabled();
     if crash {
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {

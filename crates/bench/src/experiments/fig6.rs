@@ -8,7 +8,7 @@
 use crate::table::Table;
 use crate::Scale;
 use cohfree_core::world::World;
-use cohfree_core::{MsgKind, Rng, TraceConfig};
+use cohfree_core::{MsgKind, Rng, TraceMode};
 
 /// One measured distance.
 #[derive(Debug, Clone, Copy)]
@@ -25,14 +25,14 @@ pub struct Row {
 
 /// Run the sweep. Returns `(local reference ns, per-distance rows)`.
 pub fn run(scale: Scale) -> (f64, Vec<Row>) {
-    run_traced(scale, TraceConfig::default(), true)
+    run_traced(scale, TraceMode::Off, true)
 }
 
-/// Run the sweep with an explicit trace configuration. `record` controls
+/// Run the sweep with an explicit trace mode. `record` controls
 /// whether per-hop snapshots land in the report collector (the
 /// Aggregate-tracing test in `ext_breakdown` re-runs the figure and must
 /// not duplicate them).
-pub fn run_traced(scale: Scale, trace: TraceConfig, record: bool) -> (f64, Vec<Row>) {
+pub fn run_traced(scale: Scale, trace: TraceMode, record: bool) -> (f64, Vec<Row>) {
     let accesses = scale.pick(50u64, 2_000, 20_000);
     let client = super::n(1);
     // Each distance is an independent world with its own derived seed, so

@@ -229,7 +229,7 @@ impl Zones {
         assert!(
             servers.as_ref().is_none_or(|s| !s.is_empty()),
             "`servers` is an empty list: name at least one memory server, \
-             or pass `None` to let the donor policy choose"
+             or pass `None` to let the directory choose the nearest donor"
         );
         Zones {
             node,

@@ -50,8 +50,8 @@ pub struct RemoteOptions {
     /// Frames per reservation zone (amortizes the software cost).
     pub zone_frames: u64,
     /// Explicit memory-server list (round-robin); `None` lets the
-    /// directory's donor policy decide. An empty list is rejected at
-    /// construction.
+    /// directory pick the nearest donor with room. An empty list is
+    /// rejected at construction.
     pub servers: Option<Vec<NodeId>>,
 }
 

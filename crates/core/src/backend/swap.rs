@@ -67,8 +67,8 @@ pub struct SwapConfig {
     /// Pages the local memory can hold (the resident-set bound).
     pub cache_pages: usize,
     /// Explicit backing servers for fabric-transport remote swap
-    /// (round-robin); `None` lets the donor policy pick. An empty list is
-    /// rejected when a fabric-transport swap space is built.
+    /// (round-robin); `None` lets the directory pick the nearest donor. An
+    /// empty list is rejected when a fabric-transport swap space is built.
     pub servers: Option<Vec<NodeId>>,
     /// Frames per backing-zone reservation (fabric transport).
     pub zone_frames: u64,

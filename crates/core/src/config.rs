@@ -3,16 +3,19 @@
 //! One [`ClusterConfig`] value describes every hardware and OS parameter of
 //! a simulated cluster. [`ClusterConfig::prototype`] is calibrated to the
 //! 16-node CLUSTER 2010 machine (FPGA RMCs, DDR2-800, 4×4 mesh); the
-//! ablation benches derive variants from it.
+//! ablation benches derive variants from it. Policies every experiment runs
+//! one way are not settable here: reservations and recovery fall back to
+//! the directory's nearest donor with room, and the span ring holds
+//! [`DEFAULT_TRACE_CAPACITY`](cohfree_sim::span::DEFAULT_TRACE_CAPACITY)
+//! spans.
 
 use crate::fault::{FaultPlan, RecoveryConfig};
 use cohfree_fabric::{FabricConfig, Topology};
 use cohfree_mem::{CacheConfig, DramConfig};
-use cohfree_os::directory::DonorPolicy;
 use cohfree_os::manager::ManagerConfig;
 use cohfree_os::pagetable::TlbConfig;
 use cohfree_rmc::RmcConfig;
-use cohfree_sim::span::{TraceMode, DEFAULT_TRACE_CAPACITY};
+use cohfree_sim::span::TraceMode;
 use cohfree_sim::SimDuration;
 
 /// Software-path timing (everything the OS charges that hardware does not).
@@ -48,48 +51,6 @@ impl Default for OsTiming {
     }
 }
 
-/// Transaction-tracing configuration (see `cohfree_sim::span`).
-///
-/// `Off` costs nothing on the access path; `Aggregate` keeps per-phase
-/// latency histograms that fold into `World::snapshot()`; `Full`
-/// additionally retains the complete span stream (bounded by `capacity`)
-/// for Chrome-trace export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Tracing level (default: `Off`).
-    pub mode: TraceMode,
-    /// Span-ring capacity in spans (Full mode); oldest spans are evicted
-    /// and counted once exceeded.
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            mode: TraceMode::Off,
-            capacity: DEFAULT_TRACE_CAPACITY,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Aggregate-mode preset (cheap per-phase histograms only).
-    pub fn aggregate() -> TraceConfig {
-        TraceConfig {
-            mode: TraceMode::Aggregate,
-            ..TraceConfig::default()
-        }
-    }
-
-    /// Full-mode preset (complete span stream, default ring bound).
-    pub fn full() -> TraceConfig {
-        TraceConfig {
-            mode: TraceMode::Full,
-            ..TraceConfig::default()
-        }
-    }
-}
-
 /// Full description of a simulated cluster.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
@@ -112,8 +73,6 @@ pub struct ClusterConfig {
     pub private_bytes: u64,
     /// Bytes each node contributes to the shared pool.
     pub pool_bytes: u64,
-    /// Donor selection policy for reservations.
-    pub donor_policy: DonorPolicy,
     /// Software timing.
     pub os: OsTiming,
     /// Deterministic fault-injection schedule (empty by default).
@@ -124,8 +83,10 @@ pub struct ClusterConfig {
     /// enabled the world runs periodic manager ticks that drive load-aware
     /// evacuation, proactive migration, and admission control).
     pub manager: ManagerConfig,
-    /// Per-transaction span tracing (off by default).
-    pub trace: TraceConfig,
+    /// Per-transaction span tracing (off by default). `Aggregate` keeps
+    /// per-phase latency histograms that fold into `World::snapshot()`;
+    /// `Full` also retains the span stream for Chrome-trace export.
+    pub trace: TraceMode,
     /// Base PRNG seed (placement, workload streams fork from it).
     pub seed: u64,
 }
@@ -145,12 +106,11 @@ impl ClusterConfig {
             tlb: TlbConfig::default(),
             private_bytes: 8 << 30,
             pool_bytes: 8 << 30,
-            donor_policy: DonorPolicy::Nearest,
             os: OsTiming::default(),
             faults: FaultPlan::default(),
             recovery: RecoveryConfig::default(),
             manager: ManagerConfig::default(),
-            trace: TraceConfig::default(),
+            trace: TraceMode::Off,
             seed: 0xC0DE_2010,
         }
     }

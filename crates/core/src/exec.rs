@@ -43,6 +43,7 @@
 use crate::config::ClusterConfig;
 use crate::world::{CohState, Ev, Owner, PendingTx, Resolution, World};
 use cohfree_fabric::{Fabric, Message, MsgKind, NodeId, Step};
+use cohfree_os::manager::TICK;
 use cohfree_rmc::{Completion, Submit};
 use cohfree_sim::span::Phase;
 use cohfree_sim::{SimDuration, SimTime};
@@ -588,7 +589,7 @@ impl World {
                 self.resolve(now, id, Resolution::Shed);
                 return;
             }
-            let wake = now + self.cfg.manager.tick.max(SimDuration::ns(1));
+            let wake = now + TICK;
             let th = &mut self.threads[id];
             th.pending = Some((dst, kind, addr));
             th.pending_since = Some(first_offer);

@@ -5,10 +5,12 @@
 //! coherent SMP never had. This module declares *what goes wrong and when*
 //! ([`FaultPlan`], a deterministic schedule carried by
 //! [`crate::ClusterConfig`]) and *how the cluster responds*
-//! ([`RecoveryConfig`]: retry budget, backoff, evacuation policy). The
+//! ([`RecoveryConfig`]: retry budget, backoff and its jitter). The
 //! [`crate::World`] event loop injects the events and drives detection and
-//! recovery; every action lands in the fault log
-//! ([`cohfree_sim::FaultLog`]) inside cluster snapshots.
+//! recovery: a zone whose donor is declared dead is re-homed on another
+//! donor with room (the recovery manager's load-aware pick when it runs,
+//! else the nearest), or dropped when none has room. Every action lands in
+//! the fault log ([`cohfree_sim::FaultLog`]) inside cluster snapshots.
 
 use cohfree_fabric::NodeId;
 use cohfree_sim::{SimDuration, SimTime};
@@ -148,19 +150,6 @@ impl FaultPlan {
     }
 }
 
-/// What to do with a zone whose donor has been declared dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvacuationPolicy {
-    /// Re-home the zone: directory-assisted re-reservation on another donor
-    /// with capacity, page-table (zone base) rewrite, and the interrupted
-    /// accesses re-issued against the new home. Falls back to [`Self::Fail`]
-    /// behaviour when no donor can take the zone.
-    Rehome,
-    /// Drop the zone; accesses to it are recorded as failed. The process
-    /// would degrade to local swap for those pages.
-    Fail,
-}
-
 /// Failure-detection and recovery parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryConfig {
@@ -172,12 +161,6 @@ pub struct RecoveryConfig {
     /// Exponential-backoff cap: the k-th retry waits
     /// `timeout * 2^min(k, backoff_cap)`.
     pub backoff_cap: u32,
-    /// Policy for zones homed at a dead donor.
-    pub evacuation: EvacuationPolicy,
-    /// When re-homing, also charge time to re-fetch the zone's pages from
-    /// the local swap/backup copy (the data survives). When `false` the
-    /// data is declared lost and only the mapping moves.
-    pub refetch: bool,
     /// Deterministic jitter fraction on retry backoff: the k-th retry of a
     /// transaction waits its exponential delay plus up to `retry_jitter`
     /// of that delay, the fraction drawn from a hash of the cluster seed,
@@ -193,8 +176,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             max_retries: 16,
             backoff_cap: 4,
-            evacuation: EvacuationPolicy::Rehome,
-            refetch: false,
             retry_jitter: 0.25,
         }
     }

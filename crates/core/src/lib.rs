@@ -54,9 +54,9 @@ pub mod trace;
 pub mod world;
 
 pub use backend::{AllocPolicy, LocalMachine, MemSpace, RemoteMemorySpace, SwapSpace};
-pub use config::{ClusterConfig, OsTiming, TraceConfig};
+pub use config::{ClusterConfig, OsTiming};
 pub use envknob::EnvKnobError;
-pub use fault::{EvacuationPolicy, FaultEvent, FaultPlan, RecoveryConfig, MAX_FAULT_EVENTS};
+pub use fault::{FaultEvent, FaultPlan, RecoveryConfig, MAX_FAULT_EVENTS};
 pub use world::{
     AccessOutcome, AccessPattern, ClusterSnapshot, Sample, ThreadSpec, World, WorldConfigError,
 };

@@ -28,17 +28,17 @@
 
 use crate::config::ClusterConfig;
 use crate::exec::{self, Cursor};
-use crate::fault::{EvacuationPolicy, FaultEvent};
+use crate::fault::FaultEvent;
 use cohfree_fabric::{Fabric, Message, MsgKind, NodeId};
 use cohfree_mem::NodeMemory;
 use cohfree_os::directory::Directory;
 use cohfree_os::frames::FrameAllocator;
-use cohfree_os::manager::{ManagerAction, NodeObservation, RecoveryManager};
+use cohfree_os::manager::{ManagerAction, NodeObservation, RecoveryManager, TICK};
 use cohfree_os::region::{Region, Reservation, Segment};
 use cohfree_rmc::addr::{encode, strip_prefix};
 use cohfree_rmc::{RmcClient, RmcServer, Submit};
 use cohfree_sim::rng::Zipf;
-use cohfree_sim::span::{Phase, TraceSink};
+use cohfree_sim::span::{Phase, TraceSink, DEFAULT_TRACE_CAPACITY};
 use cohfree_sim::stats::LatencyHistogram;
 use cohfree_sim::{EventQueue, FastMap, FaultLog, Json, Rng, SimDuration, SimTime};
 use std::fmt;
@@ -462,7 +462,7 @@ pub struct World {
     /// Per owner node: `(old_base, new_base, frames)` of evacuated zones,
     /// so interrupted and not-yet-issued accesses can be re-aimed.
     pub(crate) evac_remaps: Vec<Vec<(u64, u64, u64)>>,
-    /// Per-transaction span tracer (mode per [`crate::TraceConfig`]).
+    /// Per-transaction span tracer (mode per [`ClusterConfig::trace`]).
     pub(crate) trace: TraceSink,
     /// Sequence number for global keys ([`World::sched`] outside lane
     /// events).
@@ -537,7 +537,7 @@ impl World {
         let mut world = World {
             fabric: Fabric::new(cfg.topology, cfg.fabric),
             nodes,
-            directory: Directory::new(cfg.topology, cfg.pool_frames_per_node(), cfg.donor_policy),
+            directory: Directory::new(cfg.topology, cfg.pool_frames_per_node()),
             threads: Vec::new(),
             pending: FastMap::default(),
             sync: None,
@@ -554,7 +554,7 @@ impl World {
             lost_frames: vec![0; n as usize],
             evacuations: 0,
             evac_remaps: vec![Vec::new(); n as usize],
-            trace: TraceSink::new(cfg.trace.mode, cfg.trace.capacity),
+            trace: TraceSink::new(cfg.trace, DEFAULT_TRACE_CAPACITY),
             queue: EventQueue::new(),
             gseq: 0,
             cur: Cursor::default(),
@@ -566,8 +566,7 @@ impl World {
             world.sched(ev.at(), Ev::Fault(ev));
         }
         if world.manager.is_some() {
-            let tick = world.cfg.manager.tick;
-            world.sched(SimTime::ZERO + tick, Ev::Manager);
+            world.sched(SimTime::ZERO + TICK, Ev::Manager);
         }
         world
     }
@@ -668,7 +667,8 @@ impl World {
         &self.directory
     }
 
-    /// Mutable directory access (experiments pin donor orders through it).
+    /// Mutable directory access (experiments drain donors' free frames
+    /// through it).
     pub fn directory_mut(&mut self) -> &mut Directory {
         &mut self.directory
     }
@@ -876,10 +876,9 @@ impl World {
 
     /// Re-home every zone of `owner`'s region whose home is `dead`
     /// (directory-assisted re-reservation on a donor with capacity and a
-    /// zone-base rewrite), or drop it when no donor can take it / policy is
-    /// [`EvacuationPolicy::Fail`]. The owner's threads keep running: their
-    /// zone tables are rewritten and interrupted accesses re-aimed through
-    /// the recorded remap.
+    /// zone-base rewrite), or drop it when no donor can take it. The
+    /// owner's threads keep running: their zone tables are rewritten and
+    /// interrupted accesses re-aimed through the recorded remap.
     fn evacuate(&mut self, now: SimTime, owner: NodeId, dead: NodeId) {
         let doomed: Vec<Segment> = self.nodes[owner.index()]
             .region
@@ -894,13 +893,9 @@ impl World {
                 .region
                 .shrink(seg.base)
                 .expect("doomed segment exists");
-            let new_donor = match self.cfg.recovery.evacuation {
-                EvacuationPolicy::Rehome => {
-                    self.recovery_donor(now, owner, seg.frames, dead, self.manager.as_ref())
-                }
-                EvacuationPolicy::Fail => None,
-            };
-            let Some(new_donor) = new_donor else {
+            let Some(new_donor) =
+                self.recovery_donor(now, owner, seg.frames, dead, self.manager.as_ref())
+            else {
                 self.fault_log.record(
                     now,
                     "evacuation_failed",
@@ -960,8 +955,8 @@ impl World {
     /// `asker`, never `avoid`. With a recovery manager `mgr` this is
     /// load-aware (most free frames, lowest pressure, excluding dead /
     /// isolated / suspected / shed nodes); otherwise — or when the manager
-    /// has no viable candidate — it falls back to the static directory
-    /// policy.
+    /// has no viable candidate — it falls back to the directory's nearest
+    /// donor with room.
     fn recovery_donor(
         &self,
         now: SimTime,
@@ -1019,7 +1014,6 @@ impl World {
             return;
         };
         let obs = self.observe(now);
-        let tick = self.cfg.manager.tick;
         for action in mgr.tick(&obs) {
             match action {
                 ManagerAction::Shed { target } => {
@@ -1027,7 +1021,7 @@ impl World {
                         nc.client.set_shed(target);
                     }
                     self.trace
-                        .standalone(Phase::Shed, target.get(), now, now + tick);
+                        .standalone(Phase::Shed, target.get(), now, now + TICK);
                     self.fault_log.record(
                         now,
                         "shed",
@@ -1049,7 +1043,7 @@ impl World {
         }
         self.manager = Some(mgr);
         if self.threads.iter().any(|t| t.finished.is_none()) || !self.pending.is_empty() {
-            self.sched(now + tick, Ev::Manager);
+            self.sched(now + TICK, Ev::Manager);
         }
     }
 
@@ -1118,8 +1112,8 @@ impl World {
 
     /// Thread `id`'s in-flight access `msg` was aborted because its home
     /// died. If the zone was evacuated, re-aim the access at the new home
-    /// (charging the re-reservation — and optionally re-fetch — latency);
-    /// otherwise record it as failed.
+    /// (charging the re-reservation latency); otherwise record it as
+    /// failed.
     fn thread_abort(&mut self, now: SimTime, id: usize, msg: Message) {
         let node = self.threads[id].spec.node;
         let Some((dst, addr)) = self.remap(node, msg.addr) else {
@@ -1129,11 +1123,7 @@ impl World {
         let th = &mut self.threads[id];
         th.pending = Some((dst, msg.kind, addr));
         th.evacuated_retries += 1;
-        let mut delay = self.cfg.os.reservation;
-        if self.cfg.recovery.refetch {
-            delay += self.cfg.os.fault_overhead;
-        }
-        self.sched(now + delay, Ev::ThreadWake { id });
+        self.sched(now + self.cfg.os.reservation, Ev::ThreadWake { id });
     }
 
     /// Apply one scheduled fault (or repair) to the cluster.
@@ -1604,7 +1594,7 @@ impl World {
     }
 
     /// The per-transaction span tracer (inert unless
-    /// [`crate::TraceConfig`] enables it).
+    /// [`ClusterConfig::trace`] enables it).
     pub fn trace(&self) -> &TraceSink {
         &self.trace
     }

@@ -12,7 +12,7 @@
 
 use cohfree_core::world::{ThreadSpec, World};
 use cohfree_core::{
-    ClusterConfig, FaultEvent, FaultPlan, NodeId, SimDuration, SimTime, Topology, TraceConfig,
+    ClusterConfig, FaultEvent, FaultPlan, NodeId, SimDuration, SimTime, Topology, TraceMode,
 };
 use cohfree_sim::Rng;
 
@@ -140,7 +140,7 @@ fn assert_world(cfg: ClusterConfig, specs: &[Spec], sample: bool, label: &str, p
 #[test]
 fn fig6_like_world_matches_golden() {
     let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = TraceMode::Full;
     let mut rng = Rng::new(0xF166);
     let specs = arb_specs(&mut rng, 16, 200);
     assert_world(cfg, &specs, true, "fig6-like", GOLDEN_FIG6_LIKE);
@@ -152,7 +152,7 @@ fn fig6_like_world_matches_golden() {
 #[test]
 fn failover_world_matches_golden() {
     let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = TraceMode::Full;
     cfg.fabric.loss_rate = 1e-3;
     cfg.recovery.max_retries = 4;
     cfg.faults = FaultPlan::new()
@@ -207,9 +207,9 @@ fn randomized_worlds_match_golden() {
             cfg.recovery.max_retries = rng.range(2, 8) as u32;
         }
         cfg.trace = if rng.chance(0.5) {
-            TraceConfig::full()
+            TraceMode::Full
         } else {
-            TraceConfig::aggregate()
+            TraceMode::Aggregate
         };
         if rng.chance(0.5) {
             cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
@@ -235,7 +235,7 @@ fn randomized_worlds_match_golden() {
 fn fault_churn_world_matches_golden() {
     let t = |us| SimTime::ZERO + SimDuration::us(us);
     let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = TraceMode::Full;
     cfg.fabric.loss_rate = 2e-3;
     cfg.recovery.max_retries = 4;
     cfg.faults = FaultPlan::new()
@@ -277,7 +277,7 @@ fn fault_churn_world_matches_golden() {
 fn manager_enabled_fault_churn_world_matches_golden() {
     let t = |us| SimTime::ZERO + SimDuration::us(us);
     let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = TraceMode::Full;
     cfg.manager = cohfree_core::ManagerConfig::enabled();
     cfg.fabric.loss_rate = 1e-3;
     cfg.recovery.max_retries = 6;
@@ -316,21 +316,21 @@ fn manager_enabled_fault_churn_world_matches_golden() {
 fn fully_connected_world_matches_golden() {
     let mut cfg = ClusterConfig::prototype();
     cfg.topology = Topology::FullyConnected { nodes: 8 };
-    cfg.trace = TraceConfig::full();
+    cfg.trace = TraceMode::Full;
     let mut rng = Rng::new(0xFC01);
     let specs = arb_specs(&mut rng, 8, 120);
     assert_world(cfg, &specs, true, "fully-connected", GOLDEN_FULLY_CONNECTED);
 }
 
-/// The smallest legal world: two nodes on a unidirectional ring.
+/// The smallest legal world: two nodes, one link each way.
 #[test]
 fn tiny_two_node_world_matches_golden() {
     let mut cfg = ClusterConfig::prototype();
-    cfg.topology = Topology::Ring { nodes: 2 };
-    cfg.trace = TraceConfig::full();
+    cfg.topology = Topology::FullyConnected { nodes: 2 };
+    cfg.trace = TraceMode::Full;
     let mut rng = Rng::new(0x2B0D);
     let specs = arb_specs(&mut rng, 2, 120);
-    assert_world(cfg, &specs, true, "two-node ring", GOLDEN_TWO_NODE_RING);
+    assert_world(cfg, &specs, true, "two-node", GOLDEN_TWO_NODE);
 }
 
 /// Seeded Poisson arrivals for the serving worlds below — the same shape
@@ -352,9 +352,9 @@ fn poisson_arrivals(seed: u64, rate_hz: f64, count: usize) -> Vec<SimTime> {
 /// (donor 5), both open loop, with the KV tenant's donor 3 crashing
 /// mid-run. Exercises arrival-clamped wakes, shed drops (manager runs),
 /// per-thread latency histograms and bulk-fail on crash.
-fn run_serving_world(manager: bool) -> World {
+fn run_serving_world(manager: bool, trace: TraceMode) -> World {
     let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = trace;
     if manager {
         cfg.manager = cohfree_core::ManagerConfig::enabled();
     }
@@ -416,7 +416,7 @@ fn run_serving_world(manager: bool) -> World {
 #[test]
 fn serving_world_matches_golden() {
     for (manager, pinned) in [(false, GOLDEN_SERVING), (true, GOLDEN_SERVING_MANAGER)] {
-        let w = run_serving_world(manager);
+        let w = run_serving_world(manager, TraceMode::Full);
         assert_golden(&format!("serving (manager={manager})"), &w, 3, pinned);
     }
 }
@@ -425,7 +425,7 @@ fn serving_world_matches_golden() {
 /// states under the crash, and every generated request is accounted for.
 #[test]
 fn serving_world_conserves_requests_across_outcomes() {
-    let w = run_serving_world(true);
+    let w = run_serving_world(true, TraceMode::Full);
     let mut completed = 0;
     let mut resolved = 0;
     let mut generated = 0;
@@ -453,11 +453,11 @@ fn serving_world_conserves_requests_across_outcomes() {
 /// writes hold the request slots, loss recovery, suspect declaration, the
 /// manager's re-home sweep and the crash sweep. Returns the drained world
 /// and every value the drivers returned.
-fn run_driver_world(manager: bool) -> (World, String) {
+fn run_driver_world(manager: bool, trace: TraceMode) -> (World, String) {
     use cohfree_core::{AccessOutcome, MsgKind};
     let t = |us| SimTime::ZERO + SimDuration::us(us);
     let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = trace;
     cfg.fabric.loss_rate = 0.02;
     cfg.recovery.max_retries = 4;
     if manager {
@@ -499,7 +499,7 @@ fn run_driver_world(manager: bool) -> (World, String) {
 #[test]
 fn driver_world_matches_golden() {
     for (manager, pinned) in [(false, GOLDEN_DRIVER), (true, GOLDEN_DRIVER_MANAGER)] {
-        let (w, returned) = run_driver_world(manager);
+        let (w, returned) = run_driver_world(manager, TraceMode::Full);
         let doc = format!(
             "{returned}{}\n{}\n{:?}",
             w.snapshot().doc,
@@ -511,6 +511,27 @@ fn driver_world_matches_golden() {
             got, pinned,
             "driver (manager={manager}): fingerprint hash {got:#018x} differs from the pinned {pinned:#018x}"
         );
+    }
+}
+
+/// Aggregate and Full tracing share one accounting path, so the same world
+/// yields the same phase histograms in both modes: through a donor crash,
+/// with and without the manager shedding and re-homing, and through 2 %
+/// loss with duplicate in-flight attempts.
+#[test]
+fn aggregate_and_full_tracing_agree_on_phases() {
+    let phases = |w: &World| w.trace().snapshot().get("phases").cloned();
+    for manager in [false, true] {
+        let (full, agg) = (
+            run_serving_world(manager, TraceMode::Full),
+            run_serving_world(manager, TraceMode::Aggregate),
+        );
+        assert_eq!(phases(&agg), phases(&full), "serving (manager={manager})");
+        let (full, agg) = (
+            run_driver_world(manager, TraceMode::Full).0,
+            run_driver_world(manager, TraceMode::Aggregate).0,
+        );
+        assert_eq!(phases(&agg), phases(&full), "driver (manager={manager})");
     }
 }
 
@@ -579,7 +600,7 @@ const GOLDEN_RANDOMIZED: [u64; 10] = [
 const GOLDEN_FAULT_CHURN: u64 = 0x0253_b4e4_f21b_d581;
 const GOLDEN_MANAGER_FAULT_CHURN: u64 = 0x9dec_4469_1fce_a6bf;
 const GOLDEN_FULLY_CONNECTED: u64 = 0x5447_2281_8ed9_8103;
-const GOLDEN_TWO_NODE_RING: u64 = 0x82dc_92ca_6952_837b;
+const GOLDEN_TWO_NODE: u64 = 0x82dc_92ca_6952_837b;
 const GOLDEN_SERVING: u64 = 0x037f_ca63_547f_3fef;
 const GOLDEN_SERVING_MANAGER: u64 = 0x4916_d109_a803_8aa8;
 const GOLDEN_DRIVER: u64 = 0xf6e0_bc27_21c7_e072;

@@ -2,14 +2,14 @@
 //! cluster: the exported Chrome trace is well-formed, envelope accounting
 //! matches thread accounting, and the exact-tiling invariant (per-phase
 //! spans sum to the end-to-end latency) survives loss recovery and zone
-//! evacuation on the full 16-node world.
+//! evacuation on the full 16-node world, where Aggregate mode books the
+//! same phase histograms as Full.
 
 use std::collections::HashMap;
 
 use cohfree_core::world::{ThreadSpec, World};
 use cohfree_core::{
-    ClusterConfig, FaultEvent, FaultPlan, Json, NodeId, Phase, Rng, SimDuration, SimTime,
-    TraceConfig,
+    ClusterConfig, FaultEvent, FaultPlan, Json, NodeId, Phase, Rng, SimDuration, SimTime, TraceMode,
 };
 
 fn n(i: u16) -> NodeId {
@@ -40,7 +40,7 @@ fn spawn(w: &mut World, node: u16, donor: u16, accesses: u64, seed: u64) -> usiz
 #[test]
 fn chrome_trace_is_well_formed_and_envelopes_match_thread_accounting() {
     let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = TraceMode::Full;
     let mut w = World::new(cfg);
     let mut ids = Vec::new();
     let mut rng = Rng::new(0x7ACE);
@@ -100,15 +100,12 @@ fn chrome_trace_is_well_formed_and_envelopes_match_thread_accounting() {
     }
 }
 
-/// Randomized 16-node run with link loss (forcing retries) and a mid-run
-/// donor crash (forcing evacuation): for every traced transaction the
-/// phase spans tile the envelope exactly, so their sum equals the
-/// end-to-end latency (the acceptance bound is 1%; the construction gives
-/// exactness, which is what we assert).
-#[test]
-fn phase_spans_sum_to_end_to_end_latency_under_loss_and_evacuation() {
+/// A 16-node run with link loss (forcing retries) and a mid-run donor
+/// crash (forcing evacuation), traced in `trace` mode. Returns the drained
+/// world and its thread ids.
+fn run_lossy_crash_world(trace: TraceMode) -> (World, Vec<usize>) {
     let mut cfg = ClusterConfig::prototype();
-    cfg.trace = TraceConfig::full();
+    cfg.trace = trace;
     cfg.fabric.loss_rate = 0.02;
     cfg.recovery.max_retries = 16;
     // Node 2 donates to several clients, then dies mid-run.
@@ -124,6 +121,16 @@ fn phase_spans_sum_to_end_to_end_latency_under_loss_and_evacuation() {
     // Background traffic not aimed at the doomed donor.
     ids.push(spawn(&mut w, 11, 16, 200, 0xBEEF));
     w.run();
+    (w, ids)
+}
+
+/// Under loss and evacuation, for every traced transaction the phase spans
+/// tile the envelope exactly, so their sum equals the end-to-end latency
+/// (the acceptance bound is 1%; the construction gives exactness, which is
+/// what we assert).
+#[test]
+fn phase_spans_sum_to_end_to_end_latency_under_loss_and_evacuation() {
+    let (w, ids) = run_lossy_crash_world(TraceMode::Full);
 
     assert!(w.node_is_dead(n(2)));
     assert!(w.evacuations() >= 1, "crash of a donor must evacuate zones");
@@ -159,4 +166,15 @@ fn phase_spans_sum_to_end_to_end_latency_under_loss_and_evacuation() {
             "tx {tx}: phase spans must tile the envelope exactly"
         );
     }
+}
+
+/// Aggregate mode books the same phase histograms as Full mode on the same
+/// lossy crash world: both run one exact-tiling path.
+#[test]
+fn aggregate_phases_match_full_under_loss_and_evacuation() {
+    let phases = |trace| {
+        let (w, _) = run_lossy_crash_world(trace);
+        w.trace().snapshot().get("phases").cloned()
+    };
+    assert_eq!(phases(TraceMode::Aggregate), phases(TraceMode::Full));
 }

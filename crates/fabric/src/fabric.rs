@@ -21,14 +21,13 @@
 //! precomputes every router's grid coordinates and, in each router's row,
 //! the index of its link in each direction (+x, −x, +y, −y). A mesh or
 //! torus hop is then a few coordinate compares and one indexed load; a
-//! ring router has one link and a clique row is indexed by destination
-//! id. The serialization time of small wire sizes is memoised. While an
-//! outage is active the BFS route table and a scan of the row replace
-//! all of this.
+//! clique row is indexed by destination id. The serialization time of
+//! small wire sizes is memoised. While an outage is active the BFS route
+//! table and a scan of the row replace all of this.
 //!
-//! Loss draws are per-link (seeded from the link's endpoints), not from one
-//! global stream: each link's drop pattern depends only on its own traffic
-//! order.
+//! Loss draws are per-link (seeded from `LOSS_SEED` and the link's
+//! endpoints), not from one global stream: each link's drop pattern
+//! depends only on its own traffic order.
 
 use crate::msg::{Message, NodeId};
 use crate::topology::Topology;
@@ -52,9 +51,10 @@ pub struct FabricConfig {
     /// board-to-board links; non-zero values drive the reliability study
     /// (`abl_reliability`), with recovery by RMC timeout/retransmission.
     pub loss_rate: f64,
-    /// Seed for the deterministic loss process.
-    pub loss_seed: u64,
 }
+
+/// Seed of the deterministic per-link loss process.
+const LOSS_SEED: u64 = 0x10551055;
 
 impl Default for FabricConfig {
     fn default() -> Self {
@@ -63,7 +63,6 @@ impl Default for FabricConfig {
             link_latency: SimDuration::ns(20),
             bytes_per_ns: 8.0,
             loss_rate: 0.0,
-            loss_seed: 0x10551055,
         }
     }
 }
@@ -111,11 +110,9 @@ struct Link {
 }
 
 impl Link {
-    fn new(cfg: &FabricConfig, u: NodeId, v: NodeId) -> Link {
+    fn new(u: NodeId, v: NodeId) -> Link {
         let lane = ((u.get() as u64) << 16) | v.get() as u64;
-        let seed = cfg
-            .loss_seed
-            .wrapping_add(lane.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let seed = LOSS_SEED.wrapping_add(lane.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         Link {
             server: FifoServer::new(),
             messages: Counter::new(),
@@ -150,7 +147,7 @@ struct FabricRow {
     /// `NO_LINK` where routing never leaves that way (a mesh edge, or −x
     /// on a 2-wide torus, whose x-neighbor is reached going +x). The
     /// 2-wide torus lists that neighbor twice; the first entry wins, as in
-    /// [`FabricRow::link_index`]. Unused on rings and cliques.
+    /// [`FabricRow::link_index`]. Unused on cliques.
     dir: [u8; 4],
 }
 
@@ -232,8 +229,6 @@ impl FabricShared {
     fn healthy_link(&self, row: &FabricRow, at: NodeId, dst: NodeId) -> usize {
         match self.grid_dir(at, dst) {
             Some(d) => row.dir[d] as usize,
-            // A ring router has exactly one outgoing link.
-            None if matches!(self.topo, Topology::Ring { .. }) => 0,
             // A clique row lists every other router in id order.
             None => dst.index() - usize::from(dst > at),
         }
@@ -241,13 +236,13 @@ impl FabricShared {
 
     /// Direction (`PX`, `MX`, `PY` or `MY`) of the dimension-order hop from
     /// `at` toward `dst != at` on a mesh or torus: X first, then Y; `None`
-    /// on a ring or clique.
+    /// on a clique.
     #[inline]
     fn grid_dir(&self, at: NodeId, dst: NodeId) -> Option<usize> {
         let (width, height, wrap) = match self.topo {
             Topology::Mesh2D { width, height } => (width, height, false),
             Topology::Torus2D { width, height } => (width, height, true),
-            Topology::Ring { .. } | Topology::FullyConnected { .. } => return None,
+            Topology::FullyConnected { .. } => return None,
         };
         let (fx, fy) = self.coords[at.get() as usize];
         let (tx, ty) = self.coords[dst.get() as usize];
@@ -312,9 +307,7 @@ impl Fabric {
         let mut links = topo.links();
         links.sort_unstable_by_key(|&(u, v)| (u.get(), v.get()));
         for (u, v) in links {
-            rows[u.get() as usize]
-                .links
-                .push((v, Link::new(&cfg, u, v)));
+            rows[u.get() as usize].links.push((v, Link::new(u, v)));
         }
         let shared = FabricShared {
             topo,
@@ -926,18 +919,19 @@ mod tests {
 
     #[test]
     fn severed_destination_is_unroutable() {
-        // A unidirectional ring has exactly one path; cutting it strands
-        // the downstream neighbor.
-        let mut f = Fabric::new(Topology::Ring { nodes: 5 }, FabricConfig::default());
+        // Corner node 1 has two links; cutting both strands it.
+        let mut f = mk_fabric();
         f.set_link_down(n(1), n(2));
-        let msg = Message::new(n(1), n(2), MsgKind::ReadReq { bytes: 64 }, 0);
-        assert_eq!(f.step(SimTime::ZERO, n(1), &msg), Step::Dropped);
+        f.set_link_down(n(1), n(5));
+        let msg = Message::new(n(2), n(1), MsgKind::ReadReq { bytes: 64 }, 0);
+        assert_eq!(f.step(SimTime::ZERO, n(2), &msg), Step::Dropped);
         assert_eq!(f.unroutable(), 1);
         assert_eq!(f.dropped(), 1);
-        // The rest of the ring still works: 2 -> 1 rides 2->3->4->5->1.
-        let msg2 = Message::new(n(2), n(1), MsgKind::ReadReq { bytes: 64 }, 1);
+        // The rest of the mesh still works: 2 -> 5, whose dimension-order
+        // route runs through node 1, detours 2->6->5.
+        let msg2 = Message::new(n(2), n(5), MsgKind::ReadReq { bytes: 64 }, 1);
         let (_, hops) = walk(&mut f, SimTime::ZERO, msg2);
-        assert_eq!(hops, 4);
+        assert_eq!(hops, 2);
     }
 
     #[test]
@@ -1038,7 +1032,7 @@ mod tests {
     fn fast_path_matches_next_hop_and_the_link_scan() {
         // Every shape the fast path distinguishes: 1-wide and odd meshes,
         // the 2-wide torus (one neighbor listed both ways), odd and even
-        // tori, rings and a clique.
+        // tori, and cliques.
         let mesh = |width, height| Topology::Mesh2D { width, height };
         let torus = |width, height| Topology::Torus2D { width, height };
         let topologies = [
@@ -1050,8 +1044,7 @@ mod tests {
             torus(2, 2),
             torus(3, 3),
             torus(4, 4),
-            Topology::Ring { nodes: 2 },
-            Topology::Ring { nodes: 5 },
+            Topology::FullyConnected { nodes: 2 },
             Topology::FullyConnected { nodes: 16 },
         ];
         for topo in topologies {

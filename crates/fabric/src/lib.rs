@@ -12,8 +12,8 @@
 //! * [`NodeId`] — 1-based node identifiers (the paper's "there is no node 0"
 //!   rule, which is what lets the RMC skip translation tables),
 //! * [`msg`] — HT-style request/response messages with wire sizes,
-//! * [`topology`] — 2D mesh (the prototype), 2D torus, ring and
-//!   fully-connected alternatives with minimal deterministic routing,
+//! * [`topology`] — 2D mesh (the prototype), 2D torus and fully-connected
+//!   alternatives with minimal deterministic routing,
 //! * [`fabric`] — the packet-forwarding state machine: per-hop router delay,
 //!   per-link serialization with FIFO contention, and per-link statistics.
 //!

@@ -1,13 +1,13 @@
 //! Cluster topologies and minimal deterministic routing.
 //!
 //! The prototype wires its 16 nodes as a 4×4 2D mesh using four of the six
-//! HTX-card connectors. We additionally provide a torus, a ring and a
+//! HTX-card connectors. We additionally provide a torus and a
 //! fully-connected fabric for the topology ablation (the paper notes that
 //! HT-over-Ethernet / HT-over-InfiniBand would allow indirect fabrics).
 //!
 //! Routing is **dimension-order (X then Y)** for mesh and torus — minimal and
-//! deadlock-free — and trivially direct for ring/fully-connected. All routes
-//! are deterministic, which the DES requires.
+//! deadlock-free — and direct on a fully-connected fabric. All routes are
+//! deterministic, which the DES requires.
 
 use crate::msg::NodeId;
 
@@ -40,11 +40,6 @@ pub enum Topology {
         /// Rows.
         height: u16,
     },
-    /// Unidirectional ring (messages travel toward increasing ids, wrapping).
-    Ring {
-        /// Nodes on the ring.
-        nodes: u16,
-    },
     /// Every pair of nodes directly linked (models an ideal crossbar /
     /// indirect switch).
     FullyConnected {
@@ -68,7 +63,7 @@ impl Topology {
             Topology::Mesh2D { width, height } | Topology::Torus2D { width, height } => {
                 width * height
             }
-            Topology::Ring { nodes } | Topology::FullyConnected { nodes } => nodes,
+            Topology::FullyConnected { nodes } => nodes,
         }
     }
 
@@ -78,7 +73,7 @@ impl Topology {
     }
 
     /// (x, y) grid coordinates for mesh/torus nodes (row-major, node 1 at
-    /// (0,0)); for ring/fully-connected, `(index, 0)`.
+    /// (0,0)); for a fully-connected fabric, `(index, 0)`.
     pub fn coords(&self, n: NodeId) -> (u16, u16) {
         debug_assert!(self.contains(n), "{n} outside topology");
         match *self {
@@ -133,10 +128,6 @@ impl Topology {
                     self.node_at(fx, ny)
                 }
             }
-            Topology::Ring { nodes } => {
-                let next = (from.index() as u16 + 1) % nodes;
-                NodeId::from_index(next as usize)
-            }
             Topology::FullyConnected { .. } => to,
         }
     }
@@ -170,9 +161,6 @@ impl Topology {
                 let dx = ax.abs_diff(bx).min(width - ax.abs_diff(bx));
                 let dy = ay.abs_diff(by).min(height - ay.abs_diff(by));
                 (dx + dy) as u32
-            }
-            Topology::Ring { nodes } => {
-                ((b.index() as u16 + nodes - a.index() as u16) % nodes) as u32
             }
             Topology::FullyConnected { .. } => 1,
         }
@@ -236,14 +224,6 @@ impl Topology {
                             push(self.node_at(x, height - 1));
                         }
                     }
-                }
-            }
-            Topology::Ring { nodes } => {
-                for i in 0..nodes {
-                    out.push((
-                        NodeId::from_index(i as usize),
-                        NodeId::from_index(((i + 1) % nodes) as usize),
-                    ));
                 }
             }
             Topology::FullyConnected { .. } => {
@@ -342,14 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_goes_one_way() {
-        let t = Topology::Ring { nodes: 5 };
-        assert_eq!(t.hops(n(1), n(2)), 1);
-        assert_eq!(t.hops(n(2), n(1)), 4);
-        assert_eq!(t.route(n(4), n(2)), vec![n(5), n(1), n(2)]);
-    }
-
-    #[test]
     fn fully_connected_is_one_hop() {
         let t = Topology::FullyConnected { nodes: 16 };
         for a in 1..=16 {
@@ -389,7 +361,6 @@ mod tests {
             .len(),
             64
         );
-        assert_eq!(Topology::Ring { nodes: 5 }.links().len(), 5);
         assert_eq!(Topology::FullyConnected { nodes: 4 }.links().len(), 12);
     }
 

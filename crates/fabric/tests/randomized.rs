@@ -25,11 +25,8 @@ fn arb_grid_topology(rng: &mut Rng) -> Topology {
 }
 
 fn arb_topology(rng: &mut Rng) -> Topology {
-    match rng.below(3) {
+    match rng.below(2) {
         0 => arb_grid_topology(rng),
-        1 => Topology::Ring {
-            nodes: rng.range(2, 20) as u16,
-        },
         _ => Topology::FullyConnected {
             nodes: rng.range(2, 20) as u16,
         },

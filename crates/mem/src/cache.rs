@@ -316,17 +316,21 @@ impl Cache {
         dirty
     }
 
-    /// Drop all lines within `[base, base+len)`, returning dirty addresses.
-    /// The range is taken in whole lines: from the first line that starts
-    /// at or after `base` to the line holding its last byte.
+    /// Drop every line holding a byte of `[base, base+len)`, returning the
+    /// dirty ones' addresses. An empty range drops nothing.
     pub fn flush_range(&mut self, base: u64, len: u64) -> Vec<u64> {
         self.last = None;
         let mut dirty = Vec::new();
         let lb = self.cfg.line_bytes as u64;
         let nsets = self.cfg.sets as u64;
         let set_shift = nsets.trailing_zeros();
-        let first_line = base.div_ceil(lb);
-        let end_line = (base + len).div_ceil(lb);
+        let first_line = base / lb;
+        // Rounding `base + 0` up would keep an unaligned `base`'s own line.
+        let end_line = if len == 0 {
+            first_line
+        } else {
+            (base + len).div_ceil(lb)
+        };
         // Walk the range one residency group at a time and look up only
         // the lines whose mask bits are set: a cold victim page (the common
         // case on the swap path) costs one map probe, and a warm one one
@@ -625,8 +629,12 @@ pub(crate) mod oracle {
             // page-cache eviction. Within a live group, each line maps to
             // exactly one (set, tag), so it is a targeted probe per line, not a
             // whole-cache scan.
-            let first_line = base.div_ceil(lb);
-            let end_line = (base + len).div_ceil(lb).max(first_line);
+            let first_line = base / lb;
+            let end_line = if len == 0 {
+                first_line
+            } else {
+                (base + len).div_ceil(lb)
+            };
             let first_group = first_line >> GROUP_SHIFT;
             let last_group = if end_line == first_line {
                 first_group
@@ -811,9 +819,8 @@ mod tests {
 
     /// The residency masks mirror the sets bit for bit through any
     /// access/install/flush interleaving, and `flush_range` at any byte
-    /// offset and length drops exactly the lines of its range (from the
-    /// first line that starts at or after `base` to the line holding its
-    /// last byte) and returns exactly the dirty ones.
+    /// offset and length drops exactly the lines holding a byte of its
+    /// range and returns exactly the dirty ones.
     #[test]
     fn group_residency_tracks_sets_through_random_ops() {
         let mut rng = Rng::new(77);
@@ -838,7 +845,11 @@ mod tests {
                         1 => 4096,
                         _ => rng.below(3 * 4096),
                     };
-                    let lines = base.div_ceil(64)..(base + len).div_ceil(64);
+                    let lines = if len == 0 {
+                        0..0
+                    } else {
+                        base / 64..(base + len).div_ceil(64)
+                    };
                     let (gone, kept): (Vec<_>, Vec<_>) = resident(&c)
                         .into_iter()
                         .partition(|(li, _)| lines.contains(li));
@@ -964,6 +975,14 @@ mod tests {
         assert!(c.probe(0));
         assert!(!c.probe(64));
         assert!(c.probe(128));
+        // A range inside one line drops that line...
+        c.access(64, true);
+        assert_eq!(c.flush_range(100, 10), vec![64]);
+        assert!(!c.probe(64));
+        // ...and an empty range drops nothing.
+        c.access(64, true);
+        assert!(c.flush_range(100, 0).is_empty());
+        assert!(c.probe(64));
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl NodeMemory {
     ///
     /// # Panics
     /// Panics if `addr` is beyond the node's physical memory — callers must
-    /// decode through [`crate::map::PhysMap`] first.
+    /// pass only local addresses.
     pub fn socket_of(&self, addr: u64) -> u32 {
         let s = addr / self.cfg.bytes_per_socket;
         assert!(

@@ -16,8 +16,8 @@
 //!   (the prototype maps remote ranges write-back cacheable),
 //! * [`hierarchy`] — an optional L1+L2 refinement of the cache model
 //!   (degenerates exactly to the single cache when the L1 is absent),
-//! * [`map`] — [`map::PhysMap`], the BAR-style physical address decode that
-//!   sends each access to a local controller or to the RMC.
+//! * [`map`] — the physical address layout: the 14-bit node prefix that
+//!   sends an access to a local controller or to the RMC.
 //!
 //! ### Functional vs. timing state
 //!
@@ -37,5 +37,4 @@ pub mod store;
 pub use cache::{Cache, CacheConfig, CacheOutcome};
 pub use dram::{DramConfig, NodeMemory};
 pub use hierarchy::{CacheHierarchy, HierarchyOutcome, Level};
-pub use map::{PhysMap, Target};
 pub use store::{SparseStore, PAGE_BYTES};

@@ -1,10 +1,11 @@
-//! BAR-style physical address decode.
+//! The physical address layout.
 //!
 //! Figure 3 of the paper: each node sees a 48-bit physical address space in
 //! which addresses whose 14 most-significant bits are zero refer to local
 //! memory (owned by one of the socket memory controllers), and everything
-//! else is mapped to the RMC. [`PhysMap`] performs that first-level decode;
-//! the RMC crate owns the prefix codec itself.
+//! else is mapped to the RMC. These constants fix that split; the RMC
+//! crate's `addr` module owns the prefix codec, and
+//! [`crate::dram::NodeMemory`] picks the socket of a local address.
 
 /// Width of the node-identifier prefix (most-significant address bits).
 pub const PREFIX_BITS: u32 = 14;
@@ -15,114 +16,14 @@ pub const NODE_ADDR_BITS: u32 = ADDR_BITS - PREFIX_BITS;
 /// Per-node address window size implied by the prefix split (16 GiB).
 pub const NODE_WINDOW_BYTES: u64 = 1 << NODE_ADDR_BITS;
 
-/// Where a physical access is routed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Target {
-    /// A local socket memory controller (socket index attached).
-    Local {
-        /// Socket whose controller owns the address.
-        socket: u32,
-    },
-    /// The Remote Memory Controller (address carries a non-zero node prefix).
-    Rmc,
-    /// Prefix zero but beyond installed local memory — a hole; real hardware
-    /// would master-abort. Treated as a fatal model error by callers.
-    Hole,
-}
-
-/// First-level physical decode for one node.
-#[derive(Debug, Clone, Copy)]
-pub struct PhysMap {
-    /// Bytes of DRAM installed locally.
-    pub local_bytes: u64,
-    /// Bytes attached per socket (for socket selection).
-    pub bytes_per_socket: u64,
-}
-
-impl PhysMap {
-    /// Build a decode map.
-    ///
-    /// # Panics
-    /// Panics if the installed memory exceeds the per-node address window —
-    /// the prefix scheme cannot address it.
-    pub fn new(local_bytes: u64, bytes_per_socket: u64) -> PhysMap {
-        assert!(
-            local_bytes <= NODE_WINDOW_BYTES,
-            "installed memory {local_bytes} exceeds the {NODE_WINDOW_BYTES}-byte node window"
-        );
-        assert!(bytes_per_socket > 0, "bytes_per_socket must be positive");
-        PhysMap {
-            local_bytes,
-            bytes_per_socket,
-        }
-    }
-
-    /// Decode a 48-bit physical address.
-    pub fn decode(&self, addr: u64) -> Target {
-        debug_assert!(addr < (1 << ADDR_BITS), "address beyond 48-bit space");
-        if addr >> NODE_ADDR_BITS != 0 {
-            Target::Rmc
-        } else if addr < self.local_bytes {
-            Target::Local {
-                socket: (addr / self.bytes_per_socket) as u32,
-            }
-        } else {
-            Target::Hole
-        }
-    }
-
-    /// True if `addr` carries a non-zero node prefix.
-    pub fn is_remote(addr: u64) -> bool {
-        addr >> NODE_ADDR_BITS != 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn map() -> PhysMap {
-        PhysMap::new(16 << 30, 4 << 30)
-    }
 
     #[test]
     fn constants_match_the_paper() {
         // 14-bit prefix over 48-bit addresses leaves a 16 GiB node window —
         // exactly the prototype's per-node memory.
         assert_eq!(NODE_WINDOW_BYTES, 16 << 30);
-    }
-
-    #[test]
-    fn local_addresses_route_to_sockets() {
-        let m = map();
-        assert_eq!(m.decode(0), Target::Local { socket: 0 });
-        assert_eq!(m.decode((4 << 30) - 1), Target::Local { socket: 0 });
-        assert_eq!(m.decode(4 << 30), Target::Local { socket: 1 });
-        assert_eq!(m.decode((16u64 << 30) - 1), Target::Local { socket: 3 });
-    }
-
-    #[test]
-    fn prefixed_addresses_route_to_rmc() {
-        let m = map();
-        // Node 1's window starts at 1 << 34.
-        assert_eq!(m.decode(1 << NODE_ADDR_BITS), Target::Rmc);
-        assert_eq!(m.decode((3 << NODE_ADDR_BITS) | 0x1234), Target::Rmc);
-        assert!(PhysMap::is_remote(1 << NODE_ADDR_BITS));
-        assert!(!PhysMap::is_remote((1 << NODE_ADDR_BITS) - 1));
-    }
-
-    #[test]
-    fn holes_detected() {
-        // A node with only 8 GiB installed: [8 GiB, 16 GiB) is a hole.
-        let m = PhysMap::new(8 << 30, 4 << 30);
-        assert_eq!(m.decode((8 << 30) + 1), Target::Hole);
-        assert_eq!(m.decode((16u64 << 30) - 1), Target::Hole);
-        assert_eq!(m.decode(0), Target::Local { socket: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "node window")]
-    fn oversized_node_rejected() {
-        PhysMap::new(NODE_WINDOW_BYTES + 1, 4 << 30);
     }
 }

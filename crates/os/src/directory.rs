@@ -4,49 +4,26 @@
 //! knowledge of the location of free memory across the cluster is achieved"
 //! as a required component. This module is that service: a (logically
 //! distributed, here centralized-for-determinism) view of how many pool
-//! frames every node still has free, plus donor-selection policies.
+//! frames every node still has free, and the donor choice it serves: the
+//! nearest node with room.
 
 use cohfree_fabric::{NodeId, Topology};
-
-/// How a node in need chooses a donor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DonorPolicy {
-    /// Closest node (in fabric hops) with enough free frames; ties broken
-    /// by lower node id. Minimizes remote-access latency.
-    Nearest,
-    /// Node with the most free frames; spreads load and leaves big zones
-    /// intact. Ties broken by lower node id.
-    MostFree,
-    /// Fixed explicit order (useful for experiments that place memory
-    /// servers deliberately, like Figs. 6–8).
-    Fixed,
-}
 
 /// The directory of free pool frames per node.
 #[derive(Debug)]
 pub struct Directory {
     topo: Topology,
     free: Vec<u64>,
-    policy: DonorPolicy,
-    /// Preference order for [`DonorPolicy::Fixed`].
-    fixed_order: Vec<NodeId>,
 }
 
 impl Directory {
     /// Build a directory where every node starts with `frames_per_node`
     /// free pool frames.
-    pub fn new(topo: Topology, frames_per_node: u64, policy: DonorPolicy) -> Directory {
+    pub fn new(topo: Topology, frames_per_node: u64) -> Directory {
         Directory {
             free: vec![frames_per_node; topo.num_nodes() as usize],
             topo,
-            policy,
-            fixed_order: Vec::new(),
         }
-    }
-
-    /// Set the explicit donor order used by [`DonorPolicy::Fixed`].
-    pub fn set_fixed_order(&mut self, order: Vec<NodeId>) {
-        self.fixed_order = order;
     }
 
     /// Free frames recorded for `node`.
@@ -60,26 +37,14 @@ impl Directory {
     }
 
     /// Choose a donor able to lend `frames` to `asker` (never `asker`
-    /// itself), per the active policy. Returns `None` if no node can.
+    /// itself): the closest such node in fabric hops, ties broken by lower
+    /// node id, which minimizes remote-access latency. Returns `None` if no
+    /// node can.
     pub fn choose_donor(&self, asker: NodeId, frames: u64) -> Option<NodeId> {
-        let candidates = || {
-            (1..=self.topo.num_nodes())
-                .map(NodeId::new)
-                .filter(|&n| n != asker && self.free[n.index()] >= frames)
-        };
-        match self.policy {
-            DonorPolicy::Nearest => {
-                candidates().min_by_key(|&n| (self.topo.hops(asker, n), n.get()))
-            }
-            DonorPolicy::MostFree => {
-                candidates().max_by_key(|&n| (self.free[n.index()], std::cmp::Reverse(n.get())))
-            }
-            DonorPolicy::Fixed => self
-                .fixed_order
-                .iter()
-                .copied()
-                .find(|&n| n != asker && self.free[n.index()] >= frames),
-        }
+        (1..=self.topo.num_nodes())
+            .map(NodeId::new)
+            .filter(|&n| n != asker && self.free[n.index()] >= frames)
+            .min_by_key(|&n| (self.topo.hops(asker, n), n.get()))
     }
 
     /// Record that `donor` lent `frames`.
@@ -124,20 +89,20 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn dir(policy: DonorPolicy) -> Directory {
-        Directory::new(Topology::prototype(), 100, policy)
+    fn dir() -> Directory {
+        Directory::new(Topology::prototype(), 100)
     }
 
     #[test]
     fn nearest_prefers_neighbors() {
-        let d = dir(DonorPolicy::Nearest);
+        let d = dir();
         // From corner node 1, neighbors are 2 and 5 (both 1 hop); lower id wins.
         assert_eq!(d.choose_donor(n(1), 10), Some(n(2)));
     }
 
     #[test]
     fn nearest_skips_exhausted_neighbors() {
-        let mut d = dir(DonorPolicy::Nearest);
+        let mut d = dir();
         d.debit(n(2), 100);
         assert_eq!(d.choose_donor(n(1), 10), Some(n(5)));
         d.debit(n(5), 95);
@@ -146,37 +111,18 @@ mod tests {
     }
 
     #[test]
-    fn most_free_prefers_largest() {
-        let mut d = dir(DonorPolicy::MostFree);
-        d.debit(n(2), 50);
-        d.credit(n(9), 40); // node 9 now has 140
-        assert_eq!(d.choose_donor(n(1), 10), Some(n(9)));
-    }
-
-    #[test]
-    fn fixed_order_followed() {
-        let mut d = dir(DonorPolicy::Fixed);
-        d.set_fixed_order(vec![n(7), n(3)]);
-        assert_eq!(d.choose_donor(n(1), 10), Some(n(7)));
-        d.debit(n(7), 100);
-        assert_eq!(d.choose_donor(n(1), 10), Some(n(3)));
-        d.debit(n(3), 100);
-        assert_eq!(d.choose_donor(n(1), 10), None);
-    }
-
-    #[test]
     fn asker_never_chosen() {
-        let mut d = dir(DonorPolicy::MostFree);
+        let mut d = dir();
         for i in 2..=16 {
             d.debit(n(i), 100);
         }
-        // Only the asker has frames left.
+        // Only the asker has frames left, and at 0 hops it is nearest.
         assert_eq!(d.choose_donor(n(1), 1), None);
     }
 
     #[test]
     fn accounting_round_trips() {
-        let mut d = dir(DonorPolicy::Nearest);
+        let mut d = dir();
         assert_eq!(d.total_free(), 1600);
         d.debit(n(4), 25);
         assert_eq!(d.free_frames(n(4)), 75);
@@ -187,6 +133,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "underflow")]
     fn over_debit_panics() {
-        dir(DonorPolicy::Nearest).debit(n(2), 101);
+        dir().debit(n(2), 101);
     }
 }

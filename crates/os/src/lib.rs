@@ -15,8 +15,8 @@
 //! * [`pagetable`] — per-process virtual memory: page table, TLB with LRU
 //!   replacement, page-walk cost hooks, and page states (resident local,
 //!   mapped remote, swapped out),
-//! * [`directory`] — the cluster free-memory directory and donor-selection
-//!   policies used to decide *which* node lends memory,
+//! * [`directory`] — the cluster free-memory directory, which decides
+//!   *which* node lends memory: the nearest one with room,
 //! * [`region`] — memory regions (Fig. 1): one per node, listing the local
 //!   and borrowed segments that form that node's coherency domain. A
 //!   reservation (Fig. 4) is a function call in `cohfree-core`'s `World`:
@@ -42,7 +42,7 @@ pub mod region;
 pub mod swap;
 
 pub use balloon::{Balloon, BalloonAction, BalloonConfig};
-pub use directory::{Directory, DonorPolicy};
+pub use directory::Directory;
 pub use disk::{Disk, DiskConfig};
 pub use frames::{FrameAllocator, FrameError, PAGE_FRAME_BYTES};
 pub use manager::{ManagerAction, ManagerConfig, NodeObservation, RecoveryManager};

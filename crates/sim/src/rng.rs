@@ -62,12 +62,6 @@ impl Rng {
         result
     }
 
-    /// Next 32-bit value (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)` via Lemire's unbiased multiply-shift rejection.
     ///
     /// # Panics

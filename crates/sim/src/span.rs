@@ -23,23 +23,22 @@
 //!
 //! ## Exact tiling
 //!
-//! In Full mode, instrumentation sites append raw spans while a transaction
-//! is in flight; [`TraceSink::finish`] *normalizes* them into a gapless,
+//! Instrumentation sites append raw spans while a transaction is in
+//! flight; [`TraceSink::finish`] *normalizes* them into a gapless,
 //! non-overlapping tiling of `[t_begin, t_end]`: spans are sorted, overlaps
 //! are clipped (overlap can only arise from duplicate in-flight attempts
-//! under loss recovery), and uncovered residue — time spent waiting for a
-//! loss-recovery timeout, or in flight on an attempt that was later
-//! superseded — is attributed to [`Phase::Retry`]. The invariant that the
-//! per-phase spans of a transaction sum *exactly* to its end-to-end latency
-//! therefore holds by construction, and in the common lossless case every
-//! span is the unmodified measurement.
+//! under loss recovery), spans are cut off at `t_end` (a transaction that
+//! fails may have measurements scheduled past that instant), and uncovered
+//! residue — time spent waiting for a loss-recovery timeout, or in flight
+//! on an attempt that was later superseded — is attributed to
+//! [`Phase::Retry`]. The invariant that the per-phase spans of a
+//! transaction sum *exactly* to its end-to-end latency therefore holds by
+//! construction, and in the common lossless case every span is the
+//! unmodified measurement.
 //!
-//! Aggregate mode takes a cheaper route suited to always-on use: each
-//! measurement folds into running per-phase totals at push time (no buffer,
-//! no sort), and the retry residue is computed as envelope minus covered
-//! time at finish, saturating at zero. Lossless runs produce identical
-//! aggregates in both modes; under loss recovery only Full mode clips
-//! duplicate-attempt overlap exactly.
+//! Both traced modes run this one accounting path, so their phase
+//! histograms agree on every run. Aggregate keeps only the histograms;
+//! Full also keeps each tiling piece in the span ring, on an export lane.
 //!
 //! The per-phase [`LatencyHistogram`]s hold **per-transaction phase
 //! totals**: a 3-hop read contributes one `Wire` sample covering all six
@@ -145,7 +144,7 @@ impl Phase {
     }
 }
 
-/// Tracing level selected by `TraceConfig` in `cohfree-core`.
+/// Tracing level, selected by `ClusterConfig::trace` in `cohfree-core`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// No tracing work at all (the default).
@@ -222,30 +221,11 @@ struct RawSpan {
 #[derive(Debug)]
 struct PendingTx {
     node: u16,
+    /// Export lane (Full mode only; 0 in Aggregate).
     lane: u32,
     t_begin: SimTime,
-    body: PendingBody,
-}
-
-/// Mode-dependent in-flight state.
-///
-/// Full mode buffers every raw span so [`TraceSink::finish`] can normalize
-/// them into an exact tiling. Aggregate mode folds each measurement into
-/// running per-phase totals immediately — no buffer, no sort, no per-span
-/// ring records — which is what keeps always-on tracing cheap. The price
-/// is that Aggregate cannot clip the overlapping duplicate-attempt spans
-/// loss recovery can produce: its `Retry` residue saturates at zero and
-/// phase totals may slightly over-count under loss, where Full mode stays
-/// exact.
-#[derive(Debug)]
-enum PendingBody {
     /// Raw spans awaiting exact-tiling normalization.
-    Full(Vec<RawSpan>),
-    /// Running totals: per-phase time plus total covered time.
-    Agg {
-        totals: [SimDuration; PHASE_COUNT],
-        covered: SimDuration,
-    },
+    spans: Vec<RawSpan>,
 }
 
 /// Per-node export-lane state: which transaction currently owns the lane
@@ -263,7 +243,7 @@ struct Lane {
 /// The ring holds at most `capacity` [`SpanRecord`]s; once full, the oldest
 /// records are evicted and counted in [`TraceSink::dropped`]. Per-phase
 /// [`LatencyHistogram`]s are maintained regardless of ring occupancy (they
-/// are the always-cheap Aggregate view).
+/// are the Aggregate view).
 #[derive(Debug)]
 pub struct TraceSink {
     mode: TraceMode,
@@ -368,27 +348,17 @@ impl TraceSink {
         if !self.enabled() || self.is_traced(tx_id) {
             return;
         }
-        // Export lanes only matter for the Full-mode span stream; the
-        // Aggregate hot path skips the allocator entirely.
-        let (lane, body) = if self.mode == TraceMode::Full {
-            (
-                self.alloc_lane(node, tx_id, t_begin),
-                PendingBody::Full(self.spare.pop().unwrap_or_else(|| Vec::with_capacity(16))),
-            )
+        // Export lanes only matter for the Full-mode span stream.
+        let lane = if self.mode == TraceMode::Full {
+            self.alloc_lane(node, tx_id, t_begin)
         } else {
-            (
-                0,
-                PendingBody::Agg {
-                    totals: [SimDuration::ZERO; PHASE_COUNT],
-                    covered: SimDuration::ZERO,
-                },
-            )
+            0
         };
         let p = PendingTx {
             node,
             lane,
             t_begin,
-            body,
+            spans: self.spare.pop().unwrap_or_else(|| Vec::with_capacity(16)),
         };
         if self.hot.is_none() {
             self.hot = Some((tx_id, p));
@@ -419,20 +389,13 @@ impl TraceSink {
             return;
         }
         if let Some(p) = self.open_mut(tx_id) {
-            match &mut p.body {
-                PendingBody::Full(spans) => spans.push(RawSpan {
-                    phase,
-                    node,
-                    t0,
-                    t1,
-                    attr,
-                }),
-                PendingBody::Agg { totals, covered } => {
-                    let d = t1.saturating_since(t0);
-                    totals[phase as usize] += d;
-                    *covered += d;
-                }
-            }
+            p.spans.push(RawSpan {
+                phase,
+                node,
+                t0,
+                t1,
+                attr,
+            });
         }
     }
 
@@ -479,80 +442,60 @@ impl TraceSink {
         // Each phase's total over the transaction becomes ONE histogram
         // sample — the histograms answer "how much wire time does a
         // transaction spend", not "how long is one hop".
-        match pending.body {
-            PendingBody::Full(mut spans) => {
-                // Normalize: sort (only needed under loss-recovery
-                // reordering), clip overlaps, attribute uncovered residue
-                // to loss recovery. The emitted pieces tile
-                // [t_begin, t_end] exactly.
-                if !spans.is_sorted_by_key(|s| (s.t0, s.t1)) {
-                    spans.sort_unstable_by_key(|s| (s.t0, s.t1));
-                }
-                let mut totals = [SimDuration::ZERO; PHASE_COUNT];
-                let mut cursor = t_begin;
-                for &s in &spans {
-                    let s0 = s.t0.max(cursor);
-                    let s1 = s.t1.min(t_end);
-                    if s1 <= s0 {
-                        continue;
-                    }
-                    if s0 > cursor {
-                        totals[Phase::Retry as usize] += s0.saturating_since(cursor);
-                        self.emit_piece(
-                            tx_id,
-                            Phase::Retry,
-                            node,
-                            node,
-                            cursor,
-                            s0,
-                            None,
-                            lane,
-                            full,
-                        );
-                    }
-                    totals[s.phase as usize] += s1.saturating_since(s0);
-                    self.emit_piece(tx_id, s.phase, s.node, node, s0, s1, s.attr, lane, full);
-                    cursor = s1;
-                }
-                if cursor < t_end {
-                    totals[Phase::Retry as usize] += t_end.saturating_since(cursor);
-                    self.emit_piece(
-                        tx_id,
-                        Phase::Retry,
-                        node,
-                        node,
-                        cursor,
-                        t_end,
-                        None,
-                        lane,
-                        full,
-                    );
-                }
-                self.record_totals(&totals);
-                self.recycle(spans);
-            }
-            PendingBody::Agg {
-                mut totals,
-                covered,
-            } => {
-                // No buffered spans to tile: uncovered residue is the
-                // envelope minus covered time, saturating at zero when
-                // duplicate loss-recovery attempts overlap.
-                totals[Phase::Retry as usize] +=
-                    t_end.saturating_since(t_begin).saturating_sub(covered);
-                self.record_totals(&totals);
-            }
+        //
+        // Normalize: sort (only needed under loss-recovery reordering),
+        // clip overlaps, attribute uncovered residue to loss recovery. The
+        // emitted pieces tile [t_begin, t_end] exactly.
+        let mut spans = pending.spans;
+        if !spans.is_sorted_by_key(|s| (s.t0, s.t1)) {
+            spans.sort_unstable_by_key(|s| (s.t0, s.t1));
         }
-    }
-
-    /// Record each nonzero per-transaction phase total as one histogram
-    /// sample.
-    fn record_totals(&mut self, totals: &[SimDuration; PHASE_COUNT]) {
-        for (i, &d) in totals.iter().enumerate() {
+        let mut totals = [SimDuration::ZERO; PHASE_COUNT];
+        let mut cursor = t_begin;
+        for &s in &spans {
+            let s0 = s.t0.max(cursor);
+            let s1 = s.t1.min(t_end);
+            if s1 <= s0 {
+                continue;
+            }
+            if s0 > cursor {
+                totals[Phase::Retry as usize] += s0.saturating_since(cursor);
+                self.emit_piece(
+                    tx_id,
+                    Phase::Retry,
+                    node,
+                    node,
+                    cursor,
+                    s0,
+                    None,
+                    lane,
+                    full,
+                );
+            }
+            totals[s.phase as usize] += s1.saturating_since(s0);
+            self.emit_piece(tx_id, s.phase, s.node, node, s0, s1, s.attr, lane, full);
+            cursor = s1;
+        }
+        if cursor < t_end {
+            totals[Phase::Retry as usize] += t_end.saturating_since(cursor);
+            self.emit_piece(
+                tx_id,
+                Phase::Retry,
+                node,
+                node,
+                cursor,
+                t_end,
+                None,
+                lane,
+                full,
+            );
+        }
+        for (h, d) in self.phases.iter_mut().zip(totals) {
             if d > SimDuration::ZERO {
-                self.phases[i].record(d);
+                h.record(d);
             }
         }
+        self.recycle(spans);
     }
 
     /// Append one normalized tiling piece to the Full-mode span ring (a
@@ -615,9 +558,7 @@ impl TraceSink {
             if self.mode == TraceMode::Full {
                 self.release_lane(p.node, p.lane, tx_id, p.t_begin);
             }
-            if let PendingBody::Full(spans) = p.body {
-                self.recycle(spans);
-            }
+            self.recycle(p.spans);
         }
     }
 
@@ -867,14 +808,20 @@ mod tests {
 
     #[test]
     fn gaps_and_overlaps_normalize_to_exact_tiling() {
-        let mut sink = TraceSink::new(TraceMode::Full, 1024);
-        sink.begin(9, 2, t(0));
-        sink.push(9, Phase::Issue, 2, t(0), t(10));
-        // Gap [10, 30): a lost attempt's timeout wait.
-        sink.push(9, Phase::Wire, 2, t(30), t(60));
-        // Overlapping duplicate-attempt span gets clipped.
-        sink.push(9, Phase::Wire, 2, t(50), t(70));
-        sink.finish(9, t(100), false);
+        let run = |mode| {
+            let mut sink = TraceSink::new(mode, 1024);
+            sink.begin(9, 2, t(0));
+            sink.push(9, Phase::Issue, 2, t(0), t(10));
+            // Gap [10, 30): a lost attempt's timeout wait.
+            sink.push(9, Phase::Wire, 2, t(30), t(60));
+            // Overlapping duplicate-attempt span gets clipped.
+            sink.push(9, Phase::Wire, 2, t(50), t(70));
+            // A measurement running past the failure instant is cut off.
+            sink.push(9, Phase::Reply, 2, t(90), t(120));
+            sink.finish(9, t(100), true);
+            sink
+        };
+        let sink = run(TraceMode::Full);
 
         let phase_sum: u64 = sink
             .spans()
@@ -882,13 +829,16 @@ mod tests {
             .map(|s| s.duration().as_ns())
             .sum();
         assert_eq!(phase_sum, 100, "tiling must cover begin..end exactly");
-        // Residue went to Retry: [10,30) and [70,100).
+        // Residue went to Retry: [10,30) and [70,90).
         let retry: u64 = sink
             .spans()
             .filter(|s| s.phase == Phase::Retry)
             .map(|s| s.duration().as_ns())
             .sum();
-        assert_eq!(retry, 50);
+        assert_eq!(retry, 40);
+        // Aggregate mode books the same phase totals.
+        let phases = |s: &TraceSink| s.snapshot().get("phases").cloned();
+        assert_eq!(phases(&run(TraceMode::Aggregate)), phases(&sink));
         // No two spans on one (node, track) overlap.
         let mut by_track: HashMap<(u16, u64), Vec<(u64, u64)>> = HashMap::new();
         for s in sink.spans().filter(|s| s.phase != Phase::Tx) {
