@@ -259,7 +259,7 @@ pub fn tlb_misses(trace: &[Op], entries: usize, line_bytes: u64) -> u64 {
         let vpn = PageTable::vpn(a);
         if tlb.lookup(vpn).is_none() {
             misses += 1;
-            tlb.insert(vpn, vpn * 4096);
+            tlb.insert_absent(vpn, vpn * 4096);
         }
     }
     misses

@@ -180,31 +180,37 @@ impl Tlb {
 
     /// Install a translation (evicting the LRU entry if full).
     pub fn insert(&mut self, vpn: u64, phys_page: u64) {
-        let i = match self.index.get(&vpn) {
+        match self.index.get(&vpn) {
             Some(&i) => {
                 self.unlink(i);
-                i
+                self.slots[i].phys = phys_page;
+                self.push_head(i);
             }
-            None if self.slots.len() < self.cfg.entries => {
-                self.slots.push(TlbEntry {
-                    vpn,
-                    phys: phys_page,
-                    newer: NIL,
-                    older: NIL,
-                });
-                self.index.insert(vpn, self.slots.len() - 1);
-                self.slots.len() - 1
-            }
-            None => {
-                let lru = self.tail;
-                self.unlink(lru);
-                self.index.remove(&self.slots[lru].vpn);
-                self.index.insert(vpn, lru);
-                self.slots[lru].vpn = vpn;
-                lru
-            }
+            None => self.insert_absent(vpn, phys_page),
+        }
+    }
+
+    /// [`Tlb::insert`] for a `vpn` that is not resident, such as one whose
+    /// [`Tlb::lookup`] just missed: the index is not probed for it first.
+    pub fn insert_absent(&mut self, vpn: u64, phys_page: u64) {
+        debug_assert!(!self.index.contains_key(&vpn), "vpn {vpn} is resident");
+        let entry = TlbEntry {
+            vpn,
+            phys: phys_page,
+            newer: NIL,
+            older: NIL,
         };
-        self.slots[i].phys = phys_page;
+        let i = if self.slots.len() < self.cfg.entries {
+            self.slots.push(entry);
+            self.slots.len() - 1
+        } else {
+            let lru = self.tail;
+            self.unlink(lru);
+            self.index.remove(&self.slots[lru].vpn);
+            self.slots[lru] = entry;
+            lru
+        };
+        self.index.insert(vpn, i);
         self.push_head(i);
     }
 
@@ -336,7 +342,7 @@ impl PageTable {
                 flags: PageFlags::Present,
             }) => {
                 self.walks += 1;
-                self.tlb.insert(vpn, *phys);
+                self.tlb.insert_absent(vpn, *phys);
                 Translation::Walked { phys: phys + off }
             }
             Some(Pte {
@@ -491,13 +497,14 @@ mod tests {
     ///
     /// Phase 1 mixes same-page bursts (the head check), neighbours and
     /// random jumps over four times the TLB's reach, translates like
-    /// [`PageTable::translate`] (insert on miss), and interleaves remapping
-    /// inserts, invalidations and flushes. Phase 2 is shaped like swap: a
-    /// resident set larger than the TLB over a footprint larger still. A
-    /// touch of a non-resident page evicts a resident one, invalidating it
-    /// (`mark_swapped`) and the new page (`map`), so translations leave from
-    /// anywhere in the list, holes are filled, and invalidated pages come
-    /// back later through the tail eviction.
+    /// [`PageTable::translate`] ([`Tlb::insert_absent`] on a miss), and
+    /// interleaves remapping inserts, invalidations and flushes. Phase 2 is
+    /// shaped like swap: a resident set larger than the TLB over a
+    /// footprint larger still. A touch of a non-resident page evicts a
+    /// resident one, invalidating it (`mark_swapped`) and the new page
+    /// (`map`), so translations leave from anywhere in the list, holes are
+    /// filled, and invalidated pages come back later through the tail
+    /// eviction.
     #[test]
     fn tlb_matches_fastmap_oracle() {
         for entries in [1usize, 2, 3, 8, 64] {
@@ -525,7 +532,7 @@ mod tests {
                             let got = tlb.lookup(vpn);
                             assert_eq!(got, oracle.lookup(vpn), "{entries}/{seed} step {step}");
                             if got.is_none() {
-                                tlb.insert(vpn, vpn * PAGE_BYTES);
+                                tlb.insert_absent(vpn, vpn * PAGE_BYTES);
                                 oracle.insert(vpn, vpn * PAGE_BYTES);
                             }
                         }
@@ -581,7 +588,7 @@ mod tests {
                             tlb.invalidate(vpn);
                             oracle.invalidate(vpn);
                         }
-                        tlb.insert(vpn, vpn * PAGE_BYTES);
+                        tlb.insert_absent(vpn, vpn * PAGE_BYTES);
                         oracle.insert(vpn, vpn * PAGE_BYTES);
                     }
                     check(&tlb, &oracle, &ctx);

@@ -20,22 +20,35 @@
 //!   scheduled at-or-before it), kept sorted by `(time, key)` in a
 //!   `VecDeque`; `pop` is `O(1)` from the head and a same-instant
 //!   `schedule` is a sorted insert near the tail.
-//! * **ring** — `NUM_BUCKETS` FIFO buckets of `2^BUCKET_WIDTH_BITS`
+//! * **ring** — `NUM_BUCKETS` unsorted buckets of `2^BUCKET_WIDTH_BITS`
 //!   picoseconds each covering the near future; scheduling is an `O(1)`
 //!   push plus an occupancy-bitmap update.
 //! * **overflow** — a `BinaryHeap` for the far future beyond the ring
 //!   horizon (timeouts, sampling probes).
 //!
 //! When `front` drains, *refill* advances the epoch straight to the earliest
-//! non-empty bucket (bitmap scan / overflow peek), takes that ring slot's
-//! `Vec`, appends any same-bucket overflow stragglers, sorts it in place
-//! and installs it as the new `front` in O(1) — restoring the exact
-//! `(time, key)` order a global heap would have produced. The spent, empty
-//! `front` buffer becomes the slot's `Vec`, so bucket buffers circulate and
-//! steady-state traffic allocates nothing. The total order is therefore
-//! identical to the previous `BinaryHeap` implementation, which survives as
-//! a `#[cfg(test)]` oracle driven against the calendar queue by seeded
-//! differential tests (sequence-keyed and content-keyed).
+//! non-empty bucket (bitmap scan / overflow peek), moves any same-bucket
+//! overflow stragglers into that ring slot, and orders the slot's events
+//! into `front` with one counting pass. Every event of the bucket shares
+//! `time >> BUCKET_WIDTH_BITS`, so the time bits just below those name one
+//! of `NUM_SUB_BUCKETS` sub-buckets of `2^SUB_WIDTH_BITS` ps (64 of about
+//! 1 ns), and an event in a lower sub-bucket is strictly earlier than one
+//! in a higher sub-bucket. The events are counted per sub-bucket, gathered
+//! into `front` in sub-bucket order through a reused index scratch, and
+//! each sub-bucket holding more than one event is sorted by `(time, key)`
+//! in place. Sub-bucket order plus the order inside each sub-bucket is
+//! exactly the bucket's `(time, key)` order, so the total order is
+//! identical to the previous `BinaryHeap` implementation, which survives
+//! as a `#[cfg(test)]` oracle driven against the calendar queue by seeded
+//! differential tests (sequence-keyed, content-keyed, and dense buckets).
+//!
+//! A ring slot holds a buffer only while it is occupied. The slot whose
+//! occupancy bit turns on takes the most recently freed buffer from a LIFO
+//! spare stack, and refill pushes the emptied bucket back onto it, so
+//! pushes land in memory the last refill touched, the queue keeps about as
+//! many bucket buffers as it ever had occupied slots at once, and
+//! steady-state traffic allocates nothing. Events are `Copy` because the
+//! gather copies them out of the bucket by index.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -51,6 +64,11 @@ const BUCKET_WIDTH_BITS: u32 = 16;
 const NUM_BUCKETS: usize = 256;
 /// Occupancy bitmap words.
 const BITMAP_WORDS: usize = NUM_BUCKETS / 64;
+/// Log2 of the width of the sub-buckets refill counts by: 2^10 ps ≈ 1 ns.
+const SUB_WIDTH_BITS: u32 = 10;
+/// Number of sub-buckets per bucket: the time bits between the sub-bucket
+/// width and the bucket width.
+const NUM_SUB_BUCKETS: usize = 1 << (BUCKET_WIDTH_BITS - SUB_WIDTH_BITS);
 
 /// Overflow-heap entry: ordered by `(time, key)` ascending.
 struct Entry<E> {
@@ -99,11 +117,16 @@ pub struct EventQueue<E> {
     /// `(at, key)`. Non-empty whenever `len > 0` (eager refill), so `pop`
     /// and `peek_time` never search the ring.
     front: VecDeque<(SimTime, u128, E)>,
-    /// Near-future FIFO buckets; slot `b % NUM_BUCKETS` holds events whose
-    /// bucket `b` lies in `(epoch, epoch + NUM_BUCKETS)`.
+    /// Near-future unsorted buckets; slot `b % NUM_BUCKETS` holds events
+    /// whose bucket `b` lies in `(epoch, epoch + NUM_BUCKETS)`. An
+    /// unoccupied slot holds an empty `Vec` with no buffer.
     ring: Box<[Vec<(SimTime, u128, E)>; NUM_BUCKETS]>,
     /// One bit per ring slot: set iff the slot is non-empty.
     occupied: [u64; BITMAP_WORDS],
+    /// Empty bucket buffers, the most recently freed on top.
+    spare: Vec<Vec<(SimTime, u128, E)>>,
+    /// Refill scratch: the refilled bucket's indices in sub-bucket order.
+    order: Vec<usize>,
     /// Far-future events beyond the ring horizon.
     overflow: BinaryHeap<Entry<E>>,
     /// Absolute index of the bucket `front` currently covers.
@@ -114,7 +137,7 @@ pub struct EventQueue<E> {
     processed: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -125,13 +148,36 @@ fn bucket_of(at: SimTime) -> u64 {
     at.0 >> BUCKET_WIDTH_BITS
 }
 
-impl<E> EventQueue<E> {
+/// Sub-bucket of `at` within its bucket.
+#[inline]
+fn sub_bucket_of(at: SimTime) -> usize {
+    (at.0 >> SUB_WIDTH_BITS) as usize % NUM_SUB_BUCKETS
+}
+
+// Refill marks the sub-buckets in use in one `u64`.
+const _: () = assert!(NUM_SUB_BUCKETS <= 64);
+
+/// The positions of the set bits of `mask`, lowest first.
+#[inline]
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+impl<E: Copy> EventQueue<E> {
     /// An empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
             front: VecDeque::new(),
             ring: Box::new(std::array::from_fn(|_| Vec::new())),
             occupied: [0; BITMAP_WORDS],
+            spare: Vec::new(),
+            order: Vec::new(),
             overflow: BinaryHeap::new(),
             epoch: 0,
             len: 0,
@@ -215,9 +261,7 @@ impl<E> EventQueue<E> {
             let idx = self.front.partition_point(|&(t, s, _)| (t, s) < (at, key));
             self.front.insert(idx, (at, key, event));
         } else if b - self.epoch < NUM_BUCKETS as u64 {
-            let slot = (b % NUM_BUCKETS as u64) as usize;
-            self.ring[slot].push((at, key, event));
-            self.occupied[slot / 64] |= 1 << (slot % 64);
+            self.push_ring((b % NUM_BUCKETS as u64) as usize, (at, key, event));
         } else {
             self.overflow.push(Entry { at, key, event });
         }
@@ -249,30 +293,25 @@ impl<E> EventQueue<E> {
         Some((at, key, event))
     }
 
-    /// Drain and drop all pending events without advancing the clock.
-    /// The sequence counter keeps counting, so ordering guarantees span
-    /// a clear.
-    pub fn clear(&mut self) {
-        self.front.clear();
-        let mut remaining = self.occupied;
-        for (w, word) in remaining.iter_mut().enumerate() {
-            while *word != 0 {
-                let slot = w * 64 + word.trailing_zeros() as usize;
-                self.ring[slot].clear();
-                *word &= *word - 1;
-            }
+    /// Append `entry` to ring slot `slot`. A slot whose occupancy bit turns
+    /// on takes the most recently freed buffer from `spare`, or a new one.
+    #[inline]
+    fn push_ring(&mut self, slot: usize, entry: (SimTime, u128, E)) {
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            debug_assert_eq!(self.ring[slot].capacity(), 0);
+            self.ring[slot] = self.spare.pop().unwrap_or_default();
         }
-        self.occupied = [0; BITMAP_WORDS];
-        self.overflow.clear();
-        self.len = 0;
+        self.ring[slot].push(entry);
     }
 
     /// Advance `epoch` to the earliest non-empty bucket and make its events
     /// (ring slot plus any overflow stragglers in the same bucket) the new
-    /// `front`, sorted by `(at, key)`. The slot's `Vec` is sorted in place
-    /// and becomes `front` without copying; the spent, empty `front` buffer
-    /// goes back to the slot, so buffers circulate and nothing allocates.
-    /// Called only when `front` is empty and events remain.
+    /// `front`, sorted by `(at, key)`: a counting pass by sub-bucket gathers
+    /// them into `front`, and only each sub-bucket is sorted. The emptied
+    /// bucket buffer goes onto the spare stack, leaving the slot without
+    /// one. Called only when `front` is empty and events remain.
     #[cold]
     fn refill(&mut self) {
         debug_assert!(self.front.is_empty() && self.len > 0);
@@ -292,10 +331,6 @@ impl<E> EventQueue<E> {
             (None, None) => unreachable!("refill with no pending events"),
         };
         let slot = (self.epoch % NUM_BUCKETS as u64) as usize;
-        // An unoccupied slot holds an empty (possibly pre-grown) buffer.
-        let mut bucket = std::mem::take(&mut self.ring[slot]);
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
-        debug_assert!(bucket.iter().all(|e| bucket_of(e.0) == self.epoch));
         // Overflow may hold events inside the (advanced) ring window; they
         // are picked up bucket-by-bucket as the epoch reaches them.
         while self
@@ -304,14 +339,53 @@ impl<E> EventQueue<E> {
             .is_some_and(|e| bucket_of(e.at) == self.epoch)
         {
             let Entry { at, key, event } = self.overflow.pop().expect("peeked");
-            bucket.push((at, key, event));
+            self.push_ring(slot, (at, key, event));
         }
-        bucket.sort_unstable_by_key(|e| (e.0, e.1));
+        let mut bucket = std::mem::take(&mut self.ring[slot]);
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
         debug_assert!(!bucket.is_empty());
-        // Both conversions are O(1): `VecDeque::from(Vec)` adopts the
-        // buffer, and the spent `front` is empty, so nothing moves back.
-        let spent = std::mem::replace(&mut self.front, VecDeque::from(bucket));
-        self.ring[slot] = Vec::from(spent);
+        debug_assert!(bucket.iter().all(|e| bucket_of(e.0) == self.epoch));
+
+        // Every event shares the bucket, so sub-bucket order is time order
+        // between sub-buckets. Count per sub-bucket, turn the counts into
+        // start positions, place each index at its sub-bucket's next free
+        // position (leaving each entry at its sub-bucket's end), and
+        // gather. The loops visit only the sub-buckets set in `used`, not
+        // all 64.
+        let mut ends = [0usize; NUM_SUB_BUCKETS];
+        let mut used = 0u64;
+        for e in &bucket {
+            let sub = sub_bucket_of(e.0);
+            ends[sub] += 1;
+            used |= 1 << sub;
+        }
+        let mut start = 0;
+        for sub in set_bits(used) {
+            let count = ends[sub];
+            ends[sub] = start;
+            start += count;
+        }
+        self.order.resize(bucket.len(), 0);
+        for (i, e) in bucket.iter().enumerate() {
+            let end = &mut ends[sub_bucket_of(e.0)];
+            self.order[*end] = i;
+            *end += 1;
+        }
+        // `clear` rewinds the empty deque to the start of its buffer, so
+        // `make_contiguous` finds the gathered run in place.
+        self.front.clear();
+        self.front.extend(self.order.iter().map(|&i| bucket[i]));
+        let run = self.front.make_contiguous();
+        let mut start = 0;
+        for sub in set_bits(used) {
+            let end = ends[sub];
+            if end - start > 1 {
+                run[start..end].sort_unstable_by_key(|e| (e.0, e.1));
+            }
+            start = end;
+        }
+        bucket.clear();
+        self.spare.push(bucket);
     }
 
     /// First occupied ring slot in circular order starting at `start`, or
@@ -381,9 +455,6 @@ mod tests {
             self.processed += 1;
             Some((entry.at, entry.event))
         }
-        fn clear(&mut self) {
-            self.heap.clear();
-        }
     }
 
     #[test]
@@ -436,9 +507,11 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime(7)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.clear();
+        assert_eq!(q.pop(), Some((SimTime(7), 1)));
         assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.now(), SimTime(7));
     }
 
     #[test]
@@ -458,44 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_clock_and_sequence_counter() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(100), 0u32);
-        q.schedule(SimTime(BUCKET_WIDTH_PS * 500), 1); // overflow tier
-        q.schedule(SimTime(BUCKET_WIDTH_PS * 2), 2); // ring tier
-        assert_eq!(q.pop(), Some((SimTime(100), 0)));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(q.peek_time(), None);
-        // The clock does not rewind, and scheduling before it still panics.
-        assert_eq!(q.now(), SimTime(100));
-        assert_eq!(q.processed(), 1);
-        // FIFO ordering spans the clear: the sequence counter keeps
-        // counting, so a pre-clear tie-breaker can never outrank a
-        // post-clear event at the same instant.
-        q.schedule(SimTime(200), 10);
-        q.schedule(SimTime(200), 11);
-        assert_eq!(q.pop(), Some((SimTime(200), 10)));
-        assert_eq!(q.pop(), Some((SimTime(200), 11)));
-        assert_eq!(q.processed(), 3);
-    }
-
-    #[test]
-    fn clear_then_reschedule_in_an_earlier_bucket_works() {
-        // After a far-future-only population the epoch sits far ahead;
-        // clearing and scheduling near-past-the-clock must still serve the
-        // new event first.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(BUCKET_WIDTH_PS * 1000), 1u32);
-        q.clear();
-        q.schedule(SimTime(5), 2);
-        q.schedule(SimTime(BUCKET_WIDTH_PS * 1000), 3);
-        assert_eq!(q.pop(), Some((SimTime(5), 2)));
-        assert_eq!(q.pop(), Some((SimTime(BUCKET_WIDTH_PS * 1000), 3)));
-    }
-
-    #[test]
     fn keyed_scheduling_orders_by_key_within_an_instant() {
         let mut q = EventQueue::new();
         q.schedule_keyed(SimTime(50), 7, "c");
@@ -507,7 +542,7 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
-    /// The differential net: ~1M seeded random schedule/pop/clear
+    /// The differential net: ~1M seeded random schedule/pop
     /// interleavings against the `BinaryHeap` oracle, with heavy
     /// same-instant collisions and far-future outliers crossing the bucket
     /// horizon. Pop sequences, clock values and processed counts must match
@@ -526,72 +561,172 @@ mod tests {
         differential(0x5EED_CAFE, true);
     }
 
-    /// Drive both queues through one seeded interleaving. With `keyed`,
-    /// every event is scheduled under a random high word above its unique
-    /// id; otherwise under the queues' own sequence counters.
-    fn differential(seed: u64, keyed: bool) {
-        let mut rng = Rng::new(seed);
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut o: OracleQueue<u64> = OracleQueue::new();
-        let mut next_id = 0u64;
-        let horizon = BUCKET_WIDTH_PS * NUM_BUCKETS as u64;
-        let mut ops = 0u64;
-        while ops < 1_000_000 {
-            match rng.below(100) {
-                // 55%: schedule with a tier-stressing delay distribution.
-                0..=54 => {
-                    let delay = match rng.below(10) {
-                        // Same instant — collides with everything pending now.
-                        0..=2 => 0,
-                        // Within the current bucket.
-                        3..=4 => rng.below(BUCKET_WIDTH_PS),
-                        // Near future: a few buckets out.
-                        5..=7 => rng.below(BUCKET_WIDTH_PS * 8),
-                        // Across the ring — lands near the horizon edge.
-                        8 => horizon - BUCKET_WIDTH_PS * 2 + rng.below(BUCKET_WIDTH_PS * 4),
-                        // Far-future outlier, deep in the overflow tier.
-                        _ => horizon * (1 + rng.below(4)) + rng.below(horizon),
-                    };
-                    let at = q.now() + SimDuration(delay);
-                    if keyed {
-                        let key = (u128::from(rng.next_u64()) << 64) | u128::from(next_id);
-                        q.schedule_keyed(at, key, next_id);
-                        o.schedule_keyed(at, key, next_id);
-                    } else {
-                        q.schedule(at, next_id);
-                        o.schedule(at, next_id);
-                    }
-                    next_id += 1;
-                }
-                // 44%: pop and compare.
-                55..=98 => {
-                    let got = q.pop();
-                    let want = o.pop();
-                    assert_eq!(got, want, "pop diverged after {ops} ops");
-                    assert_eq!(q.now(), o.now, "clock diverged after {ops} ops");
-                }
-                // 1%: clear both.
-                _ => {
-                    q.clear();
-                    o.clear();
-                    assert!(q.is_empty());
-                    assert_eq!(q.peek_time(), None);
-                }
+    /// The calendar queue and the oracle driven in lockstep.
+    struct Lockstep {
+        q: EventQueue<u64>,
+        o: OracleQueue<u64>,
+        rng: Rng,
+        /// Schedule under a random high word above each event's unique id;
+        /// otherwise under the queues' own sequence counters.
+        keyed: bool,
+        next_id: u64,
+    }
+
+    impl Lockstep {
+        fn new(seed: u64, keyed: bool) -> Self {
+            Lockstep {
+                q: EventQueue::new(),
+                o: OracleQueue::new(),
+                rng: Rng::new(seed),
+                keyed,
+                next_id: 0,
             }
-            assert_eq!(q.len(), o.heap.len());
-            ops += 1;
+        }
+
+        fn schedule(&mut self, at: SimTime) {
+            let id = self.next_id;
+            if self.keyed {
+                let key = (u128::from(self.rng.next_u64()) << 64) | u128::from(id);
+                self.q.schedule_keyed(at, key, id);
+                self.o.schedule_keyed(at, key, id);
+            } else {
+                self.q.schedule(at, id);
+                self.o.schedule(at, id);
+            }
+            self.next_id += 1;
+        }
+
+        /// Pop both queues and check that they agree.
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let got = self.q.pop();
+            assert_eq!(got, self.o.pop(), "pop diverged after id {}", self.next_id);
+            assert_eq!(self.q.now(), self.o.now, "clock diverged");
+            assert_eq!(self.q.len(), self.o.heap.len());
+            got
+        }
+
+        /// Pop both queues until they are empty.
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            assert_eq!(self.q.processed(), self.o.processed);
+        }
+    }
+
+    /// Drive both queues through one seeded interleaving.
+    fn differential(seed: u64, keyed: bool) {
+        let mut ls = Lockstep::new(seed, keyed);
+        let horizon = BUCKET_WIDTH_PS * NUM_BUCKETS as u64;
+        for _ in 0..1_000_000 {
+            // 55%: schedule with a tier-stressing delay distribution.
+            if ls.rng.below(100) < 55 {
+                let delay = match ls.rng.below(10) {
+                    // Same instant — collides with everything pending now.
+                    0..=2 => 0,
+                    // Within the current bucket.
+                    3..=4 => ls.rng.below(BUCKET_WIDTH_PS),
+                    // Near future: a few buckets out.
+                    5..=7 => ls.rng.below(BUCKET_WIDTH_PS * 8),
+                    // Across the ring — lands near the horizon edge.
+                    8 => horizon - BUCKET_WIDTH_PS * 2 + ls.rng.below(BUCKET_WIDTH_PS * 4),
+                    // Far-future outlier, deep in the overflow tier.
+                    _ => horizon * (1 + ls.rng.below(4)) + ls.rng.below(horizon),
+                };
+                ls.schedule(ls.q.now() + SimDuration(delay));
+            } else {
+                // 45%: pop and compare.
+                ls.pop();
+            }
         }
         // Drain what's left; sequences must stay identical to the end.
-        loop {
-            let got = q.pop();
-            let want = o.pop();
-            assert_eq!(got, want, "drain diverged");
-            if got.is_none() {
-                break;
+        ls.drain();
+        assert!(ls.q.processed() > 300_000, "pop arm under-exercised");
+    }
+
+    /// Dense buckets against the oracle. Each round fills one bucket with
+    /// 10 to 19 events per sub-bucket (about 900 in all), scheduled in
+    /// random order on four instants per sub-bucket under random u128
+    /// keys, so exact-time ties are common and only the per-sub-bucket
+    /// sorts can order them. Stragglers scheduled while the bucket lay
+    /// beyond the ring horizon join it at refill, and pops interleave with
+    /// schedules into the current and the next buckets.
+    #[test]
+    fn dense_bucket_differential_against_binary_heap_oracle() {
+        const STRAGGLERS: usize = 32;
+        let mut ls = Lockstep::new(0xDE45E, true);
+        // One of four instants in sub-bucket `sub` of bucket `b`.
+        let instant = |rng: &mut Rng, b: u64, sub: u64| {
+            SimTime(b * BUCKET_WIDTH_PS + (sub << SUB_WIDTH_BITS) + rng.below(4) * 251)
+        };
+        for _ in 0..40 {
+            // The first event adopts its bucket as the epoch.
+            let epoch = bucket_of(ls.q.now()) + 1;
+            ls.schedule(SimTime(epoch * BUCKET_WIDTH_PS));
+            ls.schedule(SimTime((epoch + 100) * BUCKET_WIDTH_PS));
+            let dense = epoch + NUM_BUCKETS as u64 + 44;
+            for _ in 0..STRAGGLERS {
+                let sub = ls.rng.below(NUM_SUB_BUCKETS as u64);
+                let at = instant(&mut ls.rng, dense, sub);
+                ls.schedule(at);
+            }
+            assert_eq!(ls.q.overflow.len(), STRAGGLERS);
+            // Refill moves the epoch 100 buckets on: the dense bucket is
+            // inside the ring now.
+            ls.pop();
+            let mut times = Vec::new();
+            for sub in 0..NUM_SUB_BUCKETS as u64 {
+                for _ in 0..10 + ls.rng.below(10) {
+                    times.push(instant(&mut ls.rng, dense, sub));
+                }
+            }
+            ls.rng.shuffle(&mut times);
+            for &at in &times {
+                ls.schedule(at);
+            }
+            // The next refill makes the dense bucket `front`, stragglers
+            // included.
+            ls.pop();
+            assert_eq!(ls.q.front.len(), times.len() + STRAGGLERS);
+            assert!(ls.q.overflow.is_empty());
+            while ls.pop().is_some() {
+                let now = ls.q.now().0;
+                match ls.rng.below(10) {
+                    0..=1 => {
+                        let rest = BUCKET_WIDTH_PS - now % BUCKET_WIDTH_PS;
+                        let at = SimTime(now + ls.rng.below(rest));
+                        ls.schedule(at);
+                    }
+                    2 => {
+                        let sub = ls.rng.below(NUM_SUB_BUCKETS as u64);
+                        let at = instant(&mut ls.rng, bucket_of(SimTime(now)) + 1, sub);
+                        ls.schedule(at);
+                    }
+                    _ => {}
+                }
             }
         }
-        assert_eq!(q.processed(), o.processed);
-        assert_eq!(q.now(), o.now);
-        assert!(q.processed() > 300_000, "pop arm under-exercised");
+        ls.drain();
+        assert!(ls.q.processed() > 40 * 900);
+    }
+
+    /// A ring slot holds a buffer only while it is occupied: with at most
+    /// three slots occupied at once, the ring and the spare stack together
+    /// hold at most three buffers however many buckets go by.
+    #[test]
+    fn only_occupied_slots_hold_bucket_buffers() {
+        let mut rng = Rng::new(0xB0F);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..16 {
+            q.schedule(SimTime(rng.below(3 * BUCKET_WIDTH_PS)), i);
+        }
+        // Every event lands in the clock's bucket or one of the three after
+        // it, so at most three slots beyond the epoch are occupied.
+        while bucket_of(q.now()) < 10_000 {
+            let (at, id) = q.pop().expect("traffic keeps flowing");
+            q.schedule(at + SimDuration(rng.below(3 * BUCKET_WIDTH_PS)), id);
+            let occupied: u32 = q.occupied.iter().map(|w| w.count_ones()).sum();
+            assert!(occupied <= 3);
+            let held = q.ring.iter().chain(&q.spare).filter(|b| b.capacity() > 0);
+            assert!(held.count() <= 3, "bucket buffers pile up by {at}");
+        }
     }
 }
