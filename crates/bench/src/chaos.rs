@@ -21,8 +21,7 @@
 //! generator.
 
 use cohfree_core::{
-    ClusterConfig, FaultEvent, FaultPlan, ManagerConfig, NodeId, Rng, SimDuration, SimTime,
-    ThreadSpec, World,
+    ClusterConfig, FaultEvent, FaultPlan, NodeId, Rng, SimDuration, SimTime, ThreadSpec, World,
 };
 
 fn n(i: u16) -> NodeId {
@@ -213,9 +212,7 @@ pub fn build_world(spec: ChaosSpec, accesses: u64) -> World {
     if spec.scenario == Scenario::Mixed {
         cfg.fabric.loss_rate = 1e-3;
     }
-    if spec.manager {
-        cfg.manager = ManagerConfig::enabled();
-    }
+    cfg.manager = spec.manager;
     let mut w = World::new(cfg);
     w.enable_sampling(SimDuration::us(5));
     let mut rng = Rng::new(spec.seed ^ 0x7117_EAD5);

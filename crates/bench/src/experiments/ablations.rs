@@ -9,7 +9,6 @@ use cohfree_core::backend::{
 };
 use cohfree_core::world::{ThreadSpec, World};
 use cohfree_core::{ClusterConfig, MemSpace, Rng, SimDuration, SimTime, Topology};
-use cohfree_rmc::PrefetcherConfig;
 use cohfree_workloads::{BTree, HashIndex};
 
 /// ABL-OUTST — client RMC request slots and FPGA vs. ASIC front-end.
@@ -82,7 +81,7 @@ pub fn prefetch(scale: Scale) -> Table {
         &["pattern", "prefetch", "time_ms", "buffer_hit_rate"],
     );
     for pattern in ["sequential", "random"] {
-        for pf in [None, Some(PrefetcherConfig::default())] {
+        for pf in [false, true] {
             let mut m = RemoteMemorySpace::with_options(
                 super::cluster(),
                 super::n(1),
@@ -112,7 +111,7 @@ pub fn prefetch(scale: Scale) -> Table {
             };
             t.row(vec![
                 pattern.into(),
-                if pf.is_some() { "on" } else { "off" }.into(),
+                if pf { "on" } else { "off" }.into(),
                 format!("{:.3}", elapsed.as_ms_f64()),
                 format!("{:.2}", hit_rate),
             ]);

@@ -21,7 +21,7 @@ use crate::table::Table;
 use crate::Scale;
 use cohfree_core::world::World;
 use cohfree_core::NodeId;
-use cohfree_os::balloon::{Balloon, BalloonAction, BalloonConfig};
+use cohfree_os::balloon::{Balloon, BalloonAction};
 use cohfree_os::region::Reservation;
 
 /// One policy's outcome.
@@ -72,15 +72,7 @@ fn run_policy(balloon_mode: bool, steps: usize, peak: u64) -> Row {
     let mut w = World::new(super::cluster());
     let mut balloons: Vec<Balloon> = TENANTS
         .iter()
-        .map(|_| {
-            Balloon::new(
-                BalloonConfig {
-                    zone_frames: ZONE,
-                    ..BalloonConfig::default()
-                },
-                LOCAL_FRAMES,
-            )
-        })
+        .map(|_| Balloon::new(ZONE, LOCAL_FRAMES))
         .collect();
     let mut held: Vec<Vec<Reservation>> = vec![Vec::new(); TENANTS.len()];
     let mut ops = 0u64;

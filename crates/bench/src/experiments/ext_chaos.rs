@@ -7,7 +7,7 @@
 //! isolates the donor, and rolling server stalls — and compares **manager
 //! off** (static worst-case provisioning: failures are found the slow way,
 //! by exhausting the per-access retry budget) against **manager on** (the
-//! [`cohfree_core::ManagerConfig`] control loop: periodic observation,
+//! [`cohfree_core::RecoveryManager`] control loop: periodic observation,
 //! proactive migration, admission control). Metrics:
 //!
 //! * **availability** — fraction of sample intervals (between the first
@@ -26,9 +26,7 @@
 
 use crate::table::Table;
 use crate::Scale;
-use cohfree_core::{
-    ClusterConfig, FaultEvent, FaultPlan, ManagerConfig, SimDuration, SimTime, ThreadSpec, World,
-};
+use cohfree_core::{ClusterConfig, FaultEvent, FaultPlan, SimDuration, SimTime, ThreadSpec, World};
 
 /// Zone size (frames) borrowed from the disrupted donor.
 const ZONE_FRAMES: u64 = 2_048;
@@ -130,9 +128,7 @@ fn run_one(
 ) -> Outcome {
     let mut cfg = ClusterConfig::prototype();
     cfg.faults = plan(&cfg, disruption, strike);
-    if manager {
-        cfg.manager = ManagerConfig::enabled();
-    }
+    cfg.manager = manager;
     let mut w = World::new(cfg);
     let resv = w.reserve_remote(super::n(1), ZONE_FRAMES, Some(super::n(2)));
     // For the stall rows, a second zone on a healthy donor keeps threads

@@ -26,7 +26,7 @@ const ZONE_FRAMES: u64 = 2_048;
 fn base_cfg(budget: u32) -> ClusterConfig {
     let mut cfg = ClusterConfig::prototype();
     cfg.fabric.loss_rate = 1e-3; // detection must work *through* loss
-    cfg.recovery.max_retries = budget;
+    cfg.max_retries = budget;
     cfg
 }
 

@@ -15,40 +15,26 @@
 //! Both cells also land in the report's `metrics.slos` section
 //! (`ext_serving/nofault`, `ext_serving/crash`) via
 //! [`crate::report::record_slo`], and the crash cell records its cluster
-//! snapshot. Knobs: `COHFREE_SERVING_USERS` (KV user population,
-//! default 1 M), `COHFREE_SERVING_LANES` (serving threads per tenant,
-//! default 4), `COHFREE_SERVING_SEED` (arrival-stream seed base).
+//! snapshot. The study has no knobs: 1 M KV users, 4 lanes per tenant and
+//! the arrival seed base are constants, so the report is the same in every
+//! environment.
 
 use crate::table::Table;
 use crate::Scale;
-use cohfree_core::{
-    envknob, FaultEvent, FaultPlan, ManagerConfig, SimDuration, SimTime, TraceMode, World,
-};
+use cohfree_core::{FaultEvent, FaultPlan, SimDuration, SimTime, TraceMode, World};
 use cohfree_sim::stats::LatencyHistogram;
 use cohfree_workloads::serving::{
     self, ArrivalSpec, DiurnalProfile, RequestMix, Tenant, TenantSpec,
 };
 
-/// KV-tenant simulated user population (`COHFREE_SERVING_USERS`).
-fn users() -> u64 {
-    envknob::lookup("COHFREE_SERVING_USERS", envknob::parse_positive)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(1_000_000)
-}
+/// KV-tenant simulated user population; the scan tenant runs an eighth.
+const USERS: u64 = 1_000_000;
 
-/// Serving lanes (threads) per tenant (`COHFREE_SERVING_LANES`).
-fn lanes() -> usize {
-    envknob::lookup("COHFREE_SERVING_LANES", envknob::parse_positive)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .map_or(4, |l: u64| l as usize)
-}
+/// Serving lanes (threads) per tenant.
+const LANES: usize = 4;
 
-/// Arrival-stream seed base (`COHFREE_SERVING_SEED`).
-fn seed() -> u64 {
-    envknob::lookup("COHFREE_SERVING_SEED", envknob::parse_positive)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(0x5E21)
-}
+/// Arrival-stream seed base (the scan tenant uses the next seed).
+const SEED: u64 = 0x5E21;
 
 /// The two tenants of the study. The KV tenant folds the full user
 /// population into one diurnally modulated aggregate stream; the scan
@@ -61,20 +47,20 @@ fn tenants(scale: Scale) -> Vec<TenantSpec> {
             client: super::n(1),
             donors: vec![super::n(3), super::n(4)],
             frames_per_donor: 128,
-            lanes: lanes(),
+            lanes: LANES,
             requests: kv_requests,
             mix: RequestMix::PointKv {
                 zipf_s: 0.99,
                 value_bytes: 64,
             },
             arrivals: ArrivalSpec {
-                users: users(),
+                users: USERS,
                 rate_per_user_hz: 2.0,
                 diurnal: Some(DiurnalProfile {
                     period: SimDuration::us(400),
                     trough: 0.4,
                 }),
-                seed: seed(),
+                seed: SEED,
             },
             write_fraction: 0.1,
             think: SimDuration::ns(5),
@@ -85,14 +71,14 @@ fn tenants(scale: Scale) -> Vec<TenantSpec> {
             client: super::n(2),
             donors: vec![super::n(5)],
             frames_per_donor: 128,
-            lanes: lanes(),
+            lanes: LANES,
             requests: kv_requests / 4,
             mix: RequestMix::ColumnarScan { chunk_bytes: 4096 },
             arrivals: ArrivalSpec {
-                users: users() / 8,
+                users: USERS / 8,
                 rate_per_user_hz: 2.0,
                 diurnal: None,
-                seed: seed() + 1,
+                seed: SEED + 1,
             },
             write_fraction: 0.0,
             think: SimDuration::ns(20),
@@ -152,7 +138,7 @@ fn run_one(scale: Scale, crash: bool, record: bool) -> Vec<Row> {
     // Aggregate tracing feeds the SLO phase histograms; the manager is
     // live in both cells so the comparison isolates the fault itself.
     cfg.trace = TraceMode::Aggregate;
-    cfg.manager = ManagerConfig::enabled();
+    cfg.manager = true;
     if crash {
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
             at: SimTime::ZERO + SimDuration::us(300),

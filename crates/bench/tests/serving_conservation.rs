@@ -3,7 +3,7 @@
 //! completed / shed / failed — for every tenant, under a crash storm.
 
 use cohfree_bench::chaos::{self, Scenario};
-use cohfree_core::{ClusterConfig, ManagerConfig, NodeId, SimDuration, SimTime, TraceMode, World};
+use cohfree_core::{ClusterConfig, NodeId, SimDuration, SimTime, TraceMode, World};
 use cohfree_workloads::serving::{self, ArrivalSpec, RequestMix, Tenant, TenantSpec};
 
 fn n(i: u16) -> NodeId {
@@ -15,7 +15,7 @@ fn n(i: u16) -> NodeId {
 fn build(seed: u64) -> (World, Vec<Tenant>) {
     let mut cfg = ClusterConfig::prototype();
     cfg.faults = chaos::scenario_plan(&cfg, Scenario::CrashStorm, seed);
-    cfg.manager = ManagerConfig::enabled();
+    cfg.manager = true;
     cfg.trace = TraceMode::Aggregate;
     let mut w = World::new(cfg);
     w.enable_sampling(SimDuration::us(10));

@@ -10,16 +10,16 @@
 //!   like the prototype; dirty victims whose line lives remotely stall the
 //!   core for a write transaction first (one outstanding RMC request).
 //! * The optional [`cohfree_rmc::Prefetcher`] implements the paper's
-//!   future-work extension; prefetched lines become usable after an
-//!   unloaded round-trip estimate (optimistic-overlap model, documented in
-//!   DESIGN.md).
+//!   future-work extension at the cache's line size; prefetched lines
+//!   become usable after an unloaded round-trip estimate
+//!   (optimistic-overlap model, documented in DESIGN.md).
 
 use super::process::{Backing, Core, Process, Zones};
 use crate::config::ClusterConfig;
 use crate::world::World;
 use cohfree_fabric::{MsgKind, NodeId};
 use cohfree_rmc::addr::RemoteRef;
-use cohfree_rmc::{Prefetcher, PrefetcherConfig};
+use cohfree_rmc::Prefetcher;
 use cohfree_sim::{FastMap, SimTime};
 
 /// Where allocations land.
@@ -45,8 +45,8 @@ pub struct RemoteOptions {
     /// request slot and loads the fabric/home). `false` (the conservative
     /// prototype behaviour) stalls the core for the full round trip.
     pub posted_writes: bool,
-    /// Enable the RMC sequential prefetcher.
-    pub prefetch: Option<PrefetcherConfig>,
+    /// Enable the RMC sequential prefetcher (at `cfg.cache.line_bytes`).
+    pub prefetch: bool,
     /// Frames per reservation zone (amortizes the software cost).
     pub zone_frames: u64,
     /// Explicit memory-server list (round-robin); `None` lets the
@@ -60,7 +60,7 @@ impl Default for RemoteOptions {
         RemoteOptions {
             cacheable: true,
             posted_writes: false,
-            prefetch: None,
+            prefetch: false,
             zone_frames: 16_384, // 64 MiB zones
             servers: None,
         }
@@ -108,7 +108,9 @@ impl RemoteMemorySpace {
             cacheable: opts.cacheable,
             posted_writes: opts.posted_writes,
             zones: Zones::new(node, opts.servers, opts.zone_frames),
-            prefetcher: opts.prefetch.map(Prefetcher::new),
+            prefetcher: opts
+                .prefetch
+                .then(|| Prefetcher::new(cfg.cache.line_bytes.into())),
             prefetch_ready: FastMap::default(),
         };
         Process::with_backing(&cfg, backing)
@@ -482,7 +484,7 @@ mod tests {
 
     #[test]
     fn prefetcher_accelerates_sequential_scans() {
-        let mk = |pf: Option<PrefetcherConfig>| {
+        let mk = |pf: bool| {
             let opts = RemoteOptions {
                 prefetch: pf,
                 ..RemoteOptions::default()
@@ -500,11 +502,35 @@ mod tests {
             }
             m.now().since(SimTime::ZERO)
         };
-        let base = mk(None);
-        let with_pf = mk(Some(PrefetcherConfig::default()));
+        let base = mk(false);
+        let with_pf = mk(true);
         assert!(
             with_pf.as_ns_f64() < base.as_ns_f64() * 0.8,
             "prefetching should cut sequential scan time: {with_pf} vs {base}"
+        );
+    }
+
+    #[test]
+    fn prefetcher_follows_the_cache_line_size() {
+        // Regression: the prefetcher kept 64-byte lines of its own, so on
+        // a 128-byte-line cache consecutive misses skipped one of its lines
+        // and a sequential scan never trained a stream.
+        let mut cfg = ClusterConfig::prototype();
+        cfg.cache.line_bytes = 128;
+        let opts = RemoteOptions {
+            prefetch: true,
+            ..RemoteOptions::default()
+        };
+        let mut m = RemoteMemorySpace::with_options(cfg, n(1), AllocPolicy::AlwaysRemote, opts);
+        let va = m.alloc(1 << 20);
+        for i in 0..(1 << 20) / 8 {
+            m.read_u64(va + i * 8);
+        }
+        let s = m.stats();
+        assert!(
+            s.prefetch_hits > 0,
+            "no prefetch hit in {} misses",
+            s.cache_misses
         );
     }
 

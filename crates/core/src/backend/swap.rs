@@ -36,7 +36,7 @@ use cohfree_sim::{FastMap, FifoServer, SimDuration};
 /// pages over a commodity network through the kernel block layer — an
 /// Ethernet-class path, not the RMC fabric. That is the default here. The
 /// `Fabric` variant is an *idealized* swap that ships pages over the same
-/// HT fabric the RMC uses (the `abl_swap_transport` ablation).
+/// HT fabric the RMC uses (ABL-RESIDENCY, `abl_residency`).
 #[derive(Debug, Clone, Copy)]
 pub enum SwapTransport {
     /// Kernel network path: per-page round-trip latency + wire time at the

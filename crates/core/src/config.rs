@@ -5,14 +5,15 @@
 //! 16-node CLUSTER 2010 machine (FPGA RMCs, DDR2-800, 4×4 mesh); the
 //! ablation benches derive variants from it. Policies every experiment runs
 //! one way are not settable here: reservations and recovery fall back to
-//! the directory's nearest donor with room, and the span ring holds
+//! the directory's nearest donor with room, the span ring holds
 //! [`DEFAULT_TRACE_CAPACITY`](cohfree_sim::span::DEFAULT_TRACE_CAPACITY)
-//! spans.
+//! spans, the retry backoff doubles up to 16 timeouts plus up to 25 %
+//! jitter, and the recovery manager's timing and watermarks are constants
+//! of [`cohfree_os::manager`].
 
-use crate::fault::{FaultPlan, RecoveryConfig};
+use crate::fault::FaultPlan;
 use cohfree_fabric::{FabricConfig, Topology};
 use cohfree_mem::{CacheConfig, DramConfig};
-use cohfree_os::manager::ManagerConfig;
 use cohfree_os::pagetable::TlbConfig;
 use cohfree_rmc::RmcConfig;
 use cohfree_sim::span::TraceMode;
@@ -77,12 +78,15 @@ pub struct ClusterConfig {
     pub os: OsTiming,
     /// Deterministic fault-injection schedule (empty by default).
     pub faults: FaultPlan,
-    /// Failure-detection and recovery parameters.
-    pub recovery: RecoveryConfig,
-    /// Online recovery-manager control loop (disabled by default; when
-    /// enabled the world runs periodic manager ticks that drive load-aware
-    /// evacuation, proactive migration, and admission control).
-    pub manager: ManagerConfig,
+    /// Retransmissions per transaction before the home node is declared
+    /// suspect and outstanding transactions to it are aborted. The default
+    /// (16) is deliberately generous so heavy-loss studies (5 % per
+    /// traversal) never false-positive; EXT-FAILOVER sweeps it down.
+    pub max_retries: u32,
+    /// Run the online recovery manager (off by default). When on, the
+    /// world runs periodic manager ticks that drive load-aware evacuation,
+    /// proactive migration, and admission control.
+    pub manager: bool,
     /// Per-transaction span tracing (off by default). `Aggregate` keeps
     /// per-phase latency histograms that fold into `World::snapshot()`;
     /// `Full` also retains the span stream for Chrome-trace export.
@@ -108,8 +112,8 @@ impl ClusterConfig {
             pool_bytes: 8 << 30,
             os: OsTiming::default(),
             faults: FaultPlan::default(),
-            recovery: RecoveryConfig::default(),
-            manager: ManagerConfig::default(),
+            max_retries: 16,
+            manager: false,
             trace: TraceMode::Off,
             seed: 0xC0DE_2010,
         }

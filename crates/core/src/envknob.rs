@@ -1,8 +1,9 @@
 //! Typed parsing for `COHFREE_*` environment knobs.
 //!
-//! Runtime knobs (the `COHFREE_SERVING_*` and `COHFREE_CHAOS_*` overrides)
-//! go through this module so a garbage value produces one clear, typed
-//! [`EnvKnobError`] at startup instead of being silently ignored. Parsing is
+//! The `chaos` bin's campaign inputs (`COHFREE_CHAOS_SEED`,
+//! `COHFREE_CHAOS_RUNS`) go through this module so a garbage value produces
+//! one clear, typed [`EnvKnobError`] at startup instead of being silently
+//! ignored. Parsing is
 //! split from environment lookup so both the accept and reject paths are
 //! unit-testable without mutating the process environment.
 
@@ -65,23 +66,23 @@ mod tests {
 
     #[test]
     fn accepts_well_formed_values() {
-        assert_eq!(parse_positive("COHFREE_SERVING_USERS", "8"), Ok(8));
-        assert_eq!(parse_positive("COHFREE_SERVING_USERS", " 3 "), Ok(3));
+        assert_eq!(parse_positive("COHFREE_CHAOS_RUNS", "8"), Ok(8));
+        assert_eq!(parse_positive("COHFREE_CHAOS_RUNS", " 3 "), Ok(3));
     }
 
     #[test]
     fn rejects_garbage_with_a_typed_error() {
-        let e = parse_positive("COHFREE_SERVING_USERS", "three").unwrap_err();
-        assert_eq!(e.name, "COHFREE_SERVING_USERS");
+        let e = parse_positive("COHFREE_CHAOS_RUNS", "three").unwrap_err();
+        assert_eq!(e.name, "COHFREE_CHAOS_RUNS");
         assert_eq!(e.value, "three");
         let msg = e.to_string();
         assert!(
-            msg.contains("COHFREE_SERVING_USERS") && msg.contains("three"),
+            msg.contains("COHFREE_CHAOS_RUNS") && msg.contains("three"),
             "{msg}"
         );
 
-        assert!(parse_positive("COHFREE_SERVING_LANES", "0").is_err());
-        assert!(parse_positive("COHFREE_SERVING_LANES", "-4").is_err());
-        assert!(parse_positive("COHFREE_SERVING_SEED", "1e3").is_err());
+        assert!(parse_positive("COHFREE_CHAOS_RUNS", "0").is_err());
+        assert!(parse_positive("COHFREE_CHAOS_RUNS", "-4").is_err());
+        assert!(parse_positive("COHFREE_CHAOS_SEED", "1e3").is_err());
     }
 }

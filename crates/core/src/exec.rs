@@ -81,37 +81,43 @@ pub(crate) fn key_gen(key: u128) -> u8 {
 /// The largest single loss-recovery backoff delay: one simulated second.
 ///
 /// Real recovery stacks cap their exponential backoff at a maximum delay;
-/// here the ceiling also keeps absolute timer *instants* representable. The
-/// clock counts picoseconds in a `u64` (~213 simulated days), so an uncapped
-/// exponential — default 30 µs timeout doubled a few dozen times — reaches
-/// per-retry delays of ~2e18 ps and walks the clock to `SimTime::MAX` within
-/// tens of retries, after which the retransmission path does arithmetic on a
+/// here the ceiling also keeps absolute timer *instants* representable
+/// whatever `RmcConfig::timeout` is. The clock counts picoseconds in a
+/// `u64` (~213 simulated days); a timeout large enough that 16 of them
+/// saturate the delay would walk the clock to `SimTime::MAX` within a few
+/// retries, after which the retransmission path does arithmetic on a
 /// saturated clock. At 1 s per retry, even a million-retry budget sums to
-/// well inside the clock's range.
+/// well inside the clock's range. With the prototype's 30 µs timeout the
+/// ceiling never binds.
 pub(crate) const BACKOFF_CEILING: SimDuration = SimDuration::secs(1);
+
+/// Retries after which the loss-recovery backoff stops doubling: the k-th
+/// retry waits `timeout * 2^min(k, BACKOFF_CAP)` before jitter.
+pub(crate) const BACKOFF_CAP: u32 = 4;
+
+/// Deterministic jitter fraction on retry backoff: the k-th retry of a
+/// transaction waits its exponential delay plus up to this fraction of it.
+pub(crate) const RETRY_JITTER: f64 = 0.25;
 
 /// Exponential loss-recovery backoff for the `attempt`-th retry of the
 /// transaction tagged `tag`:
-/// `min(timeout * 2^min(attempt, backoff_cap) * (1 + j), BACKOFF_CEILING)`
-/// where `j ∈ [0, retry_jitter)` is a deterministic per-(tag, attempt)
-/// fraction. The shift is clamped and the multiply saturates so a retry
-/// budget of 64+ cannot wrap the delay to (near) zero and hot-spin the
-/// event queue, and the absolute ceiling keeps timer instants finite (see
-/// [`BACKOFF_CEILING`]).
+/// `min(timeout * 2^min(attempt, BACKOFF_CAP) * (1 + j), BACKOFF_CEILING)`
+/// where `j ∈ [0, RETRY_JITTER)` is a deterministic per-(tag, attempt)
+/// fraction. The multiply saturates and the absolute ceiling keeps timer
+/// instants finite whatever the timeout (see [`BACKOFF_CEILING`]).
 ///
 /// The jitter is a pure function of `(cluster seed, tag, attempt)`, so
 /// retries replay exactly from the seed. Tags encode the issuing node in
-/// their high bits, so
-/// clients whose retries a shared outage synchronized spread back out
-/// instead of re-saturating the restored fabric in one wave.
+/// their high bits, so clients whose retries a shared outage synchronized
+/// spread back out instead of re-saturating the restored fabric in one
+/// wave.
 #[inline]
 pub(crate) fn backoff_delay(cfg: &ClusterConfig, tag: u64, attempt: u32) -> SimDuration {
-    let shift = attempt.min(cfg.recovery.backoff_cap).min(63);
-    let base = cfg.rmc.timeout.saturating_mul(1u64 << shift);
-    let jitter = cfg.recovery.retry_jitter;
-    if jitter <= 0.0 {
-        return base.min(BACKOFF_CEILING);
-    }
+    let base = cfg
+        .rmc
+        .timeout
+        .saturating_mul(1u64 << attempt.min(BACKOFF_CAP))
+        .min(BACKOFF_CEILING);
     // SplitMix64-style scramble of (seed, tag, attempt) -> fraction in [0,1).
     let mut h = cfg
         .seed
@@ -121,8 +127,8 @@ pub(crate) fn backoff_delay(cfg: &ClusterConfig, tag: u64, attempt: u32) -> SimD
     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^= h >> 31;
     let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-    let extra = SimDuration::ns_f64(base.min(BACKOFF_CEILING).as_ns_f64() * jitter * frac);
-    (base.min(BACKOFF_CEILING) + extra).min(BACKOFF_CEILING)
+    let extra = SimDuration::ns_f64(base.as_ns_f64() * RETRY_JITTER * frac);
+    (base + extra).min(BACKOFF_CEILING)
 }
 
 /// Delay between a requester exhausting its retry budget and the suspect
@@ -435,7 +441,7 @@ impl World {
         if p.attempt != attempt {
             return; // already retransmitted; a newer timer is armed
         }
-        if p.attempt >= self.cfg.recovery.max_retries {
+        if p.attempt >= self.cfg.max_retries {
             // Retry budget exhausted: the home node is unresponsive. Failure
             // declaration touches cluster-wide state (directory, evacuation),
             // so it is deferred one lookahead window as a global event; the
@@ -654,11 +660,22 @@ impl World {
 mod tests {
     use super::*;
 
+    /// The backoff before jitter: `timeout * 2^min(attempt, BACKOFF_CAP)`,
+    /// clamped to the ceiling.
+    fn unjittered(cfg: &ClusterConfig, attempt: u32) -> SimDuration {
+        cfg.rmc
+            .timeout
+            .saturating_mul(1 << attempt.min(BACKOFF_CAP))
+            .min(BACKOFF_CEILING)
+    }
+
     #[test]
     fn backoff_delay_is_monotone_and_never_wraps() {
+        // A 100 ms timeout reaches the ceiling by the cap (16 x 100 ms >
+        // 1 s): the delay doubles (jitter adds less than that) and then
+        // stays on the ceiling.
         let mut cfg = ClusterConfig::prototype();
-        cfg.recovery.backoff_cap = u32::MAX; // worst case: no config clamp
-        cfg.recovery.retry_jitter = 0.0; // monotonicity holds without jitter
+        cfg.rmc.timeout = SimDuration::ms(100);
         let mut prev = SimDuration::ZERO;
         for attempt in 0..200 {
             let d = backoff_delay(&cfg, 7, attempt);
@@ -670,34 +687,38 @@ mod tests {
         // of headroom before the picosecond clock can saturate.
         assert_eq!(prev, BACKOFF_CEILING);
         assert!(prev.as_ps() < u64::MAX / 1_000_000);
+        // A timeout whose 16-fold multiple overflows the clock saturates
+        // onto the ceiling instead of wrapping to a short delay.
+        cfg.rmc.timeout = SimDuration::ps(u64::MAX / 4);
+        for attempt in 0..200 {
+            assert_eq!(backoff_delay(&cfg, 7, attempt), BACKOFF_CEILING);
+        }
     }
 
     #[test]
-    fn backoff_delay_respects_the_config_cap() {
-        let mut cfg = ClusterConfig::prototype();
-        cfg.recovery.backoff_cap = 3;
-        cfg.recovery.retry_jitter = 0.0;
-        assert_eq!(backoff_delay(&cfg, 7, 5), backoff_delay(&cfg, 7, 3));
-        assert_eq!(
-            backoff_delay(&cfg, 7, 2).as_ns(),
-            cfg.rmc.timeout.as_ns() * 4
-        );
+    fn backoff_delay_stops_doubling_at_the_cap() {
+        let cfg = ClusterConfig::prototype();
+        let within = |attempt: u32, factor: u64| {
+            let d = backoff_delay(&cfg, 7, attempt).as_ns_f64();
+            let floor = (cfg.rmc.timeout.as_ns() * factor) as f64;
+            d >= floor && d <= floor * (1.0 + RETRY_JITTER) + 1.0
+        };
+        assert!(within(2, 4));
+        for attempt in [BACKOFF_CAP, BACKOFF_CAP + 1, 40] {
+            assert!(within(attempt, 1 << BACKOFF_CAP), "attempt {attempt}");
+        }
     }
 
     #[test]
     fn backoff_jitter_is_deterministic_bounded_and_capped() {
-        let cfg = ClusterConfig::prototype(); // default jitter 0.25
+        let cfg = ClusterConfig::prototype();
         for attempt in 0..8 {
             for tag in [1u64 << 48, (2u64 << 48) + 3, 9] {
                 let d = backoff_delay(&cfg, tag, attempt);
                 assert_eq!(d, backoff_delay(&cfg, tag, attempt), "deterministic");
-                let floor = {
-                    let mut c = cfg;
-                    c.recovery.retry_jitter = 0.0;
-                    backoff_delay(&c, tag, attempt)
-                };
+                let floor = unjittered(&cfg, attempt);
                 assert!(d >= floor, "jitter only ever delays");
-                let ceil_ns = floor.as_ns_f64() * (1.0 + cfg.recovery.retry_jitter);
+                let ceil_ns = floor.as_ns_f64() * (1.0 + RETRY_JITTER);
                 assert!(
                     d.as_ns_f64() <= ceil_ns + 1.0,
                     "jitter bounded by the fraction"

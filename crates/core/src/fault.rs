@@ -4,8 +4,8 @@
 //! heap spanning borrowed memory makes a donor-node crash a failure mode
 //! coherent SMP never had. This module declares *what goes wrong and when*
 //! ([`FaultPlan`], a deterministic schedule carried by
-//! [`crate::ClusterConfig`]) and *how the cluster responds*
-//! ([`RecoveryConfig`]: retry budget, backoff and its jitter). The
+//! [`crate::ClusterConfig`]); the cluster's response is set by the retry
+//! budget [`crate::ClusterConfig::max_retries`]. The
 //! [`crate::World`] event loop injects the events and drives detection and
 //! recovery: a zone whose donor is declared dead is re-homed on another
 //! donor with room (the recovery manager's load-aware pick when it runs,
@@ -147,37 +147,6 @@ impl FaultPlan {
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-}
-
-/// Failure-detection and recovery parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryConfig {
-    /// Retransmissions per transaction before the home node is declared
-    /// suspect and outstanding transactions to it are aborted. The default
-    /// is deliberately generous so heavy-loss studies (5% per traversal)
-    /// never false-positive; failover experiments sweep it down.
-    pub max_retries: u32,
-    /// Exponential-backoff cap: the k-th retry waits
-    /// `timeout * 2^min(k, backoff_cap)`.
-    pub backoff_cap: u32,
-    /// Deterministic jitter fraction on retry backoff: the k-th retry of a
-    /// transaction waits its exponential delay plus up to `retry_jitter`
-    /// of that delay, the fraction drawn from a hash of the cluster seed,
-    /// the transaction tag and the attempt number. Tags encode the issuing
-    /// node, so clients recovering from the same outage de-synchronize
-    /// instead of re-saturating the fabric in one retry wave. `0.0`
-    /// disables jitter.
-    pub retry_jitter: f64,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            max_retries: 16,
-            backoff_cap: 4,
-            retry_jitter: 0.25,
-        }
     }
 }
 

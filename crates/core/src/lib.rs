@@ -56,14 +56,14 @@ pub mod world;
 pub use backend::{AllocPolicy, LocalMachine, MemSpace, RemoteMemorySpace, SwapSpace};
 pub use config::{ClusterConfig, OsTiming};
 pub use envknob::EnvKnobError;
-pub use fault::{FaultEvent, FaultPlan, RecoveryConfig, MAX_FAULT_EVENTS};
+pub use fault::{FaultEvent, FaultPlan, MAX_FAULT_EVENTS};
 pub use world::{
     AccessOutcome, AccessPattern, ClusterSnapshot, Sample, ThreadSpec, World, WorldConfigError,
 };
 
 // Re-export the substrate types a user of the public API needs.
 pub use cohfree_fabric::{MsgKind, NodeId, Topology};
-pub use cohfree_os::manager::{ManagerConfig, NodeObservation, RecoveryManager};
+pub use cohfree_os::manager::{NodeObservation, RecoveryManager};
 pub use cohfree_sim::{
     FaultLog, FaultLogEntry, Json, Phase, Rng, SimDuration, SimTime, SpanRecord, TraceMode,
     TraceSink,

@@ -83,7 +83,7 @@ pub(crate) enum Ev {
         /// The node being declared failed.
         dead: NodeId,
     },
-    /// Recovery-manager control-loop tick ([`crate::ManagerConfig`]):
+    /// Recovery-manager control-loop tick ([`ClusterConfig::manager`]):
     /// observe the cluster, decide, act. Touches cluster-wide state
     /// (directory, regions, per-client shed sets), so it runs as a global
     /// event. Re-arms only while threads are unfinished or transactions are in
@@ -447,7 +447,7 @@ pub struct World {
     /// client's suspect set each tick.
     suspected: Vec<bool>,
     /// The online recovery manager (present iff
-    /// [`crate::ManagerConfig::enabled`]).
+    /// [`ClusterConfig::manager`]).
     manager: Option<RecoveryManager>,
     /// Chronological record of faults, detections and recoveries.
     fault_log: FaultLog,
@@ -546,10 +546,7 @@ impl World {
             sampler: None,
             dead: vec![false; n as usize],
             suspected: vec![false; n as usize],
-            manager: cfg
-                .manager
-                .enabled
-                .then(|| RecoveryManager::new(cfg.manager, n)),
+            manager: cfg.manager.then(|| RecoveryManager::new(n)),
             fault_log: FaultLog::new(),
             lost_frames: vec![0; n as usize],
             evacuations: 0,
@@ -707,8 +704,10 @@ impl World {
     ///
     /// # Panics
     /// Panics if no donor can satisfy the request (callers size experiments
-    /// within the pool), if `donor` is `asker`, or if `donor` is a crashed
-    /// node; nothing has changed when it panics.
+    /// within the pool), if `donor` is `asker`, if `donor` is a crashed
+    /// node, or if the zone overlaps a segment the asker already holds (a
+    /// restarted donor handing back a pre-crash base); nothing has changed
+    /// when it panics.
     pub fn reserve_remote(
         &mut self,
         asker: NodeId,
@@ -727,17 +726,28 @@ impl World {
             .frames
             .reserve(frames, asker)
             .unwrap_or_else(|e| panic!("donor {home} failed: {e}"));
-        let resv = Reservation {
+        let seg = Segment {
             home,
-            prefixed_base: encode(home, local_base),
+            base: encode(home, local_base),
             frames,
         };
+        // A restarted donor's cold pool can hand back the base of a
+        // pre-crash zone the asker still names; give the grant back before
+        // anything else changes.
+        if self.nodes[asker.index()].region.overlaps(&seg) {
+            self.nodes[home.index()]
+                .frames
+                .release(local_base, asker)
+                .expect("the zone was just granted");
+            panic!("segment overlap while extending region of {asker}");
+        }
         self.directory.debit(home, frames);
-        self.nodes[asker.index()].region.extend(Segment {
+        self.nodes[asker.index()].region.extend(seg);
+        let resv = Reservation {
             home,
-            base: resv.prefixed_base,
+            prefixed_base: seg.base,
             frames,
-        });
+        };
         // The reservation round is off the access path; the caller charges
         // `OsTiming::reservation` to its own clock starting now.
         let t0 = self.queue.now();
@@ -1248,7 +1258,7 @@ impl World {
 
     /// Like [`World::blocking_transaction`], but a home-node failure is
     /// reported as [`AccessOutcome::Failed`] instead of retrying forever:
-    /// after the retry budget ([`crate::RecoveryConfig::max_retries`]) is
+    /// after the retry budget ([`ClusterConfig::max_retries`]) is
     /// exhausted the node is declared suspect and the access aborted.
     /// Accesses to an already-suspect node fail immediately.
     ///
@@ -1625,7 +1635,7 @@ impl World {
         self.pending.len()
     }
 
-    /// The online recovery manager, when [`crate::ManagerConfig::enabled`].
+    /// The online recovery manager, when [`ClusterConfig::manager`] is on.
     pub fn manager(&self) -> Option<&RecoveryManager> {
         self.manager.as_ref()
     }
@@ -2386,6 +2396,44 @@ mod tests {
     }
 
     #[test]
+    fn re_reserving_from_a_restarted_donor_changes_nothing() {
+        // Regression: the restarted donor's cold pool hands back the base
+        // of the asker's never-evacuated pre-crash zone. The donor's
+        // allocator granted it and the directory was debited before the
+        // region refused the overlapping segment.
+        let mut cfg = ClusterConfig::prototype();
+        cfg.faults = FaultPlan::new()
+            .with(FaultEvent::NodeCrash {
+                at: t(10),
+                node: n(2),
+            })
+            .with(FaultEvent::NodeRestart {
+                at: t(20),
+                node: n(2),
+            });
+        let mut w = World::new(cfg);
+        w.reserve_remote(n(1), 1024, Some(n(2)));
+        w.drain_background();
+        let free = w.directory().free_frames(n(2));
+        let donor = &w.nodes[n(2).index()].frames;
+        let (granted, donor_free) = (donor.granted_frames(), donor.free_frames());
+        let segments = w.region(n(1)).segments().to_vec();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.reserve_remote(n(1), 1024, Some(n(2)))
+        }))
+        .expect_err("the stale segment still covers the base");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
+        assert!(msg.contains("segment overlap"), "{msg}");
+        assert_eq!(w.directory().free_frames(n(2)), free);
+        let donor = &w.nodes[n(2).index()].frames;
+        assert_eq!(donor.granted_frames(), granted);
+        assert_eq!(donor.free_frames(), donor_free);
+        assert_eq!(w.region(n(1)).segments(), segments);
+    }
+
+    #[test]
     fn releasing_a_pre_crash_zone_after_the_donor_restarts() {
         // Regression: the restarted donor's cold pool no longer holds the
         // grant, and the release panicked on the unknown grant.
@@ -2471,7 +2519,7 @@ mod tests {
     fn retry_budget_exhaustion_fails_the_access_and_marks_suspect() {
         let mut cfg = ClusterConfig::prototype();
         cfg.fabric.loss_rate = 1.0; // nothing ever gets through
-        cfg.recovery.max_retries = 4;
+        cfg.max_retries = 4;
         let mut w = World::new(cfg);
         let resv = w.reserve_remote(n(1), 16, Some(n(2)));
         let out = w.try_blocking_transaction(
@@ -2511,15 +2559,14 @@ mod tests {
     fn saturated_backoff_with_large_retry_budget_terminates() {
         // Regression: the retry backoff was computed as `timeout << attempt`,
         // which wraps past attempt 63 — the delay collapsed to (near) zero
-        // and the engine hot-spun through timers at one instant. The delay
-        // now clamps the shift and saturates the multiply: with a retry
-        // budget past 64, every retry is still scheduled strictly later,
-        // the timer instants stay finite, and the run terminates with the
-        // access failed and the home suspect.
+        // and the engine hot-spun through timers at one instant. The shift
+        // now stops at `BACKOFF_CAP` and the multiply saturates: with a
+        // retry budget past 64, every retry is still scheduled strictly
+        // later, the timer instants stay finite, and the run terminates
+        // with the access failed and the home suspect.
         let mut cfg = ClusterConfig::prototype();
         cfg.fabric.loss_rate = 1.0; // nothing ever gets through
-        cfg.recovery.max_retries = 80;
-        cfg.recovery.backoff_cap = 80;
+        cfg.max_retries = 80;
         let mut w = World::new(cfg);
         let resv = w.reserve_remote(n(1), 16, Some(n(2)));
         let out = w.try_blocking_transaction(
@@ -2581,7 +2628,7 @@ mod tests {
     #[test]
     fn donor_crash_evacuates_the_zone_and_accesses_follow_it() {
         let mut cfg = ClusterConfig::prototype();
-        cfg.recovery.max_retries = 4; // quick detection
+        cfg.max_retries = 4; // quick detection
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
             at: t(50),
             node: n(2),
@@ -2623,7 +2670,7 @@ mod tests {
     #[test]
     fn donor_crash_without_spare_capacity_fails_accesses() {
         let mut cfg = ClusterConfig::prototype();
-        cfg.recovery.max_retries = 2;
+        cfg.max_retries = 2;
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
             at: t(50),
             node: n(2),
@@ -2661,7 +2708,7 @@ mod tests {
         // and re-aimed at the evacuated zone recorded only the time after
         // the re-aim (936 ns) instead of the whole wait since its arrival.
         let mut cfg = ClusterConfig::prototype();
-        cfg.recovery.max_retries = 4;
+        cfg.max_retries = 4;
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
             at: SimTime::ZERO + SimDuration::ns(500),
             node: n(2),
@@ -2701,7 +2748,7 @@ mod tests {
     #[test]
     fn crashed_node_restarts_with_a_cold_pool() {
         let mut cfg = ClusterConfig::prototype();
-        cfg.recovery.max_retries = 2;
+        cfg.max_retries = 2;
         cfg.faults = FaultPlan::new()
             .with(FaultEvent::NodeCrash {
                 at: t(30),
@@ -2791,7 +2838,7 @@ mod tests {
     #[test]
     fn snapshot_carries_fault_log_and_evacuations() {
         let mut cfg = ClusterConfig::prototype();
-        cfg.recovery.max_retries = 2;
+        cfg.max_retries = 2;
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
             at: t(40),
             node: n(2),
@@ -2930,7 +2977,7 @@ mod tests {
     #[test]
     fn manager_migrates_zones_off_a_crashed_donor_before_detection() {
         let mut cfg = ClusterConfig::prototype();
-        cfg.manager = crate::ManagerConfig::enabled();
+        cfg.manager = true;
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
             at: t(50),
             node: n(2),
@@ -2965,8 +3012,7 @@ mod tests {
     #[test]
     fn manager_sheds_a_stalled_server_and_readmits_it_after_drain() {
         let mut cfg = ClusterConfig::prototype();
-        cfg.manager = crate::ManagerConfig::enabled();
-        cfg.manager.migrate_after = 0; // isolate admission control
+        cfg.manager = true;
         cfg.faults = FaultPlan::new().with(FaultEvent::ServerStall {
             at: t(20),
             node: n(2),
@@ -3022,7 +3068,7 @@ mod tests {
         assert!(w.snapshot().doc.get("manager").is_none());
         assert!(w.manager().is_none());
         let mut cfg = ClusterConfig::prototype();
-        cfg.manager = crate::ManagerConfig::enabled();
+        cfg.manager = true;
         let w = World::new(cfg);
         let doc = w.snapshot().doc;
         let mgr = doc.get("manager").expect("manager stats present");
@@ -3038,9 +3084,7 @@ mod tests {
     fn manager_overhead_on_a_fault_free_world_is_under_three_percent() {
         let events = |manager: bool| {
             let mut cfg = ClusterConfig::prototype();
-            if manager {
-                cfg.manager = crate::ManagerConfig::enabled();
-            }
+            cfg.manager = manager;
             let mut w = World::new(cfg);
             let client = n(1);
             let resv = w.reserve_remote(client, 2_048, Some(n(16)));

@@ -18,7 +18,6 @@ use cohfree_core::{
     ClusterConfig, LocalMachine, MemSpace, NodeId, RemoteMemorySpace, SimDuration, SwapSpace,
 };
 use cohfree_os::disk::DiskConfig;
-use cohfree_rmc::PrefetcherConfig;
 use cohfree_sim::Rng;
 
 // Pinned fingerprints, one per case.
@@ -243,7 +242,7 @@ fn remote_posted_writes_match_golden() {
 #[test]
 fn remote_prefetch_matches_golden() {
     let opts = RemoteOptions {
-        prefetch: Some(PrefetcherConfig::default()),
+        prefetch: true,
         ..RemoteOptions::default()
     };
     assert_golden(

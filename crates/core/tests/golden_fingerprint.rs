@@ -154,7 +154,7 @@ fn failover_world_matches_golden() {
     let mut cfg = ClusterConfig::prototype();
     cfg.trace = TraceMode::Full;
     cfg.fabric.loss_rate = 1e-3;
-    cfg.recovery.max_retries = 4;
+    cfg.max_retries = 4;
     cfg.faults = FaultPlan::new()
         .with(FaultEvent::NodeCrash {
             at: SimTime::ZERO + SimDuration::us(40),
@@ -204,7 +204,7 @@ fn randomized_worlds_match_golden() {
         let mut cfg = ClusterConfig::prototype();
         if rng.chance(0.5) {
             cfg.fabric.loss_rate = 1e-3 + rng.f64() * 5e-3;
-            cfg.recovery.max_retries = rng.range(2, 8) as u32;
+            cfg.max_retries = rng.range(2, 8) as u32;
         }
         cfg.trace = if rng.chance(0.5) {
             TraceMode::Full
@@ -237,7 +237,7 @@ fn fault_churn_world_matches_golden() {
     let mut cfg = ClusterConfig::prototype();
     cfg.trace = TraceMode::Full;
     cfg.fabric.loss_rate = 2e-3;
-    cfg.recovery.max_retries = 4;
+    cfg.max_retries = 4;
     cfg.faults = FaultPlan::new()
         .with(FaultEvent::NodeCrash {
             at: t(30),
@@ -278,9 +278,9 @@ fn manager_enabled_fault_churn_world_matches_golden() {
     let t = |us| SimTime::ZERO + SimDuration::us(us);
     let mut cfg = ClusterConfig::prototype();
     cfg.trace = TraceMode::Full;
-    cfg.manager = cohfree_core::ManagerConfig::enabled();
+    cfg.manager = true;
     cfg.fabric.loss_rate = 1e-3;
-    cfg.recovery.max_retries = 6;
+    cfg.max_retries = 6;
     cfg.faults = FaultPlan::new()
         .with(FaultEvent::NodeCrash {
             at: t(40),
@@ -355,9 +355,7 @@ fn poisson_arrivals(seed: u64, rate_hz: f64, count: usize) -> Vec<SimTime> {
 fn run_serving_world(manager: bool, trace: TraceMode) -> World {
     let mut cfg = ClusterConfig::prototype();
     cfg.trace = trace;
-    if manager {
-        cfg.manager = cohfree_core::ManagerConfig::enabled();
-    }
+    cfg.manager = manager;
     cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
         at: SimTime::ZERO + SimDuration::us(40),
         node: n(3),
@@ -459,10 +457,8 @@ fn run_driver_world(manager: bool, trace: TraceMode) -> (World, String) {
     let mut cfg = ClusterConfig::prototype();
     cfg.trace = trace;
     cfg.fabric.loss_rate = 0.02;
-    cfg.recovery.max_retries = 4;
-    if manager {
-        cfg.manager = cohfree_core::ManagerConfig::enabled();
-    }
+    cfg.max_retries = 4;
+    cfg.manager = manager;
     cfg.faults = FaultPlan::new()
         .with(FaultEvent::NodeCrash {
             at: t(400),
@@ -547,7 +543,7 @@ fn drain_between_probe_ticks_matches_golden() {
         let mut cfg = ClusterConfig::prototype();
         if crash {
             cfg.fabric.loss_rate = 1e-3;
-            cfg.recovery.max_retries = 4;
+            cfg.max_retries = 4;
             cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
                 at: SimTime::ZERO + SimDuration::us(3),
                 node: n(16),

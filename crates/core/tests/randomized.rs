@@ -146,7 +146,7 @@ fn mid_run_crash_with_loss_accounts_for_every_access() {
         let crash_at = SimTime::ZERO + SimDuration::us(rng.range(20, 200));
         let mut cfg = ClusterConfig::prototype();
         cfg.fabric.loss_rate = 1e-3;
-        cfg.recovery.max_retries = 4;
+        cfg.max_retries = 4;
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
             at: crash_at,
             node: crash_node,

@@ -107,7 +107,7 @@ fn run_lossy_crash_world(trace: TraceMode) -> (World, Vec<usize>) {
     let mut cfg = ClusterConfig::prototype();
     cfg.trace = trace;
     cfg.fabric.loss_rate = 0.02;
-    cfg.recovery.max_retries = 16;
+    cfg.max_retries = 16;
     // Node 2 donates to several clients, then dies mid-run.
     cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
         at: SimTime::ZERO + SimDuration::us(40),

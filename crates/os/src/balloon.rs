@@ -6,37 +6,23 @@
 //! node's memory pressure and decides when to borrow another zone from the
 //! cluster (hot-plug) and when to give zones back (hot-remove).
 //!
-//! The policy is deliberately hysteretic — grow below the low watermark,
-//! shrink only above the high watermark, one zone at a time — so stable
-//! demand never causes reservation churn (each reservation is a software
-//! round trip; thrashing them would reintroduce exactly the overhead the
-//! architecture avoids).
+//! The policy is deliberately hysteretic — grow below the low watermark
+//! (15 % of capacity free), shrink only above the high watermark (60 %),
+//! one zone at a time — so stable demand never causes reservation churn
+//! (each reservation is a software round trip; thrashing them would
+//! reintroduce exactly the overhead the architecture avoids). The
+//! watermarks are constants; the caller chooses the zone size.
 
-/// Watermark configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct BalloonConfig {
-    /// Grow when free memory falls below this fraction of current capacity.
-    pub low_watermark: f64,
-    /// Shrink when free memory exceeds this fraction of current capacity.
-    pub high_watermark: f64,
-    /// Zone granularity in frames (one grow/shrink step).
-    pub zone_frames: u64,
-}
+/// Grow when free memory falls below this fraction of current capacity.
+const LOW_WATERMARK: f64 = 0.15;
 
-impl Default for BalloonConfig {
-    fn default() -> Self {
-        BalloonConfig {
-            low_watermark: 0.15,
-            high_watermark: 0.60,
-            zone_frames: 16_384, // 64 MiB
-        }
-    }
-}
+/// Shrink when free memory exceeds this fraction of current capacity.
+const HIGH_WATERMARK: f64 = 0.60;
 
 /// What the kernel should do right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalloonAction {
-    /// Reserve one more zone of [`BalloonConfig::zone_frames`].
+    /// Reserve one more zone of the balloon's zone size.
     Grow,
     /// Release one previously borrowed zone.
     Shrink,
@@ -47,7 +33,8 @@ pub enum BalloonAction {
 /// The per-node ballooning policy state.
 #[derive(Debug, Clone, Copy)]
 pub struct Balloon {
-    cfg: BalloonConfig,
+    /// Zone granularity in frames (one grow/shrink step).
+    zone_frames: u64,
     /// Frames of the node's own memory available to this workload.
     local_frames: u64,
     /// Zones currently borrowed.
@@ -55,20 +42,15 @@ pub struct Balloon {
 }
 
 impl Balloon {
-    /// Policy for a node contributing `local_frames` of its own memory.
+    /// Policy for a node contributing `local_frames` of its own memory,
+    /// growing and shrinking in zones of `zone_frames`.
     ///
     /// # Panics
-    /// Panics unless `0 ≤ low < high ≤ 1` and the zone size is non-zero.
-    pub fn new(cfg: BalloonConfig, local_frames: u64) -> Balloon {
-        assert!(
-            cfg.low_watermark >= 0.0
-                && cfg.low_watermark < cfg.high_watermark
-                && cfg.high_watermark <= 1.0,
-            "watermarks must satisfy 0 <= low < high <= 1"
-        );
-        assert!(cfg.zone_frames > 0, "zone granularity must be non-zero");
+    /// Panics if the zone size is zero.
+    pub fn new(zone_frames: u64, local_frames: u64) -> Balloon {
+        assert!(zone_frames > 0, "zone granularity must be non-zero");
         Balloon {
-            cfg,
+            zone_frames,
             local_frames,
             zones: 0,
         }
@@ -76,7 +58,7 @@ impl Balloon {
 
     /// Total frames currently available (local + borrowed).
     pub fn capacity(&self) -> u64 {
-        self.local_frames + self.zones * self.cfg.zone_frames
+        self.local_frames + self.zones * self.zone_frames
     }
 
     /// Zones currently borrowed.
@@ -92,15 +74,15 @@ impl Balloon {
         let capacity = self.capacity();
         let free = capacity.saturating_sub(used_frames) as f64;
         let frac = free / capacity as f64;
-        if frac < self.cfg.low_watermark || used_frames >= capacity {
+        if frac < LOW_WATERMARK || used_frames >= capacity {
             return BalloonAction::Grow;
         }
-        if self.zones > 0 && frac > self.cfg.high_watermark {
+        if self.zones > 0 && frac > HIGH_WATERMARK {
             // Only shrink if the zone's removal keeps us above the low
             // watermark — otherwise we would grow right back (churn).
-            let after = self.capacity() - self.cfg.zone_frames;
+            let after = self.capacity() - self.zone_frames;
             let after_free = after.saturating_sub(used_frames) as f64;
-            if after > 0 && after_free / after as f64 > self.cfg.low_watermark {
+            if after > 0 && after_free / after as f64 > LOW_WATERMARK {
                 return BalloonAction::Shrink;
             }
         }
@@ -148,15 +130,8 @@ mod tests {
     use super::*;
 
     fn balloon() -> Balloon {
-        // 1000 local frames, 500-frame zones, 15%/60% watermarks.
-        Balloon::new(
-            BalloonConfig {
-                low_watermark: 0.15,
-                high_watermark: 0.6,
-                zone_frames: 500,
-            },
-            1_000,
-        )
+        // 1000 local frames, 500-frame zones.
+        Balloon::new(500, 1_000)
     }
 
     #[test]
@@ -207,7 +182,7 @@ mod tests {
         let (grows, shrinks) = b.settle(2_400);
         assert_eq!(shrinks, 0);
         assert!(grows >= 4, "needs at least 4 zones, got {grows}");
-        assert!(b.capacity() as f64 * (1.0 - 0.15) >= 2_400.0);
+        assert!(b.capacity() as f64 * (1.0 - LOW_WATERMARK) >= 2_400.0);
         // Demand drops: zones come back.
         let (_, shrinks) = b.settle(200);
         assert!(shrinks >= 3, "idle must release, got {shrinks}");
@@ -228,18 +203,5 @@ mod tests {
         assert!(total_shrinks >= 2, "waves must shrink");
         // Ends idle: minimal footprint.
         assert!(b.zones() <= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "watermarks")]
-    fn bad_watermarks_rejected() {
-        Balloon::new(
-            BalloonConfig {
-                low_watermark: 0.7,
-                high_watermark: 0.6,
-                zone_frames: 1,
-            },
-            100,
-        );
     }
 }

@@ -41,11 +41,11 @@ pub mod pagetable;
 pub mod region;
 pub mod swap;
 
-pub use balloon::{Balloon, BalloonAction, BalloonConfig};
+pub use balloon::{Balloon, BalloonAction};
 pub use directory::Directory;
 pub use disk::{Disk, DiskConfig};
 pub use frames::{FrameAllocator, FrameError, PAGE_FRAME_BYTES};
-pub use manager::{ManagerAction, ManagerConfig, NodeObservation, RecoveryManager};
+pub use manager::{ManagerAction, NodeObservation, RecoveryManager};
 pub use pagetable::{PageFlags, PageTable, Tlb, TlbConfig, Translation};
 pub use region::{Region, Reservation, Segment};
 pub use swap::{PageCache, SwapStats};

@@ -10,9 +10,9 @@
 //! * **Rehome** — zones hosted on a dead or fabric-isolated donor are
 //!   evacuated immediately (instead of waiting for every client to burn
 //!   its full retry budget), and zones on a donor whose pressure has
-//!   stayed above the high watermark for [`ManagerConfig::migrate_after`]
-//!   consecutive ticks are migrated *proactively* while the donor is
-//!   still up (a rolling server stall looks exactly like this).
+//!   stayed above the high watermark for `MIGRATE_AFTER` (4) consecutive
+//!   ticks are migrated *proactively* while the donor is still up (a
+//!   rolling server stall looks exactly like this).
 //! * **Shed / Readmit** — admission control with hysteresis: when a
 //!   node's pressure (the max of its server-RMC backlog and its worst
 //!   outgoing-link backlog, both time-to-drain figures) crosses
@@ -26,7 +26,9 @@
 //! actions (rewriting zones, flipping per-client shed sets, tracing each
 //! decision as a span) and schedules the next tick. Purity keeps the
 //! decision rules unit-testable here and its decisions a deterministic
-//! function of the observation sequence.
+//! function of the observation sequence. A world runs the manager when
+//! its `ClusterConfig::manager` is on; the tick, the watermarks and the
+//! migration streak are constants.
 //!
 //! Donor selection for both reactive evacuation and proactive migration
 //! goes through [`RecoveryManager::choose_recovery_donor`]: a load-aware
@@ -48,36 +50,9 @@ const SHED_ON: SimDuration = SimDuration::us(3);
 /// Low watermark for re-admission; below [`SHED_ON`] for hysteresis.
 const SHED_OFF: SimDuration = SimDuration::us(1);
 
-/// Tuning knobs for the recovery manager control loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ManagerConfig {
-    /// Master switch. Disabled by default, so failures are handled only by
-    /// retry-budget detection and evacuation unless a world opts in.
-    pub enabled: bool,
-    /// Consecutive hot ticks (pressure ≥ `SHED_ON`) after which zones are
-    /// proactively migrated off a still-alive donor. `0` disables
-    /// pressure-triggered migration (dead/isolated donors still rehome).
-    pub migrate_after: u32,
-}
-
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig {
-            enabled: false,
-            migrate_after: 4,
-        }
-    }
-}
-
-impl ManagerConfig {
-    /// The default knobs with the control loop switched on.
-    pub fn enabled() -> Self {
-        ManagerConfig {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
+/// Consecutive hot ticks (pressure ≥ [`SHED_ON`]) after which zones are
+/// proactively migrated off a still-alive donor.
+const MIGRATE_AFTER: u32 = 4;
 
 /// One node's state as seen by the manager at a tick (or at a donor
 /// choice). Built by the world from its snapshot-grade component state.
@@ -136,7 +111,6 @@ pub enum ManagerAction {
 /// decision rules.
 #[derive(Debug, Clone)]
 pub struct RecoveryManager {
-    cfg: ManagerConfig,
     /// Current shed state per node id (index 0 unused).
     shed: Vec<bool>,
     /// Consecutive ticks each node has spent at or above [`SHED_ON`].
@@ -149,9 +123,8 @@ pub struct RecoveryManager {
 
 impl RecoveryManager {
     /// A manager for a cluster of `nodes` nodes (ids `1..=nodes`).
-    pub fn new(cfg: ManagerConfig, nodes: u16) -> RecoveryManager {
+    pub fn new(nodes: u16) -> RecoveryManager {
         RecoveryManager {
-            cfg,
             shed: vec![false; nodes as usize + 1],
             hot_ticks: vec![0; nodes as usize + 1],
             ticks: 0,
@@ -159,11 +132,6 @@ impl RecoveryManager {
             readmits: 0,
             rehomes: 0,
         }
-    }
-
-    /// The config this manager runs under.
-    pub fn config(&self) -> &ManagerConfig {
-        &self.cfg
     }
 
     /// Run one control-loop tick over the cluster observations (one entry
@@ -184,9 +152,7 @@ impl RecoveryManager {
             // pressure. Reset the hot streak so a still-alive donor is not
             // re-vacated every subsequent tick while it drains.
             let must_move = o.dead || o.isolated;
-            let should_move = self.cfg.migrate_after > 0
-                && self.hot_ticks[id] >= self.cfg.migrate_after
-                && !o.suspected;
+            let should_move = self.hot_ticks[id] >= MIGRATE_AFTER && !o.suspected;
             if o.hosts_zones && (must_move || should_move) {
                 actions.push(ManagerAction::Rehome { from: o.node });
                 self.rehomes += 1;
@@ -306,7 +272,7 @@ mod tests {
     }
 
     fn mgr() -> RecoveryManager {
-        RecoveryManager::new(ManagerConfig::enabled(), 4)
+        RecoveryManager::new(4)
     }
 
     #[test]
@@ -365,25 +331,21 @@ mod tests {
 
     #[test]
     fn sustained_pressure_triggers_proactive_migration_once() {
-        let mut m = RecoveryManager::new(
-            ManagerConfig {
-                migrate_after: 3,
-                ..ManagerConfig::enabled()
-            },
-            2,
-        );
+        let mut m = RecoveryManager::new(2);
         let hot_host = NodeObservation {
             server_backlog: SimDuration::us(10),
             hosts_zones: true,
             ..quiet(2)
         };
-        // Tick 1 sheds; ticks 1-2 are below the streak threshold.
+        // Tick 1 sheds; ticks 1-3 are below the streak threshold.
         assert_eq!(
             m.tick(&[quiet(1), hot_host]),
             vec![ManagerAction::Shed { target: n(2) }]
         );
-        assert!(m.tick(&[quiet(1), hot_host]).is_empty());
-        // Tick 3 reaches the streak: migrate, and the streak resets so the
+        for _ in 2..MIGRATE_AFTER {
+            assert!(m.tick(&[quiet(1), hot_host]).is_empty());
+        }
+        // Tick 4 reaches the streak: migrate, and the streak resets so the
         // next hot tick does not re-vacate.
         assert_eq!(
             m.tick(&[quiet(1), hot_host]),

@@ -85,14 +85,18 @@ impl Region {
     /// disjoint unions of zones.
     pub fn extend(&mut self, seg: Segment) {
         assert!(
-            !self
-                .segments
-                .iter()
-                .any(|s| seg.base < s.base + s.bytes() && s.base < seg.base + seg.bytes()),
+            !self.overlaps(&seg),
             "segment overlap while extending region of {}",
             self.owner
         );
         self.segments.push(seg);
+    }
+
+    /// True if `seg` shares an address with a segment of the region.
+    pub fn overlaps(&self, seg: &Segment) -> bool {
+        self.segments
+            .iter()
+            .any(|s| seg.base < s.base + s.bytes() && s.base < seg.base + seg.bytes())
     }
 
     /// Shrink the region by dropping the segment at `base`; returns it so

@@ -30,7 +30,7 @@ pub mod server;
 
 pub use addr::{decode, encode, strip_prefix, RemoteRef};
 pub use client::{Completion, RmcClient, Submit};
-pub use prefetch::{Prefetcher, PrefetcherConfig};
+pub use prefetch::Prefetcher;
 pub use server::RmcServer;
 
 use cohfree_sim::SimDuration;

@@ -5,45 +5,31 @@
 //! next-N-lines prefetcher that would sit in the client RMC:
 //!
 //! * it watches the demand-miss address stream,
-//! * when it sees `train_threshold` consecutive ascending line accesses it
-//!   establishes a *stream* and issues prefetches for the next
-//!   [`PrefetcherConfig::degree`] lines,
-//! * prefetched lines land in a small fully-associative buffer; a demand
-//!   access that hits the buffer completes at buffer latency instead of
-//!   paying the remote round trip.
+//! * when it sees two consecutive ascending line accesses it establishes a
+//!   *stream* and issues prefetches for the next four lines,
+//! * prefetched lines land in a small fully-associative buffer of
+//!   [`BUFFER_LINES`] lines; a demand access that hits the buffer completes
+//!   at buffer latency instead of paying the remote round trip.
 //!
-//! The state machine only *decides*; the owning backend issues the actual
-//! fabric transactions and calls [`Prefetcher::fill`] when they return.
+//! It tracks four streams at once. These sizes are constants; the line
+//! size is the cache's, given at construction. The state machine only
+//! *decides*; the owning backend issues the actual fabric transactions and
+//! calls [`Prefetcher::fill`] when they return.
 
 use cohfree_sim::stats::Counter;
 use std::collections::VecDeque;
 
-/// Prefetcher tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct PrefetcherConfig {
-    /// Cache-line size in bytes (must match the cache in front).
-    pub line_bytes: u64,
-    /// Consecutive ascending accesses required to establish a stream.
-    pub train_threshold: u32,
-    /// Lines fetched ahead once a stream is established.
-    pub degree: u32,
-    /// Capacity of the prefetch buffer in lines.
-    pub buffer_lines: usize,
-    /// Independent streams tracked.
-    pub streams: usize,
-}
+/// Consecutive ascending accesses required to establish a stream.
+const TRAIN_THRESHOLD: u32 = 2;
 
-impl Default for PrefetcherConfig {
-    fn default() -> Self {
-        PrefetcherConfig {
-            line_bytes: 64,
-            train_threshold: 2,
-            degree: 4,
-            buffer_lines: 32,
-            streams: 4,
-        }
-    }
-}
+/// Lines fetched ahead once a stream is established.
+const DEGREE: u64 = 4;
+
+/// Capacity of the prefetch buffer in lines.
+pub const BUFFER_LINES: usize = 32;
+
+/// Independent streams tracked.
+const STREAMS: usize = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct Stream {
@@ -67,7 +53,8 @@ pub struct Decision {
 /// Multi-stream sequential prefetcher state.
 #[derive(Debug)]
 pub struct Prefetcher {
-    cfg: PrefetcherConfig,
+    /// Cache-line size in bytes (the cache's in front).
+    line_bytes: u64,
     streams: Vec<Stream>,
     /// FIFO of resident prefetched lines.
     buffer: VecDeque<u64>,
@@ -79,20 +66,19 @@ pub struct Prefetcher {
 }
 
 impl Prefetcher {
-    /// A prefetcher with the given configuration.
+    /// A prefetcher for a cache of `line_bytes` lines.
     ///
     /// # Panics
-    /// Panics if `line_bytes` is not a power of two or any capacity is zero.
-    pub fn new(cfg: PrefetcherConfig) -> Prefetcher {
+    /// Panics if `line_bytes` is not a power of two.
+    pub fn new(line_bytes: u64) -> Prefetcher {
         assert!(
-            cfg.line_bytes.is_power_of_two(),
+            line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
-        assert!(cfg.buffer_lines > 0 && cfg.streams > 0 && cfg.degree > 0);
         Prefetcher {
-            cfg,
-            streams: Vec::with_capacity(cfg.streams),
-            buffer: VecDeque::with_capacity(cfg.buffer_lines),
+            line_bytes,
+            streams: Vec::with_capacity(STREAMS),
+            buffer: VecDeque::with_capacity(BUFFER_LINES),
             pending: VecDeque::new(),
             hits: Counter::new(),
             issued: Counter::new(),
@@ -101,7 +87,7 @@ impl Prefetcher {
     }
 
     fn line_of(&self, addr: u64) -> u64 {
-        addr & !(self.cfg.line_bytes - 1)
+        addr & !(self.line_bytes - 1)
     }
 
     /// Observe a demand access to `addr`; returns the hit/issue decision.
@@ -116,21 +102,20 @@ impl Prefetcher {
         };
 
         let mut issue = Vec::new();
+        let lb = self.line_bytes;
         // Train streams on the demand line.
         if let Some(si) = self
             .streams
             .iter()
-            .position(|s| line == s.last_line + self.cfg.line_bytes || line == s.last_line)
+            .position(|s| line == s.last_line + lb || line == s.last_line)
         {
-            let lb = self.cfg.line_bytes;
-            let (threshold, degree) = (self.cfg.train_threshold, self.cfg.degree);
             let s = &mut self.streams[si];
             if line == s.last_line + lb {
                 s.run += 1;
                 s.last_line = line;
-                if s.run >= threshold {
-                    // Established: fetch ahead up to `degree` lines.
-                    let horizon = line + lb * degree as u64;
+                if s.run >= TRAIN_THRESHOLD {
+                    // Established: fetch ahead up to `DEGREE` lines.
+                    let horizon = line + lb * DEGREE;
                     let mut next = s.next_prefetch.max(line + lb);
                     while next <= horizon {
                         issue.push(next);
@@ -142,13 +127,13 @@ impl Prefetcher {
             // `line == last_line` (same-line re-access): no state change.
         } else {
             // New candidate stream; evict the stalest tracked stream.
-            if self.streams.len() == self.cfg.streams {
+            if self.streams.len() == STREAMS {
                 self.streams.remove(0);
             }
             self.streams.push(Stream {
                 last_line: line,
                 run: 1,
-                next_prefetch: line + self.cfg.line_bytes,
+                next_prefetch: line + lb,
             });
         }
 
@@ -167,7 +152,7 @@ impl Prefetcher {
         if let Some(pos) = self.pending.iter().position(|&l| l == line) {
             self.pending.remove(pos);
         }
-        if self.buffer.len() == self.cfg.buffer_lines {
+        if self.buffer.len() == BUFFER_LINES {
             self.buffer.pop_front();
             self.useless_evictions.inc();
         }
@@ -204,7 +189,7 @@ mod tests {
     use super::*;
 
     fn pf() -> Prefetcher {
-        Prefetcher::new(PrefetcherConfig::default())
+        Prefetcher::new(64)
     }
 
     #[test]
@@ -256,14 +241,10 @@ mod tests {
 
     #[test]
     fn buffer_capacity_bounded_with_fifo_eviction() {
-        let cfg = PrefetcherConfig {
-            buffer_lines: 2,
-            ..PrefetcherConfig::default()
-        };
-        let mut p = Prefetcher::new(cfg);
-        p.fill(0);
-        p.fill(64);
-        p.fill(128); // evicts 0
+        let mut p = pf();
+        for i in 0..=BUFFER_LINES as u64 {
+            p.fill(i * 64); // the last fill evicts line 0
+        }
         assert_eq!(p.useless_evictions(), 1);
         assert!(!p.access(0).buffer_hit);
         assert!(p.access(64).buffer_hit);
@@ -285,15 +266,12 @@ mod tests {
 
     #[test]
     fn stream_eviction_is_fifo_by_recency() {
-        let cfg = PrefetcherConfig {
-            streams: 1,
-            ..PrefetcherConfig::default()
-        };
-        let mut p = Prefetcher::new(cfg);
-        p.access(0);
-        p.access(1 << 20); // evicts the first stream
-                           // Continuing the first stream must restart training (one access
-                           // gives run=1 < threshold, so no issue).
+        let mut p = pf();
+        for k in 0..=STREAMS as u64 {
+            p.access(k << 20); // the last new stream evicts the first
+        }
+        // Continuing the first stream must restart training (one access
+        // gives run=1 < threshold, so no issue).
         let d = p.access(64);
         assert!(d.issue.is_empty());
     }

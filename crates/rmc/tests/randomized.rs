@@ -6,7 +6,8 @@
 
 use cohfree_fabric::{MsgKind, NodeId};
 use cohfree_rmc::addr::{decode, encode, split, strip_prefix, RemoteRef};
-use cohfree_rmc::{Prefetcher, PrefetcherConfig, RmcClient, RmcConfig, Submit};
+use cohfree_rmc::prefetch::BUFFER_LINES;
+use cohfree_rmc::{Prefetcher, RmcClient, RmcConfig, Submit};
 use cohfree_sim::{Rng, SimDuration, SimTime};
 
 const CASES: u64 = 64;
@@ -95,35 +96,42 @@ fn client_slot_discipline() {
     }
 }
 
-/// The prefetch buffer never exceeds its capacity, and every buffer hit was
-/// a previously filled line.
+/// The prefetch buffer never holds more than its capacity, and every
+/// buffer hit was a previously filled line, whatever the line size.
 #[test]
 fn prefetcher_buffer_bounded() {
     for seed in 0..CASES {
         let mut rng = Rng::new(0xB0FF + seed);
-        let buffer_lines = rng.range(1, 16) as usize;
+        let line = 32 << rng.range(0, 4);
         let accesses = rng.range(1, 300);
-        let cfg = PrefetcherConfig {
-            buffer_lines,
-            ..PrefetcherConfig::default()
-        };
-        let mut p = Prefetcher::new(cfg);
+        let mut p = Prefetcher::new(line);
         let mut filled = std::collections::HashSet::new();
+        let mut fills = 0u64;
+        let mut addr = 0;
         for _ in 0..accesses {
-            let addr = rng.below(10_000);
-            let d = p.access(addr * 64);
+            // Sequential runs train streams; the jumps between them leave
+            // prefetched lines unused, to be evicted.
+            addr = if rng.below(4) == 0 {
+                rng.below(10_000)
+            } else {
+                addr + 1
+            };
+            let d = p.access(addr * line);
             if d.buffer_hit {
                 assert!(
-                    filled.contains(&(addr * 64)),
+                    filled.contains(&(addr * line)),
                     "seed {seed}: hit on never-filled line"
                 );
             }
             for l in d.issue {
                 p.fill(l);
                 filled.insert(l);
+                fills += 1;
             }
         }
         assert!(p.buffer_hits() <= p.issued(), "seed {seed}");
+        let resident = fills - p.buffer_hits() - p.useless_evictions();
+        assert!(resident <= BUFFER_LINES as u64, "seed {seed}: {resident}");
     }
 }
 
@@ -135,7 +143,7 @@ fn sequential_stream_coverage() {
         let mut rng = Rng::new(0x5E0 + seed);
         let start = rng.below(1_000_000);
         let len = rng.range(32, 200);
-        let mut p = Prefetcher::new(PrefetcherConfig::default());
+        let mut p = Prefetcher::new(64);
         let base = start * 64;
         let mut hits = 0u64;
         for i in 0..len {
