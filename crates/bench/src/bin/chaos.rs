@@ -14,17 +14,27 @@
 
 use cohfree_bench::chaos;
 use cohfree_bench::Scale;
-use cohfree_core::envknob;
+
+/// The strictly positive integer `raw` holds, or a message naming the
+/// variable `name` and its value.
+fn parse_positive(name: &str, raw: &str) -> Result<u64, String> {
+    match raw.trim().parse() {
+        Ok(v) if v >= 1 => Ok(v),
+        _ => Err(format!(
+            "invalid {name}={raw:?}: expected a positive integer"
+        )),
+    }
+}
 
 /// The knob's value, `default` when unset; exits 2 on a bad value.
 fn knob(name: &str, default: u64) -> u64 {
-    match envknob::lookup(name, envknob::parse_positive) {
-        Ok(v) => v.unwrap_or(default),
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        }
-    }
+    let Ok(raw) = std::env::var(name) else {
+        return default;
+    };
+    parse_positive(name, &raw).unwrap_or_else(|e| {
+        eprintln!("chaos: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -67,5 +77,28 @@ fn main() {
     );
     if failures > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepts_well_formed_values() {
+        assert_eq!(parse_positive("COHFREE_CHAOS_RUNS", "8"), Ok(8));
+        assert_eq!(parse_positive("COHFREE_CHAOS_RUNS", " 3 "), Ok(3));
+    }
+
+    #[test]
+    fn rejects_garbage_naming_the_variable() {
+        let msg = parse_positive("COHFREE_CHAOS_RUNS", "three").unwrap_err();
+        assert!(
+            msg.contains("COHFREE_CHAOS_RUNS") && msg.contains("three"),
+            "{msg}"
+        );
+        assert!(parse_positive("COHFREE_CHAOS_RUNS", "0").is_err());
+        assert!(parse_positive("COHFREE_CHAOS_RUNS", "-4").is_err());
+        assert!(parse_positive("COHFREE_CHAOS_SEED", "1e3").is_err());
     }
 }

@@ -9,8 +9,7 @@
 //! |---------|--------|-------------|
 //! | [`LocalMachine`] | one machine with all the memory local | TLB → cache → local DRAM |
 //! | [`RemoteMemorySpace`] | **the paper's system** | TLB → cache → (local DRAM \| RMC → fabric → home DRAM) |
-//! | [`SwapSpace`] (remote) | remote swap over Ethernet (or, idealized, the same fabric) | TLB → page cache → fault: OS + 4 KiB page transfers |
-//! | `SwapSpace` (disk) | classic disk swap | TLB → page cache → fault: OS + disk |
+//! | [`SwapSpace`] | remote swap over Ethernet (or, idealized, the same fabric) | TLB → page cache → fault: OS + 4 KiB page transfers |
 //!
 //! All three are one type, [`Process`], over a different backing, so the
 //! process side of every access runs through one path: the packed bump

@@ -118,7 +118,7 @@ impl<B: Backing> Process<B> {
                     core.clock += core.os.tlb_walk;
                     break phys;
                 }
-                Translation::MajorFault { .. } => self.backing.fault(core, vpn, write),
+                Translation::MajorFault => self.backing.fault(core, vpn, write),
                 Translation::Unmapped => panic!("access to unallocated VA {va:#x}"),
             }
         };
@@ -272,7 +272,6 @@ mod tests {
         AllocPolicy, LocalMachine, RemoteMemorySpace, RemoteOptions, SwapConfig, SwapSpace,
         SwapTransport,
     };
-    use cohfree_os::disk::DiskConfig;
 
     /// Time of a read that misses the caches on a resident, TLB-mapped
     /// page: the second line of a freshly touched page.
@@ -307,15 +306,6 @@ mod tests {
             (
                 "fabric swap",
                 miss_time(SwapSpace::remote(cfg, node, swap(SwapTransport::Fabric))),
-            ),
-            (
-                "disk swap",
-                miss_time(SwapSpace::disk(
-                    cfg,
-                    node,
-                    swap(SwapTransport::default()),
-                    DiskConfig::default(),
-                )),
             ),
         ]
     }

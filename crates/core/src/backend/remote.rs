@@ -12,7 +12,8 @@
 //! * The optional [`cohfree_rmc::Prefetcher`] implements the paper's
 //!   future-work extension at the cache's line size; prefetched lines
 //!   become usable after an unloaded round-trip estimate
-//!   (optimistic-overlap model, documented in DESIGN.md).
+//!   (optimistic-overlap model, documented in DESIGN.md), an instant the
+//!   prefetch buffer keeps with each line.
 
 use super::process::{Backing, Core, Process, Zones};
 use crate::config::ClusterConfig;
@@ -20,7 +21,6 @@ use crate::world::World;
 use cohfree_fabric::{MsgKind, NodeId};
 use cohfree_rmc::addr::RemoteRef;
 use cohfree_rmc::Prefetcher;
-use cohfree_sim::{FastMap, SimTime};
 
 /// Where allocations land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +78,6 @@ pub struct RemoteBacking {
     posted_writes: bool,
     zones: Zones,
     prefetcher: Option<Prefetcher>,
-    /// line address -> instant the prefetched line becomes usable.
-    prefetch_ready: FastMap<u64, SimTime>,
 }
 
 /// A process on `node` using the paper's remote-memory architecture.
@@ -111,7 +109,6 @@ impl RemoteMemorySpace {
             prefetcher: opts
                 .prefetch
                 .then(|| Prefetcher::new(cfg.cache.line_bytes.into())),
-            prefetch_ready: FastMap::default(),
         };
         Process::with_backing(&cfg, backing)
     }
@@ -202,8 +199,7 @@ impl RemoteBacking {
             return;
         };
         let decision = pf.access(line_phys);
-        if decision.buffer_hit {
-            let ready = self.prefetch_ready.remove(&line_phys).unwrap_or(core.clock);
+        if let Some(ready) = decision.hit {
             // Wait for the prefetch to land, then a buffer-speed fill.
             core.clock = core.clock.max(ready) + core.os.cache_hit;
             core.stats.prefetch_hits += 1;
@@ -213,15 +209,16 @@ impl RemoteBacking {
         // Launch newly decided prefetches (optimistic overlap: they complete
         // one unloaded round trip later without stalling the core; see
         // DESIGN.md).
-        let est = self
-            .world
-            .estimate_remote_read_latency(self.node, home, bytes);
+        let ready = core.clock
+            + self
+                .world
+                .estimate_remote_read_latency(self.node, home, bytes);
+        let pf = self
+            .prefetcher
+            .as_mut()
+            .expect("prefetcher present on this path");
         for l in decision.issue {
-            self.prefetch_ready.insert(l, core.clock + est);
-            self.prefetcher
-                .as_mut()
-                .expect("prefetcher present on this path")
-                .fill(l);
+            pf.fill(l, ready);
             core.stats.prefetch_issued += 1;
         }
     }
@@ -279,7 +276,7 @@ mod tests {
     use super::*;
     use crate::backend::MemSpace;
     use cohfree_mem::{CacheConfig, CacheHierarchy, Level};
-    use cohfree_sim::SimDuration;
+    use cohfree_sim::{SimDuration, SimTime};
 
     fn n(i: u16) -> NodeId {
         NodeId::new(i)

@@ -1,4 +1,4 @@
-//! The swap baselines: remote swap and disk swap.
+//! The swap baseline: remote swap.
 //!
 //! Remote swap (the paper's main comparison, Section II and Figs. 9–11)
 //! keeps a bounded set of pages in local memory; touching a non-resident
@@ -9,8 +9,8 @@
 //! 3. remaps and returns — charging the kernel fault overhead on top.
 //!
 //! A page moves in one timed transfer: through the NIC over Ethernet (the
-//! default), as a 4 KiB `PageWrite` or `PageReq` message over the RMC
-//! fabric, or to or from the disk.
+//! default), or as a 4 KiB `PageWrite` or `PageReq` message over the RMC
+//! fabric.
 //!
 //! Resident pages are accessed at full local speed, which is why locality
 //! decides everything for this baseline: Equation 1 of the paper.
@@ -24,7 +24,6 @@ use super::process::{Backing, Core, Process, Zones};
 use crate::config::ClusterConfig;
 use crate::world::World;
 use cohfree_fabric::{MsgKind, NodeId};
-use cohfree_os::disk::{Disk, DiskConfig};
 use cohfree_os::pagetable::PAGE_BYTES;
 use cohfree_os::swap::{PageCache, SwapStats};
 use cohfree_sim::{FastMap, FifoServer, SimDuration};
@@ -102,8 +101,6 @@ enum Device {
         rtt: SimDuration,
         bytes_per_us: f64,
     },
-    /// A local disk (disk swap).
-    Disk(Disk),
 }
 
 /// Direction of a page transfer between local memory and a backing slot.
@@ -118,7 +115,7 @@ enum Transfer {
 /// Page residency metadata.
 #[derive(Debug, Clone, Copy)]
 struct PageHome {
-    /// Backing slot (prefixed remote address, or disk offset).
+    /// Backing slot (prefixed remote address, or Ethernet server offset).
     slot: u64,
     /// False until first touched: first touch is a zero-fill minor fault
     /// with no device traffic (like real demand-zero paging).
@@ -132,10 +129,10 @@ pub struct SwapBacking {
     device: Device,
     page_cache: PageCache,
     homes: FastMap<u64, PageHome>,
-    /// Next backing offset on an Ethernet server or disk.
+    /// Next backing offset on an Ethernet server.
     next_offset: u64,
     /// Unloaded DRAM latency of one line fill, charged where no cluster
-    /// models the memory controllers (Ethernet and disk swap).
+    /// models the memory controllers (Ethernet swap).
     dram_fill: SimDuration,
 }
 
@@ -162,29 +159,10 @@ impl SwapSpace {
                 zones: Zones::new(node, swap_cfg.servers, swap_cfg.zone_frames),
             },
         };
-        Self::build(cfg, node, device, swap_cfg.cache_pages)
-    }
-
-    /// Disk swap: pages beyond the resident bound live on a local disk.
-    pub fn disk(
-        cfg: ClusterConfig,
-        node: NodeId,
-        swap_cfg: SwapConfig,
-        disk: DiskConfig,
-    ) -> SwapSpace {
-        Self::build(
-            cfg,
-            node,
-            Device::Disk(Disk::new(disk)),
-            swap_cfg.cache_pages,
-        )
-    }
-
-    fn build(cfg: ClusterConfig, node: NodeId, device: Device, cache_pages: usize) -> SwapSpace {
         let backing = SwapBacking {
             node,
             device,
-            page_cache: PageCache::new(cache_pages),
+            page_cache: PageCache::new(swap_cfg.cache_pages),
             homes: FastMap::default(),
             next_offset: 0,
             dram_fill: cfg.dram.unloaded_latency(cfg.cache.line_bytes),
@@ -198,12 +176,12 @@ impl SwapSpace {
     }
 
     /// The underlying cluster when pages travel over the RMC fabric
-    /// (statistics, span traces); `None` for Ethernet/disk backing, which
-    /// never instantiate a cluster.
+    /// (statistics, span traces); `None` for Ethernet backing, which never
+    /// instantiates a cluster.
     pub fn world(&self) -> Option<&World> {
         match &self.backing.device {
             Device::Fabric { world, .. } => Some(world),
-            Device::Ethernet { .. } | Device::Disk(_) => None,
+            Device::Ethernet { .. } => None,
         }
     }
 
@@ -250,7 +228,6 @@ impl SwapBacking {
                 };
                 world.blocking_transaction(core.clock, self.node, NodeId::new(prefix), kind, slot)
             }
-            Device::Disk(disk) => disk.access(core.clock, slot, bytes),
         };
     }
 }
@@ -261,7 +238,7 @@ impl Backing for SwapBacking {
     fn back_page(&mut self, core: &mut Core, vpn: u64) {
         let slot = match &mut self.device {
             Device::Fabric { world, zones } => zones.next_frame(world, core),
-            Device::Ethernet { .. } | Device::Disk(_) => {
+            Device::Ethernet { .. } => {
                 let slot = self.next_offset;
                 self.next_offset += PAGE_BYTES;
                 slot
@@ -274,7 +251,7 @@ impl Backing for SwapBacking {
                 materialized: false,
             },
         );
-        core.pt.mark_swapped(vpn, slot);
+        core.pt.mark_swapped(vpn);
     }
 
     /// Major/minor fault handler: make `vpn` resident.
@@ -287,13 +264,13 @@ impl Backing for SwapBacking {
         let frame = frame_no as u64 * PAGE_BYTES;
         // Evict the victim first: the page takes over its frame.
         if let Some(e) = evicted {
-            let slot = self.homes.get(&e.vpage).expect("victim has a home").slot;
-            core.pt.mark_swapped(e.vpage, slot);
+            core.pt.mark_swapped(e.vpage);
             // Page mover copies through/around the CPU cache; drop the
             // victim's lines (their write-back cost is part of the
             // page-out below).
             core.cache.flush_range(frame, PAGE_BYTES);
             if e.dirty {
+                let slot = self.homes.get(&e.vpage).expect("victim has a home").slot;
                 self.transfer(core, slot, Transfer::Out);
             }
         }
@@ -332,10 +309,10 @@ impl Backing for SwapBacking {
                     world.local_access(core.clock, self.node, victim, line);
                 }
             }
-            // No cluster models these machines' controllers: a fill costs
+            // No cluster models this machine's controllers: a fill costs
             // the unloaded DRAM latency and write-backs cost the core
             // nothing.
-            Device::Ethernet { .. } | Device::Disk(_) => {
+            Device::Ethernet { .. } => {
                 if missed {
                     core.clock += self.dram_fill;
                 }
@@ -480,36 +457,6 @@ mod tests {
         assert!(
             eth.as_ns_f64() > 2.0 * fab.as_ns_f64(),
             "ethernet {eth} should be well above fabric {fab}"
-        );
-    }
-
-    #[test]
-    fn disk_swap_is_far_slower_than_remote_swap() {
-        let run = |mut m: SwapSpace| {
-            let va = m.alloc(16 * 4096);
-            for i in 0..16u64 {
-                m.write_u64(va + i * 4096, i);
-            }
-            for _ in 0..2 {
-                for i in 0..16u64 {
-                    m.read_u64(va + i * 4096);
-                }
-            }
-            m.now().since(SimTime::ZERO)
-        };
-        let remote = run(small_remote(4));
-        let disk = run(SwapSpace::disk(
-            ClusterConfig::prototype(),
-            n(1),
-            SwapConfig {
-                cache_pages: 4,
-                ..SwapConfig::default()
-            },
-            DiskConfig::default(),
-        ));
-        assert!(
-            disk.as_ns_f64() > remote.as_ns_f64() * 8.0,
-            "disk {disk} should dwarf remote {remote}"
         );
     }
 

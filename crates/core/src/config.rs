@@ -91,7 +91,7 @@ pub struct ClusterConfig {
     /// per-phase latency histograms that fold into `World::snapshot()`;
     /// `Full` also retains the span stream for Chrome-trace export.
     pub trace: TraceMode,
-    /// Base PRNG seed (placement, workload streams fork from it).
+    /// Base PRNG seed (placement and workload streams derive from it).
     pub seed: u64,
 }
 

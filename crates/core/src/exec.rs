@@ -32,13 +32,16 @@
 //!   parent's own instant *on the parent's own lane* carries `parent gen +
 //!   1`, so it sorts after the parent's siblings of the same generation.
 //! * `parent lane`/`parent index` — which event scheduled this one: the
-//!   parent's lane and its per-lane execution ordinal (or `0`/a global
-//!   sequence number for setup- and global-context scheduling).
+//!   parent's lane and its dispatch ordinal, the queue's count of popped
+//!   events when it ran (or `0`/a global sequence number for setup- and
+//!   global-context scheduling). Two children that tie on everything
+//!   before the index have parents on one lane, and the queue's count
+//!   orders those parents as a per-lane count would.
 //! * `child ordinal` — position among the parent's same-call children.
 //!
-//! This layout decides every same-instant tie-break, so changing it (or the
-//! per-lane ordinals in `World::exec_counts`, or [`suspect_delay`]) changes
-//! every report and the pinned golden fingerprints.
+//! This layout decides every same-instant tie-break, so changing it (or
+//! the order the parent index gives, or [`suspect_delay`]) changes every
+//! report and the pinned golden fingerprints.
 
 use crate::config::ClusterConfig;
 use crate::world::{CohState, Ev, Owner, PendingTx, Resolution, World};
@@ -148,16 +151,13 @@ pub(crate) fn suspect_delay(fabric: &Fabric) -> SimDuration {
 }
 
 /// The lane event executing now, from which [`World::sched`] derives the
-/// keys of the events it schedules. Outside lane events `lane` is
-/// [`GLOBAL_LANE`] and the other fields are stale.
+/// keys of the events it schedules. Its instant is the queue's clock, its
+/// dispatch ordinal the queue's count of popped events, and its lane and
+/// generation are bits of its key.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Cursor {
-    pub(crate) now: SimTime,
-    pub(crate) lane: u16,
-    pub(crate) gen: u8,
-    pub(crate) key: u128,
-    /// Per-lane execution ordinal of the executing event.
-    pub(crate) idx: u64,
+    /// Key of the executing lane event; `None` outside lane events.
+    pub(crate) key: Option<u128>,
     /// Events the executing event has scheduled so far.
     pub(crate) child: u16,
 }
@@ -179,27 +179,31 @@ impl World {
     /// from the global sequence outside one.
     pub(crate) fn sched(&mut self, at: SimTime, ev: Ev) {
         let lane = self.lane_of(&ev);
-        let c = &mut self.cur;
-        let key = if c.lane == GLOBAL_LANE {
-            let key = make_key(lane, 0, 0, self.gseq, 0);
-            self.gseq += 1;
-            key
-        } else {
-            let gen = if at == c.now && lane == c.lane {
-                debug_assert!(c.gen < u8::MAX, "same-instant causality too deep");
-                c.gen.wrapping_add(1)
-            } else {
-                0
-            };
-            let key = make_key(lane, gen, c.lane, c.idx, c.child);
-            c.child += 1;
-            // The canonical order must be executable: a same-instant child
-            // may never sort before the event that scheduled it.
-            debug_assert!(
-                at > c.now || key > c.key,
-                "same-instant event scheduled into the past of the canonical order"
-            );
-            key
+        let key = match self.cur.key {
+            None => {
+                let key = make_key(lane, 0, 0, self.gseq, 0);
+                self.gseq += 1;
+                key
+            }
+            Some(parent) => {
+                let (now, parent_lane) = (self.queue.now(), key_lane(parent));
+                let gen = if at == now && lane == parent_lane {
+                    debug_assert!(key_gen(parent) < u8::MAX, "same-instant causality too deep");
+                    key_gen(parent).wrapping_add(1)
+                } else {
+                    0
+                };
+                let idx = self.queue.processed();
+                let key = make_key(lane, gen, parent_lane, idx, self.cur.child);
+                self.cur.child += 1;
+                // The canonical order must be executable: a same-instant child
+                // may never sort before the event that scheduled it.
+                debug_assert!(
+                    at > now || key > parent,
+                    "same-instant event scheduled into the past of the canonical order"
+                );
+                key
+            }
         };
         self.queue.schedule_keyed(at, key, ev);
     }
@@ -478,18 +482,6 @@ impl World {
         }
     }
 
-    /// Where an access to `addr` issued on `node` goes once an evacuation
-    /// moved its zone: the new home and address, or `None` if no
-    /// evacuation covers it.
-    pub(crate) fn remap(&self, node: NodeId, addr: u64) -> Option<(NodeId, u64)> {
-        let &(old, new, _) = self.evac_remaps[node.index()]
-            .iter()
-            .find(|&&(old, _, frames)| addr >= old && addr < old + frames * 4096)?;
-        let addr = new + (addr - old);
-        let (prefix, _) = cohfree_rmc::addr::split(addr);
-        Some((NodeId::new(prefix), addr))
-    }
-
     pub(crate) fn thread_step(&mut self, now: SimTime, id: usize) {
         // A wake-up for a thread that died (its node crashed) or already
         // finished (e.g. its last access failed) is stale.
@@ -497,12 +489,12 @@ impl World {
         if self.threads[id].finished.is_some() || self.dead[node.index()] {
             return;
         }
-        // Take the pending (NACKed or evacuated) access or generate a fresh one.
-        let (dst, kind, addr) = {
-            let th = &mut self.threads[id];
-            if let Some(p) = th.pending.take() {
-                p
-            } else {
+        // Re-offer the current (NACKed, deferred or re-aimed) access or
+        // generate a fresh one.
+        let th = &mut self.threads[id];
+        let (zone, off, kind) = match th.access {
+            Some(access) => access,
+            None => {
                 if th.issued == th.spec.accesses {
                     return; // nothing left to issue
                 }
@@ -524,7 +516,7 @@ impl World {
                 } else {
                     th.zipf.as_ref().map(|z| z.sample(&mut th.rng) as u64)
                 };
-                let (base, slot) = match rank {
+                let (zone, slot) = match rank {
                     // Zones may differ in size, so the rank is resolved
                     // against the cumulative per-zone slot counts.
                     Some(mut off) => {
@@ -533,7 +525,7 @@ impl World {
                             off -= slots_of(th.spec.zones[zi].1);
                             zi += 1;
                         }
-                        (th.spec.zones[zi].0, off)
+                        (zi, off)
                     }
                     None => {
                         let zi = if th.spec.zones.len() == 1 {
@@ -541,11 +533,9 @@ impl World {
                         } else {
                             th.rng.below(th.spec.zones.len() as u64) as usize
                         };
-                        let (base, len) = th.spec.zones[zi];
-                        (base, th.rng.below(slots_of(len)))
+                        (zi, th.rng.below(slots_of(th.spec.zones[zi].1)))
                     }
                 };
-                let addr = base + slot * th.spec.bytes as u64;
                 let write = !th.coherent && th.rng.chance(th.spec.write_fraction);
                 let kind = if th.coherent {
                     MsgKind::CohReadReq {
@@ -560,17 +550,19 @@ impl World {
                         bytes: th.spec.bytes,
                     }
                 };
-                let (prefix, _) = cohfree_rmc::addr::split(addr);
-                (NodeId::new(prefix), kind, addr)
+                let access = (zone, slot * th.spec.bytes as u64, kind);
+                th.access = Some(access);
+                access
             }
         };
+        // The zone table names the zone's home now, wherever an evacuation
+        // or migration moved it since the access was generated.
+        let addr = th.spec.zones[zone].0 + off;
+        let dst = NodeId::new(cohfree_rmc::addr::split(addr).0);
         // The instant the access was *first* offered to the RMC — NACK wake-ups
         // re-offer the same access, and the serialization stall is measured from
         // the very first attempt.
-        let first_offer = self.threads[id].pending_since.take().unwrap_or(now);
-        // Accesses into an evacuated zone follow it to its new home
-        // (pre-evacuation NACKed pendings, pre-rewrite generated addresses).
-        let (dst, addr) = self.remap(node, addr).unwrap_or((dst, addr));
+        let first_offer = th.pending_since.take().unwrap_or(now);
         // An access aimed at a declared-failed home (no evacuation took it in)
         // fails instead of burning a retry budget each time.
         if self.nodes[node.index()].client.is_suspect(dst) {
@@ -595,12 +587,9 @@ impl World {
                 self.resolve(now, id, Resolution::Shed);
                 return;
             }
-            let wake = now + TICK;
-            let th = &mut self.threads[id];
-            th.pending = Some((dst, kind, addr));
-            th.pending_since = Some(first_offer);
+            self.threads[id].pending_since = Some(first_offer);
             self.nodes[node.index()].client.note_shed_deferral();
-            self.sched(wake, Ev::ThreadWake { id });
+            self.sched(now + TICK, Ev::ThreadWake { id });
             return;
         }
         match self.nodes[node.index()].client.submit(now, dst, kind, addr) {
@@ -617,7 +606,6 @@ impl World {
             }
             Submit::Nacked { retry_at } => {
                 let th = &mut self.threads[id];
-                th.pending = Some((dst, kind, addr));
                 th.pending_since = Some(first_offer);
                 th.nack_retries += 1;
                 self.sched(retry_at, Ev::ThreadWake { id });

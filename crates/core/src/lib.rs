@@ -19,7 +19,7 @@
 //!      (the paper's "local memory" reference),
 //!    * [`backend::RemoteMemorySpace`] — the paper's system: reservation +
 //!      prefixed page mappings + hardware remote access,
-//!    * [`backend::SwapSpace`] — the remote-swap and disk-swap baselines.
+//!    * [`backend::SwapSpace`] — the remote-swap baseline.
 //!
 //!    Workloads (`cohfree-workloads`) are written once against [`MemSpace`]
 //!    and run unchanged over any backend, which is exactly how the paper
@@ -47,7 +47,6 @@
 pub mod analytic;
 pub mod backend;
 pub mod config;
-pub mod envknob;
 mod exec;
 pub mod fault;
 pub mod trace;
@@ -55,7 +54,6 @@ pub mod world;
 
 pub use backend::{AllocPolicy, LocalMachine, MemSpace, RemoteMemorySpace, SwapSpace};
 pub use config::{ClusterConfig, OsTiming};
-pub use envknob::EnvKnobError;
 pub use fault::{FaultEvent, FaultPlan, MAX_FAULT_EVENTS};
 pub use world::{
     AccessOutcome, AccessPattern, ClusterSnapshot, Sample, ThreadSpec, World, WorldConfigError,

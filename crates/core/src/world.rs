@@ -326,12 +326,16 @@ pub(crate) struct Thread {
     pub(crate) shed: u64,
     /// Accesses re-issued against a new home after an evacuation.
     pub(crate) evacuated_retries: u64,
-    /// Access generated but NACKed, awaiting retry.
-    pub(crate) pending: Option<(NodeId, MsgKind, u64)>,
-    /// When the pending access was *first* offered (serialization-stall
-    /// start for the span tracer). `None` for evacuation re-aims: their new
-    /// trace starts at the re-issue, while the request's end-to-end latency
-    /// still runs from `inflight_since`.
+    /// The access the thread works on, from generation until it resolves:
+    /// `(zone index, offset into the zone, kind)`. Every offer reads the
+    /// zone's base from `spec.zones`, so an access follows its zone when
+    /// an evacuation or migration moves it.
+    pub(crate) access: Option<(usize, u64, MsgKind)>,
+    /// When the current access was *first* offered (serialization-stall
+    /// start for the span tracer), while it waits to be re-offered. `None`
+    /// for evacuation re-aims: their new trace starts at the re-issue,
+    /// while the request's end-to-end latency still runs from
+    /// `inflight_since`.
     pub(crate) pending_since: Option<SimTime>,
     /// Open-loop arrival schedule: absolute instant request `k` enters the
     /// system (sorted, one per access). Empty = closed loop (the next
@@ -374,6 +378,7 @@ impl Thread {
     /// return the instant of its next wake. `None` means finished; the
     /// caller schedules the wake through its own context.
     pub(crate) fn resolve(&mut self, now: SimTime, how: Resolution) -> Option<SimTime> {
+        self.access = None;
         let since = self.inflight_since.take();
         match how {
             Resolution::Completed => {
@@ -459,9 +464,6 @@ pub struct World {
     lost_frames: Vec<u64>,
     /// Zones successfully re-homed after a donor failure.
     evacuations: u64,
-    /// Per owner node: `(old_base, new_base, frames)` of evacuated zones,
-    /// so interrupted and not-yet-issued accesses can be re-aimed.
-    pub(crate) evac_remaps: Vec<Vec<(u64, u64, u64)>>,
     /// Per-transaction span tracer (mode per [`ClusterConfig::trace`]).
     pub(crate) trace: TraceSink,
     /// Sequence number for global keys ([`World::sched`] outside lane
@@ -469,11 +471,6 @@ pub struct World {
     pub(crate) gseq: u64,
     /// The lane event executing now, if any (see [`Cursor`]).
     pub(crate) cur: Cursor,
-    /// Lane events executed so far per lane (index `i` is node `i + 1`); an
-    /// event's per-lane ordinal feeds its children's ordering keys, so these
-    /// counts decide same-instant tie-breaks: changing how they advance
-    /// changes every report and the pinned golden fingerprints.
-    exec_counts: Vec<u64>,
 }
 
 impl World {
@@ -550,12 +547,10 @@ impl World {
             fault_log: FaultLog::new(),
             lost_frames: vec![0; n as usize],
             evacuations: 0,
-            evac_remaps: vec![Vec::new(); n as usize],
             trace: TraceSink::new(cfg.trace, DEFAULT_TRACE_CAPACITY),
             queue: EventQueue::new(),
             gseq: 0,
             cur: Cursor::default(),
-            exec_counts: vec![0; n as usize],
             cfg,
         };
         let faults: Vec<FaultEvent> = world.cfg.faults.events().collect();
@@ -786,19 +781,11 @@ impl World {
     /// Dispatch one popped event. A lane event first becomes the cursor,
     /// so the events its handler schedules get lane keys derived from it.
     fn handle(&mut self, now: SimTime, key: u128, ev: Ev) {
-        let lane = exec::key_lane(key);
-        if lane != exec::GLOBAL_LANE {
-            // One ordinal per dispatched lane event, dropped ones included.
-            let idx = &mut self.exec_counts[lane as usize - 1];
+        if exec::key_lane(key) != exec::GLOBAL_LANE {
             self.cur = Cursor {
-                now,
-                lane,
-                gen: exec::key_gen(key),
-                key,
-                idx: *idx,
+                key: Some(key),
                 child: 0,
             };
-            *idx += 1;
         }
         match ev {
             Ev::Sample => self.take_sample(now),
@@ -814,7 +801,7 @@ impl World {
             Ev::ThreadWake { id } => self.thread_step(now, id),
             Ev::Timeout { tag, attempt } => self.on_timeout(now, tag, attempt),
         }
-        self.cur.lane = exec::GLOBAL_LANE;
+        self.cur.key = None;
     }
 
     /// Fire a timeout handler directly (test hook for stale-timer races).
@@ -870,9 +857,9 @@ impl World {
 
     /// Fail every in-flight transaction whose message matches `pred` at
     /// `now` (its home was declared failed or is unreachable): close its
-    /// trace and tell its owner. A thread re-aims the access through an
-    /// evacuation remap or records it failed, the blocking driver returns
-    /// it failed, and nobody waits on a posted write.
+    /// trace and tell its owner. A thread re-aims the access at its moved
+    /// zone or records it failed, the blocking driver returns it failed,
+    /// and nobody waits on a posted write.
     fn fail_pending(&mut self, now: SimTime, pred: impl Fn(&Message) -> bool) {
         for p in self.take_pending(pred) {
             self.trace.finish(p.msg.tag, now, true);
@@ -887,8 +874,8 @@ impl World {
     /// Re-home every zone of `owner`'s region whose home is `dead`
     /// (directory-assisted re-reservation on a donor with capacity and a
     /// zone-base rewrite), or drop it when no donor can take it. The
-    /// owner's threads keep running: their zone tables are rewritten and
-    /// interrupted accesses re-aimed through the recorded remap.
+    /// owner's threads keep running: their zone tables are rewritten, and
+    /// interrupted accesses re-aim at the rewritten bases.
     fn evacuate(&mut self, now: SimTime, owner: NodeId, dead: NodeId) {
         let doomed: Vec<Segment> = self.nodes[owner.index()]
             .region
@@ -922,11 +909,13 @@ impl World {
     }
 
     /// Move `owner`'s zone `seg`, whose grant on `from` is already dropped
-    /// or released, to `donor`: reserve it there, rewrite the owner's
-    /// thread zone tables, and record the remap that re-aims interrupted
-    /// and not-yet-issued accesses. `phase` is [`Phase::Evac`] for an
-    /// evacuation after a failure declaration and [`Phase::Migrate`] for a
-    /// recovery-manager migration; it also picks the fault-log entry.
+    /// or released, to `donor`: reserve it there and shift every entry of
+    /// the owner's thread zone tables that starts inside the segment by
+    /// the distance the segment moved. Interrupted and not-yet-issued
+    /// accesses read their zone's base at their next offer, so they
+    /// follow. `phase` is [`Phase::Evac`] for an evacuation after a
+    /// failure declaration and [`Phase::Migrate`] for a recovery-manager
+    /// migration; it also picks the fault-log entry.
     fn rehome_zone(
         &mut self,
         now: SimTime,
@@ -937,12 +926,12 @@ impl World {
         phase: Phase,
     ) {
         let new = self.reserve_remote(owner, seg.frames, Some(donor));
+        let moved = seg.base..seg.base + seg.frames * 4096;
         for th in self.threads.iter_mut().filter(|th| th.spec.node == owner) {
-            for z in th.spec.zones.iter_mut().filter(|z| z.0 == seg.base) {
-                z.0 = new.prefixed_base;
+            for z in th.spec.zones.iter_mut().filter(|z| moved.contains(&z.0)) {
+                z.0 = new.prefixed_base + (z.0 - seg.base);
             }
         }
-        self.evac_remaps[owner.index()].push((seg.base, new.prefixed_base, seg.frames));
         self.evacuations += 1;
         self.trace
             .standalone(phase, owner.get(), now, now + self.cfg.os.reservation);
@@ -1063,7 +1052,7 @@ impl World {
     /// is already gone); for a live-but-overloaded `from` the zone is
     /// released back properly (live migration). In-flight transactions
     /// aimed at an unreachable `from` are aborted so their threads re-aim
-    /// through the recorded remap immediately instead of burning their
+    /// at the rewritten zone bases immediately instead of burning their
     /// retry budgets.
     fn manager_rehome(&mut self, now: SimTime, from: NodeId, mgr: &RecoveryManager) {
         let from_gone =
@@ -1115,23 +1104,24 @@ impl World {
         }
         if from_gone {
             // Abort in-flight traffic aimed at the unreachable node so its
-            // issuers re-aim through the remaps now.
+            // issuers re-aim at the moved zones now.
             self.fail_pending(now, |m| m.dst == from);
         }
     }
 
     /// Thread `id`'s in-flight access `msg` was aborted because its home
-    /// died. If the zone was evacuated, re-aim the access at the new home
-    /// (charging the re-reservation latency); otherwise record it as
-    /// failed.
+    /// died. If its zone moved since the access was offered, re-offer it
+    /// at the zone's new base (charging the re-reservation latency);
+    /// otherwise record it as failed.
     fn thread_abort(&mut self, now: SimTime, id: usize, msg: Message) {
-        let node = self.threads[id].spec.node;
-        let Some((dst, addr)) = self.remap(node, msg.addr) else {
+        let th = &mut self.threads[id];
+        let (zone, off, _) = th
+            .access
+            .expect("an aborted access is its thread's current one");
+        if th.spec.zones[zone].0 + off == msg.addr {
             self.resolve(now, id, Resolution::Failed);
             return;
-        };
-        let th = &mut self.threads[id];
-        th.pending = Some((dst, msg.kind, addr));
+        }
         th.evacuated_retries += 1;
         self.sched(now + self.cfg.os.reservation, Ev::ThreadWake { id });
     }
@@ -1447,7 +1437,7 @@ impl World {
             failed: 0,
             shed: 0,
             evacuated_retries: 0,
-            pending: None,
+            access: None,
             pending_since: None,
             arrivals: Vec::new(),
             zipf: None,
@@ -2743,6 +2733,138 @@ mod tests {
         let h = w.thread_latency(id).expect("serving thread");
         assert_eq!(h.count(), 1);
         assert_eq!(h.max_ns(), elapsed.as_ns_f64(), "latency from arrival");
+    }
+
+    #[test]
+    fn a_zone_starting_inside_a_moved_segment_moves_with_it() {
+        // A thread may target part of a reservation: its zone-table entry
+        // starts inside the segment, not at its base, and the evacuation
+        // shifts it by the distance the segment moved.
+        let mut cfg = ClusterConfig::prototype();
+        cfg.max_retries = 4;
+        cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
+            at: t(50),
+            node: n(2),
+        });
+        let mut w = World::new(cfg);
+        let resv = w.reserve_remote(n(1), 1024, Some(n(2)));
+        let id = w.spawn_thread(
+            reader((resv.prefixed_base + 512 * 4096, 256 * 4096), 300, 42),
+            SimTime::ZERO,
+        );
+        w.run();
+        assert_eq!(w.evacuations(), 1);
+        let moved = w.region(n(1)).segments()[1];
+        assert_ne!(moved.home, n(2));
+        assert_eq!(
+            w.threads[id].spec.zones[0].0,
+            moved.base + 512 * 4096,
+            "the entry keeps its offset into the segment"
+        );
+        assert_eq!(w.thread_completed(id), 300);
+        assert_eq!(w.thread_failed(id), 0);
+    }
+
+    /// Node 1's 256-frame zone on node 2 and a reading thread on it, with
+    /// node 2 crashing at 100 µs and restarting at 2 ms (and node 5, where
+    /// the zone goes first, crashing at 4 ms when `crash_n5`).
+    fn returning_zone_world(crash_n5: bool) -> (World, Reservation) {
+        let mut cfg = ClusterConfig::prototype();
+        cfg.max_retries = 2;
+        let mut plan = FaultPlan::new()
+            .with(FaultEvent::NodeCrash {
+                at: t(100),
+                node: n(2),
+            })
+            .with(FaultEvent::NodeRestart {
+                at: t(2_000),
+                node: n(2),
+            });
+        if crash_n5 {
+            plan = plan.with(FaultEvent::NodeCrash {
+                at: t(4_000),
+                node: n(5),
+            });
+        }
+        cfg.faults = plan;
+        let mut w = World::new(cfg);
+        let resv = w.reserve_remote(n(1), 256, Some(n(2)));
+        assert_eq!(resv.prefixed_base, 0xa_0000_0000);
+        (w, resv)
+    }
+
+    fn reader(zone: (u64, u64), accesses: u64, seed: u64) -> ThreadSpec {
+        ThreadSpec {
+            node: n(1),
+            zones: vec![zone],
+            accesses,
+            bytes: 64,
+            write_fraction: 0.0,
+            think: SimDuration::ns(5),
+            seed,
+        }
+    }
+
+    #[test]
+    fn accesses_follow_a_zone_back_to_a_base_it_left() {
+        // Regression: an append-only list of evacuation remaps kept sending
+        // the zone's first base to its first new home after the zone had
+        // moved back to that base, so 16,217 of 20,000 reads failed on
+        // the dead node 5.
+        let (mut w, resv) = returning_zone_world(true);
+        let id = w.spawn_thread(
+            reader((resv.prefixed_base, resv.frames * 4096), 20_000, 7),
+            SimTime::ZERO,
+        );
+        w.run();
+        let moves: Vec<&str> = w
+            .fault_log()
+            .entries()
+            .iter()
+            .filter(|e| e.kind == "evacuation")
+            .map(|e| e.detail.as_str())
+            .collect();
+        assert_eq!(
+            moves,
+            [
+                "zone 0xa00000000 (256 frames) re-homed from node n2 to node n5",
+                "zone 0x1600000000 (256 frames) re-homed from node n5 to node n2",
+            ]
+        );
+        let home = Segment {
+            home: n(2),
+            base: resv.prefixed_base,
+            frames: 256,
+        };
+        assert_eq!(w.region(n(1)).segments()[1..], [home]);
+        assert_eq!(w.thread_completed(id), 20_000);
+        assert_eq!(w.thread_failed(id), 0);
+    }
+
+    #[test]
+    fn a_base_one_zone_left_serves_the_next_zone_granted_there() {
+        // Regression: once a zone left node 2, the remap list sent every
+        // access to its old base to node 5, including those of a new zone
+        // node 2 later granted at that base: node 5's server answered all
+        // 5,000 reads of the second thread from the first zone's memory.
+        let (mut w, first) = returning_zone_world(false);
+        w.spawn_thread(
+            reader((first.prefixed_base, first.frames * 4096), 5_000, 7),
+            SimTime::ZERO,
+        );
+        w.run();
+        assert_eq!(w.region(n(1)).segments()[1].base, 0x16_0000_0000);
+        let second = w.reserve_remote(n(1), 256, Some(n(2)));
+        assert_eq!(second.prefixed_base, first.prefixed_base);
+        let before = (w.server(n(2)).requests(), w.server(n(5)).requests());
+        let id = w.spawn_thread(
+            reader((second.prefixed_base, second.frames * 4096), 5_000, 9),
+            w.now(),
+        );
+        w.run();
+        assert_eq!(w.thread_completed(id), 5_000);
+        assert_eq!(w.server(n(2)).requests() - before.0, 5_000);
+        assert_eq!(w.server(n(5)).requests() - before.1, 0);
     }
 
     #[test]

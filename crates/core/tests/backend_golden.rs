@@ -17,7 +17,6 @@ use cohfree_core::backend::{AccessStats, AllocPolicy, RemoteOptions, SwapConfig,
 use cohfree_core::{
     ClusterConfig, LocalMachine, MemSpace, NodeId, RemoteMemorySpace, SimDuration, SwapSpace,
 };
-use cohfree_os::disk::DiskConfig;
 use cohfree_sim::Rng;
 
 // Pinned fingerprints, one per case.
@@ -38,7 +37,6 @@ const GOLDEN_REMOTE_FLUSH_CACHE: u64 = 0x7110f9b7ff1b6ad0;
 const GOLDEN_REMOTE_WITH_L1: u64 = 0x6817df7376904b23;
 const GOLDEN_SWAP_ETHERNET: u64 = 0x08c6d67a20edce85;
 const GOLDEN_SWAP_FABRIC: u64 = 0x802a545c0620f51c;
-const GOLDEN_SWAP_DISK: u64 = 0x5e1b298f0ea1000e;
 
 /// Operations per case.
 const OPS: usize = 6_000;
@@ -304,15 +302,4 @@ fn swap_fabric_matches_golden() {
     };
     let m = SwapSpace::remote(small_l2(), n(1), cfg);
     assert_golden("swap fabric", swap_case(m), GOLDEN_SWAP_FABRIC);
-}
-
-#[test]
-fn swap_disk_matches_golden() {
-    let m = SwapSpace::disk(
-        small_l2(),
-        n(1),
-        thrashing(SwapTransport::default()),
-        DiskConfig::default(),
-    );
-    assert_golden("swap disk", swap_case(m), GOLDEN_SWAP_DISK);
 }

@@ -22,10 +22,9 @@
 //!   reservation (Fig. 4) is a function call in `cohfree-core`'s `World`:
 //!   the donor's [`frames`] carves the zone, the directory is debited and
 //!   the asker's [`region`] grows by a [`Reservation`],
-//! * [`swap`] — the remote-swap / disk-swap baseline: a bounded page cache
-//!   with CLOCK eviction and dirty write-back accounting (the fault costs
-//!   are charged by the swap backend in `cohfree-core`),
-//! * [`disk`] — a rotational-disk timing model for the disk-swap baseline,
+//! * [`swap`] — the remote-swap baseline: a bounded page cache with CLOCK
+//!   eviction and dirty write-back accounting (the fault costs are charged
+//!   by the swap backend in `cohfree-core`),
 //! * [`balloon`] — the hot-plug/hot-remove watermark policy deciding when a
 //!   node borrows or returns zones,
 //! * [`manager`] — the online cluster recovery manager: a deterministic
@@ -34,7 +33,6 @@
 
 pub mod balloon;
 pub mod directory;
-pub mod disk;
 pub mod frames;
 pub mod manager;
 pub mod pagetable;
@@ -43,7 +41,6 @@ pub mod swap;
 
 pub use balloon::{Balloon, BalloonAction};
 pub use directory::Directory;
-pub use disk::{Disk, DiskConfig};
 pub use frames::{FrameAllocator, FrameError, PAGE_FRAME_BYTES};
 pub use manager::{ManagerAction, NodeObservation, RecoveryManager};
 pub use pagetable::{PageFlags, PageTable, Tlb, TlbConfig, Translation};

@@ -25,12 +25,10 @@ pub const PAGE_BYTES: u64 = 4096;
 pub enum PageFlags {
     /// Mapped to a resident physical frame (local, or remote via prefix).
     Present,
-    /// Known to the process but currently swapped out to the given swap
-    /// slot (page-cache backends fault it in on access).
-    Swapped {
-        /// Backing-store slot holding the page contents.
-        slot: u64,
-    },
+    /// Known to the process but currently swapped out (page-cache
+    /// backends fault it in on access; the backend records where the page
+    /// lives).
+    Swapped,
 }
 
 /// One page-table entry.
@@ -57,10 +55,7 @@ pub enum Translation {
     },
     /// Page is swapped out: major fault; the handler must bring it in and
     /// re-map before retrying.
-    MajorFault {
-        /// Backing-store slot to fetch the page from.
-        slot: u64,
-    },
+    MajorFault,
     /// No mapping at all: the access is to unallocated memory.
     Unmapped,
 }
@@ -310,13 +305,13 @@ impl PageTable {
         self.tlb.invalidate(vpn);
     }
 
-    /// Mark `vpn` swapped out to `slot`.
-    pub fn mark_swapped(&mut self, vpn: u64, slot: u64) {
+    /// Mark `vpn` swapped out.
+    pub fn mark_swapped(&mut self, vpn: u64) {
         self.ptes.insert(
             vpn,
             Pte {
                 phys: 0,
-                flags: PageFlags::Swapped { slot },
+                flags: PageFlags::Swapped,
             },
         );
         self.tlb.invalidate(vpn);
@@ -346,11 +341,11 @@ impl PageTable {
                 Translation::Walked { phys: phys + off }
             }
             Some(Pte {
-                flags: PageFlags::Swapped { slot },
+                flags: PageFlags::Swapped,
                 ..
             }) => {
                 self.major_faults += 1;
-                Translation::MajorFault { slot: *slot }
+                Translation::MajorFault
             }
             None => Translation::Unmapped,
         }
@@ -631,11 +626,8 @@ mod tests {
     #[test]
     fn swapped_page_faults() {
         let mut pt = PageTable::new(TlbConfig::default());
-        pt.mark_swapped(5, 77);
-        assert_eq!(
-            pt.translate(5 * PAGE_BYTES),
-            Translation::MajorFault { slot: 77 }
-        );
+        pt.mark_swapped(5);
+        assert_eq!(pt.translate(5 * PAGE_BYTES), Translation::MajorFault);
         assert_eq!(pt.major_faults(), 1);
         // Fault handler maps it in; next access walks.
         pt.map(5, 0x2000);
@@ -702,10 +694,7 @@ mod tests {
         let mut pt = PageTable::new(TlbConfig::default());
         pt.map(4, 0x4000);
         pt.translate(4 * PAGE_BYTES);
-        pt.mark_swapped(4, 9);
-        assert_eq!(
-            pt.translate(4 * PAGE_BYTES),
-            Translation::MajorFault { slot: 9 }
-        );
+        pt.mark_swapped(4);
+        assert_eq!(pt.translate(4 * PAGE_BYTES), Translation::MajorFault);
     }
 }

@@ -1,8 +1,8 @@
 //! The swap-baseline page cache.
 //!
-//! Remote swap (and classic disk swap) keep only a bounded number of pages
-//! in local DRAM; the rest live on a backing device — a remote node's memory
-//! reached by page-granularity messages, or a disk. [`PageCache`] models the
+//! Remote swap keeps only a bounded number of pages in local DRAM; the rest
+//! live in a remote node's memory, reached by page-granularity transfers.
+//! [`PageCache`] models the
 //! resident set with the CLOCK (second-chance) replacement policy: O(1)
 //! amortized, deterministic, and a faithful stand-in for what 2010-era Linux
 //! did with its active/inactive lists.

@@ -9,14 +9,19 @@
 //!   *stream* and issues prefetches for the next four lines,
 //! * prefetched lines land in a small fully-associative buffer of
 //!   [`BUFFER_LINES`] lines; a demand access that hits the buffer completes
-//!   at buffer latency instead of paying the remote round trip.
+//!   at buffer latency once the line is ready, instead of paying the
+//!   remote round trip.
 //!
 //! It tracks four streams at once. These sizes are constants; the line
 //! size is the cache's, given at construction. The state machine only
 //! *decides*; the owning backend issues the actual fabric transactions and
-//! calls [`Prefetcher::fill`] when they return.
+//! calls [`Prefetcher::fill`] with the instant each line becomes usable.
+//! The buffer is the one record of prefetched lines: an issued line is in
+//! it, with its ready instant, until a demand access uses it or a newer
+//! line evicts it.
 
 use cohfree_sim::stats::Counter;
+use cohfree_sim::SimTime;
 use std::collections::VecDeque;
 
 /// Consecutive ascending accesses required to establish a stream.
@@ -44,8 +49,9 @@ struct Stream {
 /// What the prefetcher decided about one demand access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
-    /// The demand line was present in the prefetch buffer.
-    pub buffer_hit: bool,
+    /// The instant the demand line becomes usable, if the prefetch buffer
+    /// held it.
+    pub hit: Option<SimTime>,
     /// Line addresses the backend should prefetch now.
     pub issue: Vec<u64>,
 }
@@ -56,10 +62,8 @@ pub struct Prefetcher {
     /// Cache-line size in bytes (the cache's in front).
     line_bytes: u64,
     streams: Vec<Stream>,
-    /// FIFO of resident prefetched lines.
-    buffer: VecDeque<u64>,
-    /// Lines requested but not yet filled (avoid duplicate issues).
-    pending: VecDeque<u64>,
+    /// FIFO of prefetched lines with the instant each becomes usable.
+    buffer: VecDeque<(u64, SimTime)>,
     hits: Counter,
     issued: Counter,
     useless_evictions: Counter,
@@ -79,7 +83,6 @@ impl Prefetcher {
             line_bytes,
             streams: Vec::with_capacity(STREAMS),
             buffer: VecDeque::with_capacity(BUFFER_LINES),
-            pending: VecDeque::new(),
             hits: Counter::new(),
             issued: Counter::new(),
             useless_evictions: Counter::new(),
@@ -93,13 +96,10 @@ impl Prefetcher {
     /// Observe a demand access to `addr`; returns the hit/issue decision.
     pub fn access(&mut self, addr: u64) -> Decision {
         let line = self.line_of(addr);
-        let buffer_hit = if let Some(pos) = self.buffer.iter().position(|&l| l == line) {
-            self.buffer.remove(pos);
+        let hit = self.buffer.iter().position(|&(l, _)| l == line).map(|pos| {
             self.hits.inc();
-            true
-        } else {
-            false
-        };
+            self.buffer.remove(pos).expect("position is in range").1
+        });
 
         let mut issue = Vec::new();
         let lb = self.line_bytes;
@@ -137,26 +137,20 @@ impl Prefetcher {
             });
         }
 
-        // De-duplicate against buffer contents and pending fills.
-        issue.retain(|l| !self.buffer.contains(l) && !self.pending.contains(l));
-        for &l in &issue {
-            self.pending.push_back(l);
-        }
+        // Never issue a line the buffer already holds.
+        issue.retain(|&l| !self.buffer.iter().any(|&(b, _)| b == l));
         self.issued.add(issue.len() as u64);
-        Decision { buffer_hit, issue }
+        Decision { hit, issue }
     }
 
-    /// A previously issued prefetch for `line` returned; place it in the
-    /// buffer (evicting the oldest resident if full).
-    pub fn fill(&mut self, line: u64) {
-        if let Some(pos) = self.pending.iter().position(|&l| l == line) {
-            self.pending.remove(pos);
-        }
+    /// Place the issued prefetch of `line`, usable from `ready`, in the
+    /// buffer (evicting the oldest line if full).
+    pub fn fill(&mut self, line: u64, ready: SimTime) {
         if self.buffer.len() == BUFFER_LINES {
             self.buffer.pop_front();
             self.useless_evictions.inc();
         }
-        self.buffer.push_back(line);
+        self.buffer.push_back((line, ready));
     }
 
     /// Demand accesses satisfied by the buffer.
@@ -199,7 +193,7 @@ mod tests {
         for _ in 0..100 {
             let d = p.access(rng.below(1 << 30) & !63);
             assert!(d.issue.is_empty(), "random stream must not train");
-            assert!(!d.buffer_hit);
+            assert_eq!(d.hit, None);
         }
         assert_eq!(p.issued(), 0);
     }
@@ -217,11 +211,15 @@ mod tests {
         let mut p = pf();
         p.access(0);
         let d = p.access(64);
-        for l in d.issue {
-            p.fill(l);
+        for (i, l) in d.issue.into_iter().enumerate() {
+            p.fill(l, SimTime::ZERO + cohfree_sim::SimDuration::ns(i as u64));
         }
         let d = p.access(128);
-        assert!(d.buffer_hit, "next sequential line should hit the buffer");
+        assert_eq!(
+            d.hit,
+            Some(SimTime::ZERO),
+            "the first line issued is ready first"
+        );
         assert_eq!(p.buffer_hits(), 1);
         assert!(p.accuracy() > 0.0);
     }
@@ -232,7 +230,8 @@ mod tests {
         p.access(0);
         let first = p.access(64);
         assert!(!first.issue.is_empty());
-        // Continue the stream before fills arrive; issued lines must not repeat.
+        // Continue the stream before any issued line is filled; issued
+        // lines must not repeat.
         let second = p.access(128);
         for l in &second.issue {
             assert!(!first.issue.contains(l), "line {l} issued twice");
@@ -243,11 +242,11 @@ mod tests {
     fn buffer_capacity_bounded_with_fifo_eviction() {
         let mut p = pf();
         for i in 0..=BUFFER_LINES as u64 {
-            p.fill(i * 64); // the last fill evicts line 0
+            p.fill(i * 64, SimTime::ZERO); // the last fill evicts line 0
         }
         assert_eq!(p.useless_evictions(), 1);
-        assert!(!p.access(0).buffer_hit);
-        assert!(p.access(64).buffer_hit);
+        assert_eq!(p.access(0).hit, None);
+        assert_eq!(p.access(64).hit, Some(SimTime::ZERO));
     }
 
     #[test]

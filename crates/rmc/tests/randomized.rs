@@ -97,7 +97,8 @@ fn client_slot_discipline() {
 }
 
 /// The prefetch buffer never holds more than its capacity, and every
-/// buffer hit was a previously filled line, whatever the line size.
+/// buffer hit returns the ready instant of that line's latest fill,
+/// whatever the line size.
 #[test]
 fn prefetcher_buffer_bounded() {
     for seed in 0..CASES {
@@ -105,7 +106,7 @@ fn prefetcher_buffer_bounded() {
         let line = 32 << rng.range(0, 4);
         let accesses = rng.range(1, 300);
         let mut p = Prefetcher::new(line);
-        let mut filled = std::collections::HashSet::new();
+        let mut filled = std::collections::HashMap::new();
         let mut fills = 0u64;
         let mut addr = 0;
         for _ in 0..accesses {
@@ -117,15 +118,18 @@ fn prefetcher_buffer_bounded() {
                 addr + 1
             };
             let d = p.access(addr * line);
-            if d.buffer_hit {
-                assert!(
-                    filled.contains(&(addr * line)),
-                    "seed {seed}: hit on never-filled line"
+            if let Some(ready) = d.hit {
+                assert_eq!(
+                    filled.get(&(addr * line)),
+                    Some(&ready),
+                    "seed {seed}: a hit must return its line's fill instant"
                 );
             }
             for l in d.issue {
-                p.fill(l);
-                filled.insert(l);
+                // Every fill gets its own instant, so a hit names its fill.
+                let ready = SimTime::ZERO + SimDuration::ps(fills);
+                p.fill(l, ready);
+                filled.insert(l, ready);
                 fills += 1;
             }
         }
@@ -148,11 +152,11 @@ fn sequential_stream_coverage() {
         let mut hits = 0u64;
         for i in 0..len {
             let d = p.access(base + i * 64);
-            if d.buffer_hit {
+            if d.hit.is_some() {
                 hits += 1;
             }
             for l in d.issue {
-                p.fill(l);
+                p.fill(l, SimTime::ZERO);
             }
         }
         // After the 2-access training prefix, everything should hit.

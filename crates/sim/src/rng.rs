@@ -41,12 +41,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derive an independent child generator (for giving each simulated
-    /// thread / node its own stream without correlation).
-    pub fn fork(&mut self, stream: u64) -> Rng {
-        Rng::new(self.next_u64() ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -108,18 +102,6 @@ impl Rng {
         for i in (1..xs.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             xs.swap(i, j);
-        }
-    }
-
-    /// Standard normal draw (Box–Muller; one value per call, the pair's twin
-    /// is discarded to keep the state stream position simple and documented).
-    pub fn normal(&mut self) -> f64 {
-        loop {
-            let u1 = self.f64();
-            if u1 > f64::EPSILON {
-                let u2 = self.f64();
-                return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            }
         }
     }
 
@@ -253,22 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments() {
-        let mut r = Rng::new(11);
-        let n = 50_000;
-        let (mut sum, mut sq) = (0.0, 0.0);
-        for _ in 0..n {
-            let x = r.normal();
-            sum += x;
-            sq += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.03, "normal mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "normal var {var}");
-    }
-
-    #[test]
     fn exponential_mean() {
         let mut r = Rng::new(13);
         let n = 50_000;
@@ -290,16 +256,6 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "astronomically unlikely identity"
         );
-    }
-
-    #[test]
-    fn fork_streams_diverge() {
-        let mut parent = Rng::new(1);
-        let mut a = parent.fork(0);
-        let mut b = parent.fork(1);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
     }
 
     #[test]

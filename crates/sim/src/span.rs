@@ -251,23 +251,13 @@ pub struct TraceSink {
     spans: VecDeque<SpanRecord>,
     dropped: Counter,
     phases: [LatencyHistogram; PHASE_COUNT],
+    /// The open transactions.
     pending: FastMap<u64, PendingTx>,
-    /// One-entry cache in front of `pending`: the memory-access hot path
-    /// touches the same transaction ~10 times back-to-back (begin, one push
-    /// per phase, finish), and a tag compare is cheaper than even a good
-    /// hash-map probe. Overflow (a second concurrent open transaction)
-    /// falls through to the map.
-    hot: Option<(u64, PendingTx)>,
     lanes: FastMap<u16, Vec<Lane>>,
     completed: Counter,
     failed: Counter,
     next_proto_id: u64,
-    /// Recycled raw-span buffers (avoids an allocation per transaction).
-    spare: Vec<Vec<RawSpan>>,
 }
-
-/// Recycled span-buffer pool bound (buffers beyond this are freed).
-const SPARE_BUFFERS: usize = 64;
 
 /// Default span-ring capacity: enough for every span of ~20k transactions.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
@@ -293,12 +283,10 @@ impl TraceSink {
             dropped: Counter::new(),
             phases: std::array::from_fn(|_| LatencyHistogram::new()),
             pending: FastMap::default(),
-            hot: None,
             lanes: FastMap::default(),
             completed: Counter::new(),
             failed: Counter::new(),
             next_proto_id: 1,
-            spare: Vec::new(),
         }
     }
 
@@ -316,29 +304,7 @@ impl TraceSink {
     /// True when `tx_id` has begun and not yet finished.
     #[inline]
     pub fn is_traced(&self, tx_id: u64) -> bool {
-        self.enabled() && (self.hot_matches(tx_id) || self.pending.contains_key(&tx_id))
-    }
-
-    #[inline]
-    fn hot_matches(&self, tx_id: u64) -> bool {
-        matches!(&self.hot, Some((id, _)) if *id == tx_id)
-    }
-
-    /// The open transaction `tx_id`, wherever it lives.
-    #[inline]
-    fn open_mut(&mut self, tx_id: u64) -> Option<&mut PendingTx> {
-        if self.hot_matches(tx_id) {
-            return self.hot.as_mut().map(|(_, p)| p);
-        }
-        self.pending.get_mut(&tx_id)
-    }
-
-    /// Remove and return the open transaction `tx_id`.
-    fn take_open(&mut self, tx_id: u64) -> Option<PendingTx> {
-        if self.hot_matches(tx_id) {
-            return self.hot.take().map(|(_, p)| p);
-        }
-        self.pending.remove(&tx_id)
+        self.enabled() && self.pending.contains_key(&tx_id)
     }
 
     /// Open a transaction. `t_begin` may lie before the call's event time
@@ -354,17 +320,15 @@ impl TraceSink {
         } else {
             0
         };
-        let p = PendingTx {
-            node,
-            lane,
-            t_begin,
-            spans: self.spare.pop().unwrap_or_else(|| Vec::with_capacity(16)),
-        };
-        if self.hot.is_none() {
-            self.hot = Some((tx_id, p));
-        } else {
-            self.pending.insert(tx_id, p);
-        }
+        self.pending.insert(
+            tx_id,
+            PendingTx {
+                node,
+                lane,
+                t_begin,
+                spans: Vec::new(),
+            },
+        );
     }
 
     /// Append a phase measurement to an open transaction. Ignored when the
@@ -388,7 +352,7 @@ impl TraceSink {
         if t1 <= t0 {
             return;
         }
-        if let Some(p) = self.open_mut(tx_id) {
+        if let Some(p) = self.pending.get_mut(&tx_id) {
             p.spans.push(RawSpan {
                 phase,
                 node,
@@ -403,7 +367,7 @@ impl TraceSink {
     /// tiling of `[t_begin, t_end]`, fold the phase durations into the
     /// aggregate histograms and (in Full mode) the span ring.
     pub fn finish(&mut self, tx_id: u64, t_end: SimTime, failed: bool) {
-        let Some(pending) = self.take_open(tx_id) else {
+        let Some(pending) = self.pending.remove(&tx_id) else {
             return;
         };
         if failed {
@@ -495,7 +459,6 @@ impl TraceSink {
                 h.record(d);
             }
         }
-        self.recycle(spans);
     }
 
     /// Append one normalized tiling piece to the Full-mode span ring (a
@@ -530,14 +493,6 @@ impl TraceSink {
         }
     }
 
-    /// Return a drained raw-span buffer to the pool.
-    fn recycle(&mut self, mut spans: Vec<RawSpan>) {
-        if self.spare.len() < SPARE_BUFFERS {
-            spans.clear();
-            self.spare.push(spans);
-        }
-    }
-
     /// Record a transaction that failed before it could even be submitted
     /// (its home node is already declared failed): a zero-length failed
     /// envelope, so failure accounting and envelope counts stay aligned.
@@ -554,11 +509,10 @@ impl TraceSink {
     /// Discard an open transaction without recording anything (its issuing
     /// node crashed; failure accounting happens in bulk elsewhere).
     pub fn abandon(&mut self, tx_id: u64) {
-        if let Some(p) = self.take_open(tx_id) {
+        if let Some(p) = self.pending.remove(&tx_id) {
             if self.mode == TraceMode::Full {
                 self.release_lane(p.node, p.lane, tx_id, p.t_begin);
             }
-            self.recycle(p.spans);
         }
     }
 

@@ -2,11 +2,10 @@
 //!
 //! The strongest property of the design: workloads compute *real* results
 //! over simulated memory, so every backend — local machine, the paper's
-//! remote memory, remote swap, disk swap — must produce **bit-identical
-//! outputs**. Timing differs wildly; answers never do.
+//! remote memory, remote swap over Ethernet or the fabric — must produce
+//! **bit-identical outputs**. Timing differs wildly; answers never do.
 
 use cohfree::core::backend::{RemoteOptions, SwapConfig, SwapTransport};
-use cohfree::os::disk::DiskConfig;
 use cohfree::workloads::parsec::{BlackScholes, Canneal, RayTrace, StreamCluster};
 use cohfree::workloads::{BTree, HashIndex};
 use cohfree::{
@@ -59,18 +58,6 @@ fn all_backends() -> Vec<(&'static str, Box<dyn MemSpace>)> {
                     servers: Some(vec![NodeId::new(2)]),
                     ..SwapConfig::default()
                 },
-            )),
-        ),
-        (
-            "disk-swap",
-            Box::new(SwapSpace::disk(
-                cfg,
-                NodeId::new(1),
-                SwapConfig {
-                    cache_pages: 64,
-                    ..SwapConfig::default()
-                },
-                DiskConfig::default(),
             )),
         ),
     ]
