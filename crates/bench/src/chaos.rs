@@ -9,9 +9,9 @@
 //!    or (open-loop serving threads only) was shed; no transaction is lost
 //!    or double-completed; nothing is left in flight after the run drains.
 //! 2. *Frame conservation*: for every node untouched by faults and never
-//!    suspected, directory free frames plus frames hosted for other nodes
-//!    equal its pool size exactly; faulted nodes may only lose capacity,
-//!    never mint it.
+//!    suspected, the frames it can lend plus frames hosted for other nodes
+//!    (plus grants stranded while it was cut off) equal its pool size
+//!    exactly; faulted nodes may only lose capacity, never mint it.
 //! 3. *Snapshot self-consistency*: the JSON document agrees with the
 //!    programmatic counters and its time series is monotonic.
 //!
@@ -295,13 +295,13 @@ pub fn check_oracles(w: &World) -> Vec<String> {
     let exempt = named_nodes(&cfg.faults);
     for i in 1..=nodes {
         // Nodes the plan names break conservation by design: a crashed
-        // donor's capacity is zeroed, and a restart resets its pool while
+        // donor lends nothing, and a restart resets its pool while
         // pre-crash grants may linger in owners' regions. Suspected nodes
-        // likewise had their capacity zeroed by the failure detector.
+        // likewise lend nothing once the failure detector declares them.
         if exempt.contains(&n(i)) || w.node_is_suspected(n(i)) {
             continue;
         }
-        let free = w.directory().free_frames(n(i));
+        let free = w.free_frames(n(i));
         let lost = w.lost_frames(n(i));
         let total = free + hosted[i as usize] + lost;
         if total != pool {

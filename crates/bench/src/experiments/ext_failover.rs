@@ -85,11 +85,11 @@ fn run_one(
     });
     let mut w = World::new(cfg);
     if !spare {
-        // Drain every other node's pool so the evacuation has nowhere to go.
-        for i in 1..=16u16 {
-            if i != 2 {
-                w.directory_mut().set_free(super::n(i), 0);
-            }
+        // Node 1 borrows every pool but the doomed donor's, so the
+        // evacuation has nowhere to go.
+        let pool = w.config().pool_frames_per_node();
+        for i in 3..=16u16 {
+            w.reserve_remote(super::n(1), pool, Some(super::n(i)));
         }
     }
     let resv = w.reserve_remote(super::n(1), ZONE_FRAMES, Some(super::n(2)));

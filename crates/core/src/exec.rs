@@ -44,7 +44,7 @@
 //! report and the pinned golden fingerprints.
 
 use crate::config::ClusterConfig;
-use crate::world::{CohState, Ev, Owner, PendingTx, Resolution, World};
+use crate::world::{CohState, Ev, Owner, PendingTx, Pick, Resolution, World};
 use cohfree_fabric::{Fabric, Message, MsgKind, NodeId, Step};
 use cohfree_os::manager::TICK;
 use cohfree_rmc::{Completion, Submit};
@@ -447,7 +447,7 @@ impl World {
         }
         if p.attempt >= self.cfg.max_retries {
             // Retry budget exhausted: the home node is unresponsive. Failure
-            // declaration touches cluster-wide state (directory, evacuation),
+            // declaration touches cluster-wide state (suspect state, evacuation),
             // so it is deferred one lookahead window as a global event; the
             // pending transaction stays in place until the declaration sweeps
             // it up, keeping further timers stale-safe.
@@ -504,25 +504,23 @@ impl World {
                 // (`next_issue_at` clamps to the arrival), so on a backed-up
                 // lane the arrival precedes `now` and the queueing delay lands
                 // in the stall phase and the end-to-end latency.
-                if let Some(&arrival) = th.arrivals.get((th.issued - 1) as usize) {
+                if let Some(arrival) = th.arrival(th.issued - 1) {
                     th.pending_since = Some(arrival);
                 }
-                let slots_of = |len: u64| (len / th.spec.bytes as u64).max(1);
                 // A sequential walk position or a Zipf rank (rank 0 hottest)
                 // indexes the combined slot space of all zones, end to end.
-                let rank = if th.sequential {
-                    let total: u64 = th.spec.zones.iter().map(|&(_, l)| slots_of(l)).sum();
-                    Some((th.issued - 1) % total)
-                } else {
-                    th.zipf.as_ref().map(|z| z.sample(&mut th.rng) as u64)
+                let rank = match &th.pick {
+                    Pick::Uniform => None,
+                    Pick::Sequential => Some((th.issued - 1) % th.spec.total_slots()),
+                    Pick::Zipf(z) => Some(z.sample(&mut th.rng) as u64),
                 };
                 let (zone, slot) = match rank {
                     // Zones may differ in size, so the rank is resolved
                     // against the cumulative per-zone slot counts.
                     Some(mut off) => {
                         let mut zi = 0usize;
-                        while off >= slots_of(th.spec.zones[zi].1) {
-                            off -= slots_of(th.spec.zones[zi].1);
+                        while off >= th.spec.slots(th.spec.zones[zi].1) {
+                            off -= th.spec.slots(th.spec.zones[zi].1);
                             zi += 1;
                         }
                         (zi, off)
@@ -533,7 +531,7 @@ impl World {
                         } else {
                             th.rng.below(th.spec.zones.len() as u64) as usize
                         };
-                        (zi, th.rng.below(slots_of(th.spec.zones[zi].1)))
+                        (zi, th.rng.below(th.spec.slots(th.spec.zones[zi].1)))
                     }
                 };
                 let write = !th.coherent && th.rng.chance(th.spec.write_fraction);
@@ -575,14 +573,14 @@ impl World {
         // overload; the preserved `pending_since` keeps the deferral inside
         // the transaction's eventual Stall phase, and re-admission is
         // guaranteed because backlogs are time-to-drain values that decay.
-        // Lane code only *reads* the shed set here — it is mutated solely by
-        // global manager events.
-        if self.nodes[node.index()].client.is_shed(dst) {
+        // Lane code only *reads* the manager's shed set, the one record of
+        // shed targets; global manager events alone mutate it.
+        if self.is_shed(dst) {
             // Open-loop serving threads drop the request instead of deferring:
             // an arrival-driven client cannot hold back load, so shedding is a
             // terminal outcome (counted, never retried). Closed-loop threads
             // keep the defer-and-retry discipline.
-            if !self.threads[id].arrivals.is_empty() {
+            if self.threads[id].open.is_some() {
                 self.trace.fail_fast(node.get(), now);
                 self.resolve(now, id, Resolution::Shed);
                 return;
@@ -594,13 +592,12 @@ impl World {
         }
         match self.nodes[node.index()].client.submit(now, dst, kind, addr) {
             Submit::Accepted { msg, inject_at } => {
-                let th = &mut self.threads[id];
-                if th.latency.is_some() {
+                if let Some(open) = self.threads[id].open.as_deref_mut() {
                     // End-to-end serving latency runs from the request's
-                    // first offer (its arrival, for open-loop threads); a
-                    // request re-aimed after an evacuation keeps the
-                    // instant its first submission set.
-                    th.inflight_since.get_or_insert(first_offer);
+                    // first offer (its arrival); a request re-aimed after
+                    // an evacuation keeps the instant its first submission
+                    // set.
+                    open.inflight_since.get_or_insert(first_offer);
                 }
                 self.launch(Owner::Thread(id), msg, inject_at, first_offer, now);
             }

@@ -22,16 +22,18 @@
 //!   NACK/retry behaviour.
 //!
 //! Reservation (software, off the access path) is one call,
-//! [`World::reserve_remote`], which updates the donor's frame allocator, the
-//! directory and the borrower's region and records a reservation span of the
-//! configured latency; the caller charges that latency to its own clock.
+//! [`World::reserve_remote`], which updates the donor's frame allocator and
+//! the borrower's region and records a reservation span of the configured
+//! latency; the caller charges that latency to its own clock. Those two are
+//! the reservation's only records: what a donor can lend
+//! ([`World::free_frames`]) is read from its allocator.
 
 use crate::config::ClusterConfig;
 use crate::exec::{self, Cursor};
 use crate::fault::FaultEvent;
 use cohfree_fabric::{Fabric, Message, MsgKind, NodeId};
 use cohfree_mem::NodeMemory;
-use cohfree_os::directory::Directory;
+use cohfree_os::directory::nearest_donor;
 use cohfree_os::frames::FrameAllocator;
 use cohfree_os::manager::{ManagerAction, NodeObservation, RecoveryManager, TICK};
 use cohfree_os::region::{Region, Reservation, Segment};
@@ -75,7 +77,7 @@ pub(crate) enum Ev {
     Fault(FaultEvent),
     /// `observer`'s client RMC exhausted its retry budget against `dead`
     /// and declares it failed. Declaration touches cluster-wide state
-    /// (directory, evacuation, doomed-transaction sweep), so it runs as a
+    /// (suspect state, evacuation, doomed-transaction sweep), so it runs as a
     /// global event one minimum hop latency after the exhaustion.
     Suspect {
         /// The node giving up.
@@ -85,9 +87,10 @@ pub(crate) enum Ev {
     },
     /// Recovery-manager control-loop tick ([`ClusterConfig::manager`]):
     /// observe the cluster, decide, act. Touches cluster-wide state
-    /// (directory, regions, per-client shed sets), so it runs as a global
-    /// event. Re-arms only while threads are unfinished or transactions are in
-    /// flight, so a draining run still terminates.
+    /// (regions, evacuations, the manager's shed set that every client's
+    /// offers read), so it runs as a global event. Re-arms only while
+    /// threads are unfinished or transactions are in flight, so a draining
+    /// run still terminates.
     Manager,
 }
 
@@ -292,6 +295,18 @@ pub struct ThreadSpec {
     pub seed: u64,
 }
 
+impl ThreadSpec {
+    /// Access slots in a zone of `len` bytes (at least one).
+    pub(crate) fn slots(&self, len: u64) -> u64 {
+        (len / self.bytes as u64).max(1)
+    }
+
+    /// Access slots of all zones together, end to end.
+    pub(crate) fn total_slots(&self) -> u64 {
+        self.zones.iter().map(|&(_, len)| self.slots(len)).sum()
+    }
+}
+
 /// How a serving thread ([`World::spawn_serving_thread`]) picks target
 /// addresses within its zones.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -306,12 +321,36 @@ pub enum AccessPattern {
     Zipf(f64),
 }
 
+/// How a thread picks the slot of each fresh access.
+pub(crate) enum Pick {
+    /// A zone uniformly, then a slot in it uniformly.
+    Uniform,
+    /// The zones' combined slot space end to end in address order,
+    /// wrapping (the read-only parallel phases of Section IV-B, the
+    /// columnar scans of serving threads).
+    Sequential,
+    /// A Zipf rank over the combined slot space, rank 0 hottest (serving
+    /// threads with [`AccessPattern::Zipf`]).
+    Zipf(Zipf),
+}
+
+/// What an open-loop serving thread ([`World::spawn_serving_thread`])
+/// keeps beyond a closed-loop one.
+pub(crate) struct OpenLoop {
+    /// Absolute instant request `k` enters the system (sorted, one per
+    /// access).
+    pub(crate) arrivals: Vec<SimTime>,
+    /// Arrival instant of the in-flight request, so completion can record
+    /// the end-to-end latency a user would see.
+    pub(crate) inflight_since: Option<SimTime>,
+    /// Per-request end-to-end latency (arrival to completion).
+    pub(crate) latency: LatencyHistogram,
+}
+
 pub(crate) struct Thread {
     pub(crate) spec: ThreadSpec,
     pub(crate) rng: Rng,
-    /// Stream the zones in address order instead of uniformly at random
-    /// (models the read-only parallel phases of Section IV-B).
-    pub(crate) sequential: bool,
+    pub(crate) pick: Pick,
     /// Issue coherent-DSM reads (the 3Leaf-style baseline) instead of the
     /// paper's non-coherent reads.
     pub(crate) coherent: bool,
@@ -335,21 +374,11 @@ pub(crate) struct Thread {
     /// start for the span tracer), while it waits to be re-offered. `None`
     /// for evacuation re-aims: their new trace starts at the re-issue,
     /// while the request's end-to-end latency still runs from
-    /// `inflight_since`.
+    /// [`OpenLoop::inflight_since`].
     pub(crate) pending_since: Option<SimTime>,
-    /// Open-loop arrival schedule: absolute instant request `k` enters the
-    /// system (sorted, one per access). Empty = closed loop (the next
-    /// access issues `think` after the previous one resolves).
-    pub(crate) arrivals: Vec<SimTime>,
-    /// Zipf slot sampler over the combined zone slots (serving threads with
-    /// [`AccessPattern::Zipf`] only).
-    pub(crate) zipf: Option<Zipf>,
-    /// Arrival instant of the in-flight request (serving threads only), so
-    /// completion can record the end-to-end latency a user would see.
-    pub(crate) inflight_since: Option<SimTime>,
-    /// Per-request end-to-end latency (arrival to completion), recorded for
-    /// serving threads only.
-    pub(crate) latency: Option<Box<LatencyHistogram>>,
+    /// `Some` for an open-loop serving thread; `None` for a closed loop,
+    /// whose next access issues `think` after the previous one resolves.
+    pub(crate) open: Option<Box<OpenLoop>>,
     pub(crate) started: SimTime,
     pub(crate) finished: Option<SimTime>,
     pub(crate) nack_retries: u64,
@@ -379,16 +408,16 @@ impl Thread {
     /// caller schedules the wake through its own context.
     pub(crate) fn resolve(&mut self, now: SimTime, how: Resolution) -> Option<SimTime> {
         self.access = None;
-        let since = self.inflight_since.take();
         match how {
-            Resolution::Completed => {
-                self.completed += 1;
-                if let (Some(since), Some(h)) = (since, self.latency.as_deref_mut()) {
-                    h.record(now.since(since));
-                }
-            }
+            Resolution::Completed => self.completed += 1,
             Resolution::Failed => self.failed += 1,
             Resolution::Shed => self.shed += 1,
+        }
+        if let Some(open) = self.open.as_deref_mut() {
+            let since = open.inflight_since.take();
+            if let (Resolution::Completed, Some(since)) = (how, since) {
+                open.latency.record(now.since(since));
+            }
         }
         if self.resolved() == self.spec.accesses {
             self.finished = Some(now);
@@ -404,10 +433,18 @@ impl Thread {
     /// never early — a backed-up lane naturally queues arrivals).
     pub(crate) fn next_issue_at(&self, now: SimTime) -> SimTime {
         let rest = now + self.spec.think;
-        match self.arrivals.get(self.issued as usize) {
-            Some(&arrival) => rest.max(arrival),
+        match self.arrival(self.issued) {
+            Some(arrival) => rest.max(arrival),
             None => rest,
         }
+    }
+
+    /// The scheduled arrival of request `k` (0-based) of an open-loop
+    /// thread; `None` for a closed loop or past the last request.
+    pub(crate) fn arrival(&self, k: u64) -> Option<SimTime> {
+        self.open
+            .as_ref()
+            .and_then(|o| o.arrivals.get(k as usize).copied())
     }
 }
 
@@ -433,7 +470,6 @@ pub struct World {
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) fabric: Fabric,
     pub(crate) nodes: Vec<NodeCtx>,
-    pub(crate) directory: Directory,
     pub(crate) threads: Vec<Thread>,
     pub(crate) pending: FastMap<u64, PendingTx>,
     /// How the blocking driver's transaction (`Owner::Sync`) ended:
@@ -449,17 +485,19 @@ pub struct World {
     /// Suspect state per node (index `i` is node `i + 1`): true once any
     /// client's failure detector declared the node failed; cleared on
     /// restart. The recovery manager reads this instead of scanning every
-    /// client's suspect set each tick.
+    /// client's suspect set each tick, and a declared-failed node lends
+    /// nothing ([`World::free_frames`]).
     suspected: Vec<bool>,
     /// The online recovery manager (present iff
-    /// [`ClusterConfig::manager`]).
+    /// [`ClusterConfig::manager`]). Its shed set is the one record of
+    /// which homes are load-shed.
     manager: Option<RecoveryManager>,
     /// Chronological record of faults, detections and recoveries.
     fault_log: FaultLog,
     /// Frames per donor node (index `i` is node `i + 1`) whose grants were
-    /// dropped without a directory credit: the donor was unreachable when
-    /// its zone was force-migrated away, so its debited capacity is lost
-    /// until it restarts. The chaos frame-conservation oracle balances
+    /// dropped without a release: the donor was unreachable when its zone
+    /// was force-migrated away, so its allocator keeps the grant until it
+    /// restarts. The chaos frame-conservation oracle balances
     /// `free + hosted + lost == pool` with this.
     lost_frames: Vec<u64>,
     /// Zones successfully re-homed after a donor failure.
@@ -534,7 +572,6 @@ impl World {
         let mut world = World {
             fabric: Fabric::new(cfg.topology, cfg.fabric),
             nodes,
-            directory: Directory::new(cfg.topology, cfg.pool_frames_per_node()),
             threads: Vec::new(),
             pending: FastMap::default(),
             sync: None,
@@ -654,15 +691,27 @@ impl World {
         &self.fabric
     }
 
-    /// The cluster free-memory directory.
-    pub fn directory(&self) -> &Directory {
-        &self.directory
+    /// Pool frames `node` can lend now, as the cluster free-memory
+    /// directory sees them: what its frame allocator holds free, or 0
+    /// while the node is down or declared failed.
+    pub fn free_frames(&self, node: NodeId) -> u64 {
+        if self.dead[node.index()] || self.suspected[node.index()] {
+            0
+        } else {
+            self.nodes[node.index()].frames.free_frames()
+        }
     }
 
-    /// Mutable directory access (experiments drain donors' free frames
-    /// through it).
-    pub fn directory_mut(&mut self) -> &mut Directory {
-        &mut self.directory
+    /// The directory's donor for `frames` frames lent to `asker`: the
+    /// nearest node that can lend them ([`nearest_donor`]).
+    fn nearest_donor(&self, asker: NodeId, frames: u64) -> Option<NodeId> {
+        nearest_donor(&self.cfg.topology, asker, frames, |d| self.free_frames(d))
+    }
+
+    /// True while the recovery manager load-sheds accesses homed on
+    /// `node` (never without a manager).
+    pub(crate) fn is_shed(&self, node: NodeId) -> bool {
+        self.manager.as_ref().is_some_and(|m| m.is_shed(node))
     }
 
     /// The client RMC of `node` (statistics).
@@ -690,19 +739,18 @@ impl World {
     // ------------------------------------------------------------------
 
     /// Reserve `frames` pool frames for `asker` from `donor` (or let the
-    /// directory pick one when `None`), as in Fig. 4: the donor pins a
-    /// contiguous zone of its pool, the asker sees it at the zone's base
-    /// with the donor's node id in the 14 top bits, the directory is
-    /// debited and the asker's region grows. Returns the reservation; the
-    /// caller charges [`crate::config::OsTiming::reservation`] to its own
-    /// clock.
+    /// directory pick the nearest one with room when `None`), as in Fig. 4:
+    /// the donor pins a contiguous zone of its pool and the asker's region
+    /// grows, the asker seeing the zone at its base with the donor's node
+    /// id in the 14 top bits. Returns the reservation; the caller charges
+    /// [`crate::config::OsTiming::reservation`] to its own clock.
     ///
     /// # Panics
     /// Panics if no donor can satisfy the request (callers size experiments
-    /// within the pool), if `donor` is `asker`, if `donor` is a crashed
-    /// node, or if the zone overlaps a segment the asker already holds (a
-    /// restarted donor handing back a pre-crash base); nothing has changed
-    /// when it panics.
+    /// within the pool), if `donor` is `asker`, if `donor` is a crashed or
+    /// declared-failed node, or if the zone overlaps a segment the asker
+    /// already holds (a restarted donor handing back a pre-crash base);
+    /// nothing has changed when it panics.
     pub fn reserve_remote(
         &mut self,
         asker: NodeId,
@@ -710,12 +758,17 @@ impl World {
         donor: Option<NodeId>,
     ) -> Reservation {
         let home = donor
-            .or_else(|| self.directory.choose_donor(asker, frames))
+            .or_else(|| self.nearest_donor(asker, frames))
             .unwrap_or_else(|| panic!("no donor can lend {frames} frames to {asker}"));
         assert_ne!(home, asker, "reservation donor must differ from asker");
         assert!(
             !self.dead[home.index()],
             "reservation donor {home} is down: it cannot lend {frames} frames to {asker}"
+        );
+        assert!(
+            !self.suspected[home.index()],
+            "reservation donor {home} is declared failed: it cannot lend {frames} frames \
+             to {asker}"
         );
         let local_base = self.nodes[home.index()]
             .frames
@@ -736,7 +789,6 @@ impl World {
                 .expect("the zone was just granted");
             panic!("segment overlap while extending region of {asker}");
         }
-        self.directory.debit(home, frames);
         self.nodes[asker.index()].region.extend(seg);
         let resv = Reservation {
             home,
@@ -752,10 +804,10 @@ impl World {
     }
 
     /// Release a reservation previously granted to `asker`. The asker's
-    /// segment always goes. The directory is credited only with frames the
-    /// donor's allocator actually takes back: a crashed donor takes nothing
-    /// back (its capacity stays zeroed until it restarts), and a restarted
-    /// donor's cold pool no longer holds the pre-crash grant.
+    /// segment always goes. The donor's allocator takes back only a grant
+    /// it still holds: a crashed donor takes nothing back (it lends
+    /// nothing until it restarts), and a restarted donor's cold pool no
+    /// longer holds the pre-crash grant.
     ///
     /// # Panics
     /// Panics if `resv` is not a zone of `asker`'s region.
@@ -768,10 +820,11 @@ impl World {
         if self.dead[seg.home.index()] {
             return;
         }
-        let donor = &mut self.nodes[seg.home.index()].frames;
-        if let Ok(grant) = donor.release(strip_prefix(seg.base), asker) {
-            self.directory.credit(seg.home, grant.frames);
-        }
+        // A restarted donor no longer holds the pre-crash grant: there is
+        // nothing to take back.
+        let _ = self.nodes[seg.home.index()]
+            .frames
+            .release(strip_prefix(seg.base), asker);
     }
 
     // ------------------------------------------------------------------
@@ -817,8 +870,8 @@ impl World {
     // ------------------------------------------------------------------
 
     /// `observer`'s client RMC gave up on `dead` ([`Ev::Suspect`]): mark it
-    /// suspect, zero its directory capacity, evacuate zones homed there, and
-    /// abort every outstanding transaction aimed at it. Idempotent — a
+    /// suspect (from now on it lends nothing), evacuate zones homed there,
+    /// and abort every outstanding transaction aimed at it. Idempotent — a
     /// duplicate declaration (several requesters timing out on the same
     /// home) only sweeps an empty doomed set.
     fn on_suspect(&mut self, now: SimTime, observer: NodeId, dead: NodeId) {
@@ -830,7 +883,6 @@ impl World {
                 "suspect",
                 format!("node {observer} declares node {dead} failed (retry budget exhausted)"),
             );
-            self.directory.set_free(dead, 0);
             self.evacuate(now, observer, dead);
         }
         self.fail_pending(now, |m| m.src == observer && m.dst == dead);
@@ -872,7 +924,7 @@ impl World {
     }
 
     /// Re-home every zone of `owner`'s region whose home is `dead`
-    /// (directory-assisted re-reservation on a donor with capacity and a
+    /// (directory-assisted re-reservation on a donor with room and a
     /// zone-base rewrite), or drop it when no donor can take it. The
     /// owner's threads keep running: their zone tables are rewritten, and
     /// interrupted accesses re-aim at the rewritten bases.
@@ -969,12 +1021,8 @@ impl World {
             mgr.choose_recovery_donor(asker, frames, &obs)
         });
         managed
-            .filter(|&d| d != avoid && self.directory.free_frames(d) >= frames)
-            .or_else(|| {
-                self.directory
-                    .choose_donor(asker, frames)
-                    .filter(|&d| d != avoid)
-            })
+            .filter(|&d| d != avoid && self.free_frames(d) >= frames)
+            .or_else(|| self.nearest_donor(asker, frames).filter(|&d| d != avoid))
     }
 
     /// Build the per-node observation vector the recovery manager consumes:
@@ -995,7 +1043,7 @@ impl World {
                     suspected: self.suspected[id.index()],
                     server_backlog: self.nodes[id.index()].server.engine_backlog(now),
                     link_backlog: self.fabric.node_link_backlog(now, id),
-                    free_frames: self.directory.free_frames(id),
+                    free_frames: self.free_frames(id),
                     hosts_zones,
                 }
             })
@@ -1016,9 +1064,6 @@ impl World {
         for action in mgr.tick(&obs) {
             match action {
                 ManagerAction::Shed { target } => {
-                    for nc in &mut self.nodes {
-                        nc.client.set_shed(target);
-                    }
                     self.trace
                         .standalone(Phase::Shed, target.get(), now, now + TICK);
                     self.fault_log.record(
@@ -1028,9 +1073,6 @@ impl World {
                     );
                 }
                 ManagerAction::Readmit { target } => {
-                    for nc in &mut self.nodes {
-                        nc.client.clear_shed(target);
-                    }
                     self.fault_log.record(
                         now,
                         "readmit",
@@ -1083,9 +1125,9 @@ impl World {
                     continue;
                 };
                 if from_gone {
-                    // The grant is stale: drop it without crediting the
-                    // directory (the crash/partition already zeroed or
-                    // stranded that capacity).
+                    // The grant is stale: drop it without a release (a
+                    // crashed donor lends nothing until it restarts, and
+                    // a cut-off one keeps the grant as lost frames).
                     self.nodes[owner.index()]
                         .region
                         .shrink(seg.base)
@@ -1135,7 +1177,6 @@ impl World {
                 }
                 self.dead[node.index()] = true;
                 self.fabric.set_node_down(node);
-                self.directory.set_free(node, 0);
                 self.fault_log
                     .record(now, "node_crash", format!("node {node} crashed"));
                 // Threads on the node die with their remaining work failed.
@@ -1176,8 +1217,6 @@ impl World {
                 self.fabric.set_node_up(node);
                 self.nodes[node.index()].frames =
                     FrameAllocator::new(self.cfg.private_bytes, self.cfg.pool_bytes);
-                self.directory
-                    .set_free(node, self.cfg.pool_frames_per_node());
                 for peer in &mut self.nodes {
                     peer.client.clear_suspect(node);
                 }
@@ -1273,7 +1312,7 @@ impl World {
                 self.trace.fail_fast(src.get(), t);
                 return AccessOutcome::Failed { node: dst, at: t };
             }
-            if self.nodes[src.index()].client.is_shed(dst) {
+            if self.is_shed(dst) {
                 self.nodes[src.index()].client.note_shed_deferral();
                 return AccessOutcome::Shed { node: dst, at: t };
             }
@@ -1395,7 +1434,7 @@ impl World {
 
     /// Spawn a traffic thread; it begins issuing at `start`.
     pub fn spawn_thread(&mut self, spec: ThreadSpec, start: SimTime) -> usize {
-        self.spawn(spec, start, false)
+        self.spawn(spec, start, Pick::Uniform, None)
     }
 
     /// Spawn a thread whose reads go through the coherent-DSM baseline
@@ -1406,7 +1445,7 @@ impl World {
             !self.coherent_domain.is_empty(),
             "call set_coherent_domain() before spawning coherent threads"
         );
-        let id = self.spawn(spec, start, false);
+        let id = self.spawn(spec, start, Pick::Uniform, None);
         self.threads[id].coherent = true;
         id
     }
@@ -1416,10 +1455,16 @@ impl World {
     /// after a flush, several threads may scan shared data with no
     /// coherency traffic).
     pub fn spawn_sequential_thread(&mut self, spec: ThreadSpec, start: SimTime) -> usize {
-        self.spawn(spec, start, true)
+        self.spawn(spec, start, Pick::Sequential, None)
     }
 
-    fn spawn(&mut self, spec: ThreadSpec, start: SimTime, sequential: bool) -> usize {
+    fn spawn(
+        &mut self,
+        spec: ThreadSpec,
+        start: SimTime,
+        pick: Pick,
+        open: Option<Box<OpenLoop>>,
+    ) -> usize {
         assert!(
             !spec.zones.is_empty(),
             "thread needs at least one target zone"
@@ -1430,7 +1475,7 @@ impl World {
         self.threads.push(Thread {
             rng,
             spec,
-            sequential,
+            pick,
             coherent: false,
             issued: 0,
             completed: 0,
@@ -1439,10 +1484,7 @@ impl World {
             evacuated_retries: 0,
             access: None,
             pending_since: None,
-            arrivals: Vec::new(),
-            zipf: None,
-            inflight_since: None,
-            latency: None,
+            open,
             started: start,
             finished: None,
             nack_retries: 0,
@@ -1485,16 +1527,17 @@ impl World {
             "serving arrivals must be sorted"
         );
         let start = arrivals[0];
-        let id = self.spawn(spec, start, pattern == AccessPattern::Sequential);
-        let th = &mut self.threads[id];
-        if let AccessPattern::Zipf(s) = pattern {
-            let slots_of = |len: u64| (len / th.spec.bytes as u64).max(1);
-            let total: u64 = th.spec.zones.iter().map(|&(_, l)| slots_of(l)).sum();
-            th.zipf = Some(Zipf::new(total as usize, s));
-        }
-        th.arrivals = arrivals;
-        th.latency = Some(Box::new(LatencyHistogram::new()));
-        id
+        let pick = match pattern {
+            AccessPattern::Uniform => Pick::Uniform,
+            AccessPattern::Sequential => Pick::Sequential,
+            AccessPattern::Zipf(s) => Pick::Zipf(Zipf::new(spec.total_slots() as usize, s)),
+        };
+        let open = OpenLoop {
+            arrivals,
+            inflight_since: None,
+            latency: LatencyHistogram::new(),
+        };
+        self.spawn(spec, start, pick, Some(Box::new(open)))
     }
 
     /// Run the event loop until every event has drained (all threads done).
@@ -1574,7 +1617,7 @@ impl World {
     /// Per-request end-to-end latency histogram (arrival to completion) of
     /// serving thread `id`; `None` for closed-loop threads. Deterministic.
     pub fn thread_latency(&self, id: usize) -> Option<&LatencyHistogram> {
-        self.threads[id].latency.as_deref()
+        self.threads[id].open.as_ref().map(|o| &o.latency)
     }
 
     /// Accesses of thread `id` re-issued against a new home after an
@@ -1605,15 +1648,15 @@ impl World {
     }
 
     /// True once any client's failure detector declared `node` failed and it
-    /// has not restarted since. Suspicion zeroes the node's directory
-    /// capacity, so the chaos frame-conservation oracle exempts suspected
-    /// nodes from its equality check.
+    /// has not restarted since. A declared-failed node lends nothing
+    /// ([`World::free_frames`] reads 0), so the chaos frame-conservation
+    /// oracle exempts suspected nodes from its equality check.
     pub fn node_is_suspected(&self, node: NodeId) -> bool {
         self.suspected[node.index()]
     }
 
     /// Pool frames of `node` stranded by grants dropped while it was
-    /// unreachable (debited from the directory, never credited back).
+    /// unreachable (still granted in its allocator, held by no region).
     pub fn lost_frames(&self, node: NodeId) -> u64 {
         self.lost_frames[node.index()]
     }
@@ -1640,7 +1683,7 @@ impl World {
     ///                "rmc_client": {...}, "rmc_server": {...},
     ///                "dram": {...} }, ... ],
     ///   "fabric": { "delivered": .., "dropped": .., "links": [...] },
-    ///   "directory": { "total_free_frames": .., ... },
+    ///   "directory": { "total_free_frames": .., "free_frames_per_node": [..] },
     ///   "evacuations": ..,
     ///   "faults": [ { "t_ns": .., "kind": .., "detail": .. }, ... ],
     ///   "manager": { "ticks": .., "sheds": .., ... },       // if enabled
@@ -1651,6 +1694,15 @@ impl World {
     /// Utilizations are computed against the current clock as the horizon.
     pub fn snapshot(&self) -> ClusterSnapshot {
         let now = self.queue.now();
+        let shed_targets = self.manager.as_ref().map_or(0, |m| m.currently_shed());
+        // The directory block: index `i` of the per-node array is node `i + 1`.
+        let free: Vec<u64> = (1..=self.cfg.topology.num_nodes())
+            .map(|i| self.free_frames(NodeId::new(i)))
+            .collect();
+        let directory = Json::obj([
+            ("total_free_frames", Json::from(free.iter().sum::<u64>())),
+            ("free_frames_per_node", Json::from(free)),
+        ]);
         let nodes = self
             .nodes
             .iter()
@@ -1658,7 +1710,7 @@ impl World {
             .map(|(i, n)| {
                 Json::obj([
                     ("node", Json::from((i + 1) as u64)),
-                    ("rmc_client", n.client.snapshot(now)),
+                    ("rmc_client", n.client.snapshot(now, shed_targets)),
                     ("rmc_server", n.server.snapshot(now)),
                     ("dram", n.mem.snapshot(now)),
                 ])
@@ -1668,7 +1720,7 @@ impl World {
             ("at_ns".to_string(), Json::from(now.as_ns())),
             ("nodes".to_string(), Json::Arr(nodes)),
             ("fabric".to_string(), self.fabric.snapshot(now)),
-            ("directory".to_string(), self.directory.snapshot()),
+            ("directory".to_string(), directory),
             ("evacuations".to_string(), Json::from(self.evacuations)),
             ("faults".to_string(), self.fault_log.snapshot()),
         ];
@@ -1723,15 +1775,15 @@ mod tests {
     #[test]
     fn reservation_grows_region_and_debits_directory() {
         let mut w = world();
-        let before = w.directory().free_frames(n(2));
+        let before = w.free_frames(n(2));
         let resv = w.reserve_remote(n(1), 1024, Some(n(2)));
         assert_eq!(resv.home, n(2));
-        assert_eq!(w.directory().free_frames(n(2)), before - 1024);
+        assert_eq!(w.free_frames(n(2)), before - 1024);
         assert_eq!(w.region(n(1)).borrowed_bytes(), 1024 * 4096);
         // The zone base carries node 2's prefix above the pool base.
         assert_eq!(resv.prefixed_base >> 34, 2);
         w.release_remote(n(1), resv);
-        assert_eq!(w.directory().free_frames(n(2)), before);
+        assert_eq!(w.free_frames(n(2)), before);
         assert_eq!(w.region(n(1)).borrowed_bytes(), 0);
     }
 
@@ -1992,10 +2044,8 @@ mod tests {
             t_far.since(SimTime::ZERO) > t_near.since(t0) * 2,
             "14 hops must cost far more than 1"
         );
-        assert_eq!(
-            w.directory().total_free(),
-            64 * cfg.pool_frames_per_node() - 2048
-        );
+        let free: u64 = (1..=64).map(|i| w.free_frames(n(i))).sum();
+        assert_eq!(free, 64 * cfg.pool_frames_per_node() - 2048);
     }
 
     fn coherent_run(domain_nodes: &[u16], accesses: u64) -> (SimDuration, u64) {
@@ -2357,14 +2407,14 @@ mod tests {
             node: n(2),
         }));
         assert_eq!(w.region(n(1)).borrowed_bytes(), 0);
-        assert_eq!(w.directory().free_frames(n(2)), 0);
-        assert_ne!(w.directory().choose_donor(n(3), 512), Some(n(2)));
+        assert_eq!(w.free_frames(n(2)), 0);
+        assert_ne!(w.nearest_donor(n(3), 512), Some(n(2)));
     }
 
     #[test]
     fn reserving_from_a_dead_donor_changes_nothing() {
         // Regression: the dead donor's allocator granted the zone before
-        // the directory debit panicked, leaving frames nobody holds.
+        // the reservation panicked, leaving frames nobody holds.
         let mut cfg = ClusterConfig::prototype();
         cfg.faults = FaultPlan::new().with(FaultEvent::NodeCrash {
             at: t(10),
@@ -2381,7 +2431,7 @@ mod tests {
             .expect("the panic carries a formatted message");
         assert!(msg.contains("donor n2 is down"), "{msg}");
         assert_eq!(w.nodes[n(2).index()].frames.granted_frames(), 0);
-        assert_eq!(w.directory().free_frames(n(2)), 0);
+        assert_eq!(w.free_frames(n(2)), 0);
         assert_eq!(w.region(n(1)).borrowed_bytes(), 0);
     }
 
@@ -2389,8 +2439,8 @@ mod tests {
     fn re_reserving_from_a_restarted_donor_changes_nothing() {
         // Regression: the restarted donor's cold pool hands back the base
         // of the asker's never-evacuated pre-crash zone. The donor's
-        // allocator granted it and the directory was debited before the
-        // region refused the overlapping segment.
+        // allocator granted it before the region refused the overlapping
+        // segment.
         let mut cfg = ClusterConfig::prototype();
         cfg.faults = FaultPlan::new()
             .with(FaultEvent::NodeCrash {
@@ -2404,7 +2454,7 @@ mod tests {
         let mut w = World::new(cfg);
         w.reserve_remote(n(1), 1024, Some(n(2)));
         w.drain_background();
-        let free = w.directory().free_frames(n(2));
+        let free = w.free_frames(n(2));
         let donor = &w.nodes[n(2).index()].frames;
         let (granted, donor_free) = (donor.granted_frames(), donor.free_frames());
         let segments = w.region(n(1)).segments().to_vec();
@@ -2416,7 +2466,7 @@ mod tests {
             .downcast_ref::<String>()
             .expect("the panic carries a formatted message");
         assert!(msg.contains("segment overlap"), "{msg}");
-        assert_eq!(w.directory().free_frames(n(2)), free);
+        assert_eq!(w.free_frames(n(2)), free);
         let donor = &w.nodes[n(2).index()].frames;
         assert_eq!(donor.granted_frames(), granted);
         assert_eq!(donor.free_frames(), donor_free);
@@ -2440,7 +2490,7 @@ mod tests {
         );
         let pool = w.config().pool_frames_per_node();
         assert_eq!(w.region(n(1)).borrowed_bytes(), 0);
-        assert_eq!(w.directory().free_frames(n(2)), pool);
+        assert_eq!(w.free_frames(n(2)), pool);
         assert_eq!(w.nodes[1].frames.free_frames(), pool);
     }
 
@@ -2469,7 +2519,7 @@ mod tests {
         );
         w.release_remote(n(1), stale);
         let pool = w.config().pool_frames_per_node();
-        assert_eq!(w.directory().free_frames(n(2)), pool - 1024);
+        assert_eq!(w.free_frames(n(2)), pool - 1024);
         assert_eq!(w.nodes[1].frames.granted_frames(), 1024);
     }
 
@@ -2666,11 +2716,12 @@ mod tests {
             node: n(2),
         });
         let mut w = World::new(cfg);
-        // No node but the (doomed) donor has any pool capacity left.
+        // Node 1 borrows every pool but the doomed donor's: no other node
+        // has room left for the evacuation.
+        let pool = w.config().pool_frames_per_node();
         for i in 3..=16 {
-            w.directory_mut().set_free(n(i), 0);
+            w.reserve_remote(n(1), pool, Some(n(i)));
         }
-        w.directory_mut().set_free(n(1), 0);
         let resv = w.reserve_remote(n(1), 256, Some(n(2)));
         let id = w.spawn_thread(
             ThreadSpec {
@@ -2689,7 +2740,11 @@ mod tests {
         assert!(w.thread_failed(id) > 0, "dropped zone accesses must fail");
         assert_eq!(w.evacuations(), 0);
         assert_eq!(w.fault_log().count("evacuation_failed"), 1);
-        assert!(w.region(n(1)).borrowed_bytes() == 0, "dead zone dropped");
+        assert_eq!(
+            w.region(n(1)).borrowed_bytes(),
+            14 * pool * 4096,
+            "dead zone dropped; the drained pools stay borrowed"
+        );
     }
 
     #[test]
@@ -2867,6 +2922,72 @@ mod tests {
         assert_eq!(w.server(n(5)).requests() - before.1, 0);
     }
 
+    /// Node 2's server stalls for 5 ms while node 1 reads its zone there:
+    /// node 1 declares node 2 failed and the zone moves to node 5, yet
+    /// node 2 stays up. Node 3 holds a zone on node 2 too, which this
+    /// returns; nothing reads it.
+    fn declared_failed_donor_world() -> (World, Reservation) {
+        let mut cfg = ClusterConfig::prototype();
+        cfg.max_retries = 2;
+        cfg.faults = FaultPlan::new().with(FaultEvent::ServerStall {
+            at: t(10),
+            node: n(2),
+            duration: SimDuration::ms(5),
+        });
+        let mut w = World::new(cfg);
+        let zone = w.reserve_remote(n(1), 256, Some(n(2)));
+        let other = w.reserve_remote(n(3), 256, Some(n(2)));
+        let id = w.spawn_thread(
+            reader((zone.prefixed_base, zone.frames * 4096), 2_000, 7),
+            SimTime::ZERO,
+        );
+        w.run();
+        assert_eq!(w.thread_completed(id), 2_000, "the zone moved off n2");
+        assert!(w.node_is_suspected(n(2)) && !w.node_is_dead(n(2)));
+        (w, other)
+    }
+
+    #[test]
+    fn a_release_on_a_declared_failed_donor_lends_it_nothing() {
+        // Regression: node 3's release credited node 2's directory entry
+        // from 0 to 256 frames although node 2 was declared failed, so the
+        // next nearest-donor zone landed on node 2 at 0xa00100000 and all
+        // 1,000 reads of it failed.
+        let (mut w, other) = declared_failed_donor_world();
+        w.release_remote(n(3), other);
+        assert_eq!(w.free_frames(n(2)), 0);
+        let resv = w.reserve_remote(n(1), 256, None);
+        assert_eq!((resv.home, resv.prefixed_base), (n(5), 0x16_0010_0000));
+        let id = w.spawn_thread(
+            reader((resv.prefixed_base, resv.frames * 4096), 1_000, 9),
+            w.now(),
+        );
+        w.run();
+        assert_eq!(w.thread_completed(id), 1_000);
+    }
+
+    #[test]
+    fn reserving_from_a_declared_failed_donor_changes_nothing() {
+        // Regression: node 2's allocator granted the zone before the
+        // reservation panicked on "directory underflow for n2", so node 2
+        // granted 528 frames, 16 of them held by nobody.
+        let (mut w, _) = declared_failed_donor_world();
+        // Node 3's zone and node 1's zone, dropped when it moved away.
+        let granted = w.nodes[n(2).index()].frames.granted_frames();
+        assert_eq!(granted, 512);
+        let segments = w.region(n(3)).segments().to_vec();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.reserve_remote(n(3), 16, Some(n(2)))
+        }))
+        .expect_err("a declared-failed donor cannot lend");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
+        assert!(msg.contains("donor n2 is declared failed"), "{msg}");
+        assert_eq!(w.nodes[n(2).index()].frames.granted_frames(), granted);
+        assert_eq!(w.region(n(3)).segments(), segments);
+    }
+
     #[test]
     fn crashed_node_restarts_with_a_cold_pool() {
         let mut cfg = ClusterConfig::prototype();
@@ -2899,7 +3020,7 @@ mod tests {
         assert!(!w.node_is_dead(n(2)));
         assert!(!w.client(n(1)).is_suspect(n(2)), "suspicion cleared");
         assert_eq!(
-            w.directory().free_frames(n(2)),
+            w.free_frames(n(2)),
             w.config().pool_frames_per_node(),
             "rejoined with a full, cold pool"
         );
@@ -3069,11 +3190,22 @@ mod tests {
         assert!(World::try_new(cfg).is_ok());
     }
 
+    /// One manager tick over the world's own observations with node 2's
+    /// server backlog overridden to `backlog`, as if the world ticked.
+    fn tick_with_n2_backlog(w: &mut World, backlog: SimDuration) -> Vec<ManagerAction> {
+        let mut obs = w.observe(w.now());
+        obs[n(2).index()].server_backlog = backlog;
+        w.manager.as_mut().expect("enabled").tick(&obs)
+    }
+
     #[test]
     fn shed_home_defers_blocking_accesses_without_burning_retries() {
-        let mut w = world();
+        let mut cfg = ClusterConfig::prototype();
+        cfg.manager = true;
+        let mut w = World::new(cfg);
         let resv = w.reserve_remote(n(1), 64, Some(n(2)));
-        w.nodes[n(1).index()].client.set_shed(n(2));
+        let shed = tick_with_n2_backlog(&mut w, SimDuration::us(10));
+        assert_eq!(shed, vec![ManagerAction::Shed { target: n(2) }]);
         let out = w.try_blocking_transaction(
             SimTime::ZERO,
             n(1),
@@ -3085,7 +3217,8 @@ mod tests {
         assert_eq!(w.client(n(1)).retransmissions(), 0);
         assert_eq!(w.client(n(1)).shed_deferrals(), 1);
         // Re-admission makes the same access complete normally.
-        w.nodes[n(1).index()].client.clear_shed(n(2));
+        let readmit = tick_with_n2_backlog(&mut w, SimDuration::ZERO);
+        assert_eq!(readmit, vec![ManagerAction::Readmit { target: n(2) }]);
         let out = w.try_blocking_transaction(
             w.now(),
             n(1),
@@ -3175,11 +3308,8 @@ mod tests {
             w.client(n(1)).shed_deferrals() > 0,
             "accesses were actually deferred"
         );
-        assert!(
-            !w.client(n(1)).is_shed(n(2)),
-            "no node stays shed after the run"
-        );
         let mgr = w.manager().expect("enabled");
+        assert!(!mgr.is_shed(n(2)), "no node stays shed after the run");
         assert!(mgr.sheds() >= 1 && mgr.readmits() >= 1);
         assert_eq!(mgr.currently_shed(), 0);
     }

@@ -189,15 +189,21 @@ fn mid_run_crash_with_loss_accounts_for_every_access() {
     }
 }
 
-/// Directory/allocator conservation under arbitrary reserve/release
-/// interleavings: total pool frames are invariant and regions always account
-/// exactly for what the directory lent out.
+/// Frames the whole cluster can lend, as the directory sees them.
+fn total_free(w: &World) -> u64 {
+    (1..=16).map(|i| w.free_frames(n(i))).sum()
+}
+
+/// Allocator conservation under arbitrary reserve/release interleavings:
+/// the frames the directory sees free plus the frames lent out always add
+/// up to the pool, and regions account exactly for what was lent.
 #[test]
 fn reservation_conservation() {
     for seed in 0..24 {
         let mut rng = Rng::new(0x2E5E2E + seed);
         let mut w = World::new(ClusterConfig::prototype());
-        let pool_total = w.directory().total_free();
+        let pool_total = total_free(&w);
+        assert_eq!(pool_total, 16 * w.config().pool_frames_per_node());
         let mut held: Vec<(NodeId, cohfree_os::region::Reservation)> = Vec::new();
         let ops = rng.range(1, 40);
         for _ in 0..ops {
@@ -213,12 +219,12 @@ fn reservation_conservation() {
                 n(donor)
             };
             let frames = rng.range(1, 512);
-            if w.directory().free_frames(donor) >= frames {
+            if w.free_frames(donor) >= frames {
                 let r = w.reserve_remote(asker, frames, Some(donor));
                 held.push((asker, r));
             }
             let lent: u64 = held.iter().map(|(_, r)| r.frames).sum();
-            assert_eq!(w.directory().total_free() + lent, pool_total, "seed {seed}");
+            assert_eq!(total_free(&w) + lent, pool_total, "seed {seed}");
             // Per-node region borrowed bytes match its held reservations.
             for node_id in 1..=16u16 {
                 let node = n(node_id);
@@ -233,6 +239,6 @@ fn reservation_conservation() {
         for (node, r) in held {
             w.release_remote(node, r);
         }
-        assert_eq!(w.directory().total_free(), pool_total, "seed {seed}");
+        assert_eq!(total_free(&w), pool_total, "seed {seed}");
     }
 }

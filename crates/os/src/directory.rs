@@ -2,83 +2,28 @@
 //!
 //! The paper's Section III lists "augmenting the OS services so that
 //! knowledge of the location of free memory across the cluster is achieved"
-//! as a required component. This module is that service: a (logically
-//! distributed, here centralized-for-determinism) view of how many pool
-//! frames every node still has free, and the donor choice it serves: the
-//! nearest node with room.
+//! as a required component. This module is the donor choice that knowledge
+//! serves: the nearest node with room. It keeps no record of its own; what
+//! a node can lend is read from that node's [`crate::FrameAllocator`] by
+//! the caller (`cohfree-core`'s `World::free_frames`), so no count can
+//! drift from the grants.
 
 use cohfree_fabric::{NodeId, Topology};
 
-/// The directory of free pool frames per node.
-#[derive(Debug)]
-pub struct Directory {
-    topo: Topology,
-    free: Vec<u64>,
-}
-
-impl Directory {
-    /// Build a directory where every node starts with `frames_per_node`
-    /// free pool frames.
-    pub fn new(topo: Topology, frames_per_node: u64) -> Directory {
-        Directory {
-            free: vec![frames_per_node; topo.num_nodes() as usize],
-            topo,
-        }
-    }
-
-    /// Free frames recorded for `node`.
-    pub fn free_frames(&self, node: NodeId) -> u64 {
-        self.free[node.index()]
-    }
-
-    /// Total free frames across the cluster.
-    pub fn total_free(&self) -> u64 {
-        self.free.iter().sum()
-    }
-
-    /// Choose a donor able to lend `frames` to `asker` (never `asker`
-    /// itself): the closest such node in fabric hops, ties broken by lower
-    /// node id, which minimizes remote-access latency. Returns `None` if no
-    /// node can.
-    pub fn choose_donor(&self, asker: NodeId, frames: u64) -> Option<NodeId> {
-        (1..=self.topo.num_nodes())
-            .map(NodeId::new)
-            .filter(|&n| n != asker && self.free[n.index()] >= frames)
-            .min_by_key(|&n| (self.topo.hops(asker, n), n.get()))
-    }
-
-    /// Record that `donor` lent `frames`.
-    ///
-    /// # Panics
-    /// Panics if the directory believes `donor` lacks the frames — callers
-    /// must go through [`Directory::choose_donor`] or verify first.
-    pub fn debit(&mut self, donor: NodeId, frames: u64) {
-        let f = &mut self.free[donor.index()];
-        assert!(*f >= frames, "directory underflow for {donor}");
-        *f -= frames;
-    }
-
-    /// Record that `donor` got `frames` back.
-    pub fn credit(&mut self, donor: NodeId, frames: u64) {
-        self.free[donor.index()] += frames;
-    }
-
-    /// Overwrite `node`'s free-frame count. Failure handling uses this to
-    /// zero a crashed donor (its pool is gone, grants and all) and to
-    /// re-seed a restarted one.
-    pub fn set_free(&mut self, node: NodeId, frames: u64) {
-        self.free[node.index()] = frames;
-    }
-
-    /// Serializable view: total free frames and the per-node free counts
-    /// (array index `i` is node `i + 1`).
-    pub fn snapshot(&self) -> cohfree_sim::Json {
-        use cohfree_sim::Json;
-        Json::obj([
-            ("total_free_frames", Json::from(self.total_free())),
-            ("free_frames_per_node", Json::from(self.free.clone())),
-        ])
-    }
+/// Choose a donor able to lend `frames` to `asker` (never `asker`
+/// itself), where `free(node)` is what `node` can lend now: the closest
+/// such node in fabric hops, ties broken by lower node id, which minimizes
+/// remote-access latency. Returns `None` if no node can.
+pub fn nearest_donor(
+    topo: &Topology,
+    asker: NodeId,
+    frames: u64,
+    free: impl Fn(NodeId) -> u64,
+) -> Option<NodeId> {
+    (1..=topo.num_nodes())
+        .map(NodeId::new)
+        .filter(|&n| n != asker && free(n) >= frames)
+        .min_by_key(|&n| (topo.hops(asker, n), n.get()))
 }
 
 #[cfg(test)]
@@ -89,50 +34,33 @@ mod tests {
         NodeId::new(i)
     }
 
-    fn dir() -> Directory {
-        Directory::new(Topology::prototype(), 100)
+    /// The donor choice over per-node free counts (`free[i]` is node
+    /// `i + 1`).
+    fn choose(free: &[u64; 16], asker: NodeId, frames: u64) -> Option<NodeId> {
+        nearest_donor(&Topology::prototype(), asker, frames, |d| free[d.index()])
     }
 
     #[test]
     fn nearest_prefers_neighbors() {
-        let d = dir();
         // From corner node 1, neighbors are 2 and 5 (both 1 hop); lower id wins.
-        assert_eq!(d.choose_donor(n(1), 10), Some(n(2)));
+        assert_eq!(choose(&[100; 16], n(1), 10), Some(n(2)));
     }
 
     #[test]
     fn nearest_skips_exhausted_neighbors() {
-        let mut d = dir();
-        d.debit(n(2), 100);
-        assert_eq!(d.choose_donor(n(1), 10), Some(n(5)));
-        d.debit(n(5), 95);
+        let mut free = [100; 16];
+        free[n(2).index()] = 0;
+        assert_eq!(choose(&free, n(1), 10), Some(n(5)));
+        free[n(5).index()] = 5;
         // 5 has only 5 left; need 10 -> next ring: 3, 6, 9 (2 hops).
-        assert_eq!(d.choose_donor(n(1), 10), Some(n(3)));
+        assert_eq!(choose(&free, n(1), 10), Some(n(3)));
     }
 
     #[test]
     fn asker_never_chosen() {
-        let mut d = dir();
-        for i in 2..=16 {
-            d.debit(n(i), 100);
-        }
+        let mut free = [0; 16];
+        free[n(1).index()] = 100;
         // Only the asker has frames left, and at 0 hops it is nearest.
-        assert_eq!(d.choose_donor(n(1), 1), None);
-    }
-
-    #[test]
-    fn accounting_round_trips() {
-        let mut d = dir();
-        assert_eq!(d.total_free(), 1600);
-        d.debit(n(4), 25);
-        assert_eq!(d.free_frames(n(4)), 75);
-        d.credit(n(4), 25);
-        assert_eq!(d.total_free(), 1600);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn over_debit_panics() {
-        dir().debit(n(2), 101);
+        assert_eq!(choose(&free, n(1), 1), None);
     }
 }

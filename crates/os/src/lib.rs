@@ -16,12 +16,14 @@
 //!   replacement, page-walk cost hooks, and page states (resident local,
 //!   mapped remote, swapped out),
 //! * [`directory`] — the cluster free-memory directory, which decides
-//!   *which* node lends memory: the nearest one with room,
+//!   *which* node lends memory: the nearest one with room. It is a
+//!   function over what each donor's [`frames`] allocator holds free, not
+//!   a second count beside it,
 //! * [`region`] — memory regions (Fig. 1): one per node, listing the local
 //!   and borrowed segments that form that node's coherency domain. A
 //!   reservation (Fig. 4) is a function call in `cohfree-core`'s `World`:
-//!   the donor's [`frames`] carves the zone, the directory is debited and
-//!   the asker's [`region`] grows by a [`Reservation`],
+//!   the donor's [`frames`] carves the zone and the asker's [`region`]
+//!   grows by a [`Reservation`]; those two are its only records,
 //! * [`swap`] — the remote-swap baseline: a bounded page cache with CLOCK
 //!   eviction and dirty write-back accounting (the fault costs are charged
 //!   by the swap backend in `cohfree-core`),
@@ -40,7 +42,7 @@ pub mod region;
 pub mod swap;
 
 pub use balloon::{Balloon, BalloonAction};
-pub use directory::Directory;
+pub use directory::nearest_donor;
 pub use frames::{FrameAllocator, FrameError, PAGE_FRAME_BYTES};
 pub use manager::{ManagerAction, NodeObservation, RecoveryManager};
 pub use pagetable::{PageFlags, PageTable, Tlb, TlbConfig, Translation};

@@ -23,12 +23,14 @@
 //!
 //! The manager is deliberately *pure*: it owns no simulator state and
 //! performs no I/O — `cohfree-core` builds the observations, applies the
-//! actions (rewriting zones, flipping per-client shed sets, tracing each
-//! decision as a span) and schedules the next tick. Purity keeps the
-//! decision rules unit-testable here and its decisions a deterministic
-//! function of the observation sequence. A world runs the manager when
-//! its `ClusterConfig::manager` is on; the tick, the watermarks and the
-//! migration streak are constants.
+//! actions (rewriting zones, tracing each decision as a span) and
+//! schedules the next tick. Its own shed set is the one record of which
+//! nodes are load-shed: the world asks [`RecoveryManager::is_shed`] before
+//! a thread or the blocking driver offers an access, and keeps no copy
+//! per client. Purity keeps the decision rules unit-testable here and its
+//! decisions a deterministic function of the observation sequence. A
+//! world runs the manager when its `ClusterConfig::manager` is on; the
+//! tick, the watermarks and the migration streak are constants.
 //!
 //! Donor selection for both reactive evacuation and proactive migration
 //! goes through [`RecoveryManager::choose_recovery_donor`]: a load-aware
@@ -70,7 +72,8 @@ pub struct NodeObservation {
     pub server_backlog: SimDuration,
     /// Worst outgoing fabric-link backlog, time to drain.
     pub link_backlog: SimDuration,
-    /// Free pool frames per the cluster directory.
+    /// Pool frames the node can lend: what its frame allocator holds
+    /// free, or 0 while it is down or declared failed.
     pub free_frames: u64,
     /// True if any live reservation's zone is currently homed here.
     pub hosts_zones: bool,

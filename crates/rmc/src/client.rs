@@ -77,11 +77,9 @@ pub struct RmcClient {
     duplicates: Counter,
     aborted: Counter,
     suspects: FastSet<NodeId>,
-    /// Destinations the recovery manager has load-shed: the OS defers (or
-    /// fails) new accesses to them until re-admission. Mutated only by
-    /// global manager events, read by lane code — the same contract as
-    /// `suspects`.
-    shed: FastSet<NodeId>,
+    /// Accesses the OS deferred because the recovery manager load-shed
+    /// their home; the manager's set is the one record of which homes are
+    /// shed.
     shed_deferrals: Counter,
     latency: LatencyHistogram,
 }
@@ -107,7 +105,6 @@ impl RmcClient {
             duplicates: Counter::new(),
             aborted: Counter::new(),
             suspects: FastSet::default(),
-            shed: FastSet::default(),
             shed_deferrals: Counter::new(),
             latency: LatencyHistogram::new(),
         }
@@ -230,23 +227,6 @@ impl RmcClient {
         self.suspects.contains(&node)
     }
 
-    /// Admission control: shed new accesses targeting `node` until
-    /// [`RmcClient::clear_shed`].
-    pub fn set_shed(&mut self, node: NodeId) {
-        self.shed.insert(node);
-    }
-
-    /// Re-admit accesses targeting `node` (pressure cleared the hysteresis
-    /// low watermark).
-    pub fn clear_shed(&mut self, node: NodeId) {
-        self.shed.remove(&node);
-    }
-
-    /// True if accesses to `node` are currently load-shed.
-    pub fn is_shed(&self, node: NodeId) -> bool {
-        self.shed.contains(&node)
-    }
-
     /// Record one access deferred by admission control.
     pub fn note_shed_deferral(&mut self) {
         self.shed_deferrals.add(1);
@@ -319,7 +299,9 @@ impl RmcClient {
 
     /// Serializable view of this client's counters, engine state and
     /// latency distribution, with utilization computed against `horizon`.
-    pub fn snapshot(&self, horizon: SimTime) -> cohfree_sim::Json {
+    /// `shed_targets` is the number of homes currently load-shed, which
+    /// the recovery manager records for every client alike.
+    pub fn snapshot(&self, horizon: SimTime, shed_targets: usize) -> cohfree_sim::Json {
         cohfree_sim::Json::obj([
             ("reads", self.reads.snapshot()),
             ("writes", self.writes.snapshot()),
@@ -329,7 +311,7 @@ impl RmcClient {
             ("duplicates", self.duplicates.snapshot()),
             ("aborted", self.aborted.snapshot()),
             ("suspects", cohfree_sim::Json::from(self.suspects.len())),
-            ("shed_targets", cohfree_sim::Json::from(self.shed.len())),
+            ("shed_targets", cohfree_sim::Json::from(shed_targets)),
             ("shed_deferrals", self.shed_deferrals.snapshot()),
             ("in_flight", cohfree_sim::Json::from(self.in_flight.len())),
             ("engine", self.engine.snapshot(horizon)),
@@ -576,18 +558,15 @@ mod tests {
     }
 
     #[test]
-    fn shed_targets_are_set_and_cleared_independently_of_suspicion() {
+    fn shed_deferrals_are_counted_apart_from_suspicion() {
         let mut c = client();
-        assert!(!c.is_shed(n(2)));
-        c.set_shed(n(2));
-        assert!(c.is_shed(n(2)));
-        assert!(!c.is_suspect(n(2)), "shedding is not suspicion");
-        assert!(!c.is_shed(n(3)));
         c.note_shed_deferral();
         c.note_shed_deferral();
         assert_eq!(c.shed_deferrals(), 2);
-        c.clear_shed(n(2));
-        assert!(!c.is_shed(n(2)));
+        assert!(!c.is_suspect(n(2)), "shedding is not suspicion");
+        let doc = c.snapshot(SimTime::ZERO, 3);
+        assert_eq!(doc.get("shed_targets").and_then(|v| v.as_u64()), Some(3));
+        assert_eq!(doc.get("shed_deferrals").and_then(|v| v.as_u64()), Some(2));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Five nodes of the cluster reshape their memory regions at run time:
 //! region 3 (node C) grows into its neighbors B and D, region 5 grows into
 //! D too, and later region 3 shrinks back, returning the borrowed zones.
-//! The cluster directory, the per-node frame allocators and every region's
-//! segment list stay consistent throughout — the OS-side choreography the
-//! paper summarizes in Section III.
+//! Each donor's frame allocator and every region's segment list are the
+//! only records of a reservation; the free memory the cluster directory
+//! reports for a node is read from that node's allocator, so the two stay
+//! consistent throughout — the OS-side choreography the paper summarizes
+//! in Section III.
 //!
 //! ```sh
 //! cargo run --release --example region_rebalance
@@ -29,7 +31,7 @@ fn show(w: &World, label: &str) {
             } else {
                 format!(" from {lenders:?}")
             },
-            (w.directory().free_frames(node) * 4096) >> 20,
+            (w.free_frames(node) * 4096) >> 20,
         );
     }
     println!();
