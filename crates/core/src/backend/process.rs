@@ -11,7 +11,8 @@
 //! 3. look the line up in the cache hierarchy, charging the L1-hit, L2-hit
 //!    or miss-lookup latency;
 //! 4. hand the outcome to the backing, which fills a missed line and writes
-//!    home every dirty line the hierarchy displaced, on every level.
+//!    home every dirty line the hierarchy displaced, on every level. A
+//!    clean hit (most accesses) has nothing for it and skips the call.
 //!
 //! The backing supplies only what differs between the systems the paper
 //! compares ([`Backing`]): how a new page is backed, the fault handler
@@ -31,10 +32,15 @@ use cohfree_sim::{SimDuration, SimTime};
 const FIRST_VA: u64 = 0x1000;
 
 /// The line addresses a `len`-byte access at `va` touches, split into
-/// `line_bytes` lines exactly as every backend charges them.
+/// `line_bytes` lines exactly as every backend charges them. An empty
+/// access touches none.
 pub(crate) fn lines(va: u64, len: u64, line_bytes: u64) -> impl Iterator<Item = u64> {
     let end = va + len;
-    let mut next = va & !(line_bytes - 1);
+    let mut next = if len == 0 {
+        end
+    } else {
+        va & !(line_bytes - 1)
+    };
     std::iter::from_fn(move || {
         let line = next;
         next += line_bytes;
@@ -65,12 +71,17 @@ pub trait Backing {
 
     /// Called for every translated line before the caches see it. Returns
     /// `true` when the backing served the access itself, past the caches.
+    #[inline]
     fn touch(&mut self, _core: &mut Core, _vpn: u64, _phys: u64, _write: bool) -> bool {
         false
     }
 
     /// Fill the line at `phys` if it `missed` the hierarchy, and write home
     /// the dirty `victims` the hierarchy displaced, in this backing's order.
+    ///
+    /// The front-end calls this only when the access missed or displaced a
+    /// dirty line. So a `fill` with `missed == false` and no `victims` must
+    /// change no state and no clock: skipping it is exact only then.
     fn fill(&mut self, core: &mut Core, phys: u64, missed: bool, victims: &[u64]);
 }
 
@@ -143,8 +154,11 @@ impl<B: Backing> Process<B> {
                 true
             }
         };
-        self.backing
-            .fill(core, phys, missed, &out.memory_writebacks);
+        // A clean hit leaves the backing nothing to do (see `Backing::fill`).
+        if missed || !out.memory_writebacks.is_empty() {
+            self.backing
+                .fill(core, phys, missed, &out.memory_writebacks);
+        }
     }
 
     fn timed_range(&mut self, va: u64, len: usize, write: bool) {
@@ -179,12 +193,14 @@ impl<B: Backing> MemSpace for Process<B> {
         va
     }
 
+    #[inline]
     fn read(&mut self, va: u64, buf: &mut [u8]) {
         self.timed_range(va, buf.len(), false);
         self.core.stats.bytes_read += buf.len() as u64;
         self.store.read(va, buf);
     }
 
+    #[inline]
     fn write(&mut self, va: u64, data: &[u8]) {
         self.timed_range(va, data.len(), true);
         self.core.stats.bytes_written += data.len() as u64;
@@ -320,15 +336,28 @@ mod tests {
         }
     }
 
+    /// An empty load or store charges nothing and translates nothing, at
+    /// any offset, even at an unallocated address.
+    #[test]
+    fn empty_accesses_charge_nothing() {
+        let mut m = LocalMachine::new(ClusterConfig::prototype(), 1 << 30);
+        let va = m.alloc(4096);
+        let before = (m.now(), m.stats());
+        m.read(va + 72, &mut []);
+        m.read(va + 64, &mut []);
+        m.write(va + 72, &[]);
+        m.write(0xDEAD_0008, &[]);
+        assert_eq!((m.now(), m.stats()), before);
+    }
+
     #[test]
     fn lines_split_like_the_line_walk() {
         let split = |va, len| lines(va, len, 64).collect::<Vec<_>>();
         assert_eq!(split(0x1000, 8), vec![0x1000]);
         assert_eq!(split(0x1038, 16), vec![0x1000, 0x1040]);
         assert_eq!(split(0x1040, 128), vec![0x1040, 0x1080]);
-        // An empty access inside a line still touches it; one at a line
-        // boundary touches nothing.
-        assert_eq!(split(0x1008, 0), vec![0x1000]);
+        // An empty access touches nothing, inside a line or at its start.
+        assert!(split(0x1008, 0).is_empty());
         assert!(split(0x1040, 0).is_empty());
     }
 }

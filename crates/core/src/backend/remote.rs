@@ -237,6 +237,7 @@ impl Backing for RemoteBacking {
         core.pt.map(vpn, frame);
     }
 
+    #[inline]
     fn touch(&mut self, core: &mut Core, _vpn: u64, phys: u64, write: bool) -> bool {
         if self.cacheable {
             return false;
@@ -560,7 +561,7 @@ mod tests {
         let outs: Vec<_> = seq.iter().map(|&(a, w)| h.access(a, w)).collect();
         let last = outs.last().expect("non-empty");
         assert_eq!(last.level, Level::L2);
-        assert_eq!(last.memory_writebacks, vec![64]);
+        assert_eq!(*last.memory_writebacks, [64]);
         let spilled: usize = outs.iter().map(|o| o.memory_writebacks.len()).sum();
         assert_eq!(spilled, 2);
 

@@ -288,6 +288,7 @@ impl Backing for SwapBacking {
         core.pt.map(vpn, frame);
     }
 
+    #[inline]
     fn touch(&mut self, _core: &mut Core, vpn: u64, phys: u64, write: bool) -> bool {
         // Keep CLOCK reference bits warm on resident hits; the frame
         // number is the page's slot.

@@ -17,6 +17,9 @@
 //! victim is the smallest stamp (stamps are unique). The cache remembers
 //! which line its last `access` touched, so a repeat access to that line
 //! hits without scanning the set; every other mutator clears the memo.
+//! `access` is split in two: its hit half (the memo, then the set scan) is
+//! inlined into the caller, and the fill and eviction sit in a cold miss
+//! half, so a hit pays for no code it does not run.
 //!
 //! Beside the sets, every 64-line group of the physical line space that
 //! holds a resident line has a 64-bit mask with one bit per resident line.
@@ -24,7 +27,6 @@
 //! set, so flushing a 4 KiB page costs one set probe per cached line of the
 //! page, not one per line of it.
 
-use cohfree_sim::stats::Counter;
 use cohfree_sim::FastMap;
 
 /// Log2 of the residency-group size in lines: groups of 64 lines (one 4 KiB
@@ -102,9 +104,6 @@ pub struct Cache {
     /// only the resident lines of its range.
     group_lines: FastMap<u64, u64>,
     clock: u64,
-    hits: Counter,
-    misses: Counter,
-    writebacks: Counter,
 }
 
 /// Bits `[lo, hi)` of a 64-bit mask, for `lo < hi <= 64`.
@@ -141,9 +140,6 @@ impl Cache {
             group_lines: FastMap::default(),
             cfg,
             clock: 0,
-            hits: Counter::new(),
-            misses: Counter::new(),
-            writebacks: Counter::new(),
         }
     }
 
@@ -217,7 +213,7 @@ impl Cache {
 
     /// Fill `tag` into `set` as its most recent line: into a free way, or
     /// over the least-recently-used line. Returns the index used and the
-    /// displaced line's address if it was dirty (counted as a write-back).
+    /// displaced line's address if it was dirty.
     fn place(&mut self, set: usize, tag: u64, dirty: bool) -> (usize, Option<u64>) {
         let base = self.base_of(set);
         let ways = self.cfg.ways as usize;
@@ -242,15 +238,15 @@ impl Cache {
             return (i, None);
         };
         self.note_evict(victim.tag * nsets + set as u64);
-        if !victim.dirty {
-            return (i, None);
-        }
-        self.writebacks.inc();
-        (i, Some(self.addr_of(set, victim.tag)))
+        (i, victim.dirty.then(|| self.addr_of(set, victim.tag)))
     }
 
     /// Look up the line containing `addr`; fill on miss. `write` marks the
     /// line dirty.
+    ///
+    /// The hit half (the memo, then the set scan) is inlined into the
+    /// caller; the fill and eviction are a separate cold function.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
         self.clock += 1;
         let la = self.line_addr(addr);
@@ -258,23 +254,27 @@ impl Cache {
             Some((last_la, i)) if last_la == la => Some(i),
             _ => self.find(self.set_of(la), self.tag_of(la)),
         };
-        if let Some(i) = hit {
-            let line = &mut self.lines[i];
-            line.lru = self.clock;
-            line.dirty |= write;
-            self.hits.inc();
-            self.last = Some((la, i));
-            return CacheOutcome::Hit;
-        }
-        self.misses.inc();
+        let Some(i) = hit else {
+            return self.miss(la, write);
+        };
+        let line = &mut self.lines[i];
+        line.lru = self.clock;
+        line.dirty |= write;
+        self.last = Some((la, i));
+        CacheOutcome::Hit
+    }
+
+    /// The miss half of [`Cache::access`]: fill the line at `la`.
+    #[cold]
+    fn miss(&mut self, la: u64, write: bool) -> CacheOutcome {
         let (i, victim_writeback) = self.place(self.set_of(la), self.tag_of(la), write);
         self.last = Some((la, i));
         CacheOutcome::Miss { victim_writeback }
     }
 
-    /// Install the line containing `addr` as dirty *without* counting a
-    /// demand access — the path a lower cache level uses to absorb an upper
-    /// level's dirty victim. Returns a displaced dirty victim, if any.
+    /// Install the line containing `addr` as dirty outside any demand
+    /// access — the path a lower cache level uses to absorb an upper level's
+    /// dirty victim. Returns a displaced dirty victim, if any.
     pub fn install_dirty(&mut self, addr: u64) -> Option<u64> {
         self.clock += 1;
         self.last = None;
@@ -311,7 +311,6 @@ impl Cache {
         }
         self.fill.fill(0);
         self.group_lines.clear();
-        self.writebacks.add(dirty.len() as u64);
         dirty.sort_unstable();
         dirty
     }
@@ -366,7 +365,6 @@ impl Cache {
                 self.lines[i] = self.lines[last];
             }
         }
-        self.writebacks.add(dirty.len() as u64);
         dirty.sort_unstable();
         dirty
     }
@@ -374,31 +372,6 @@ impl Cache {
     /// Lines currently resident.
     pub fn resident_lines(&self) -> usize {
         self.fill.iter().map(|&n| n as usize).sum()
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Dirty-victim writebacks so far (including flushes).
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks.get()
-    }
-
-    /// Hit ratio over all accesses (0 when untouched).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits.get() + self.misses.get();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits.get() as f64 / total as f64
-        }
     }
 }
 
@@ -410,7 +383,8 @@ pub(crate) mod oracle {
     use cohfree_sim::Rng;
 
     /// The previous `Vec<Vec<Line>>` implementation of [`Cache`], kept
-    /// verbatim (less the unused `config`).
+    /// verbatim (less the unused `config` and the hit, miss and write-back
+    /// counters, which no caller read).
     #[derive(Debug)]
     pub(crate) struct OracleCache {
         cfg: CacheConfig,
@@ -421,9 +395,6 @@ pub(crate) mod oracle {
         /// page-cache eviction.
         group_lines: FastMap<u64, u32>,
         clock: u64,
-        hits: Counter,
-        misses: Counter,
-        writebacks: Counter,
     }
 
     impl OracleCache {
@@ -448,9 +419,6 @@ pub(crate) mod oracle {
                 group_lines: FastMap::default(),
                 cfg,
                 clock: 0,
-                hits: Counter::new(),
-                misses: Counter::new(),
-                writebacks: Counter::new(),
             }
         }
 
@@ -506,11 +474,9 @@ pub(crate) mod oracle {
             if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
                 line.lru = self.clock;
                 line.dirty |= write;
-                self.hits.inc();
                 return CacheOutcome::Hit;
             }
 
-            self.misses.inc();
             let mut evicted_line = None;
             let victim_writeback = if set.len() < ways {
                 set.push(Line {
@@ -533,7 +499,6 @@ pub(crate) mod oracle {
                 };
                 evicted_line = Some(victim.tag * self.cfg.sets as u64 + set_idx as u64);
                 if victim.dirty {
-                    self.writebacks.inc();
                     Some(self.addr_of(set_idx, victim.tag))
                 } else {
                     None
@@ -585,7 +550,6 @@ pub(crate) mod oracle {
             self.note_fill(la / self.cfg.line_bytes as u64);
             self.note_evict(victim_li);
             if victim.dirty {
-                self.writebacks.inc();
                 Some(self.addr_of(set_idx, victim.tag))
             } else {
                 None
@@ -612,7 +576,6 @@ pub(crate) mod oracle {
                 }
             }
             self.group_lines.clear();
-            self.writebacks.add(dirty.len() as u64);
             dirty.sort_unstable();
             dirty
         }
@@ -670,7 +633,6 @@ pub(crate) mod oracle {
                     *self.group_lines.get_mut(&g).expect("group tracked") -= removed;
                 }
             }
-            self.writebacks.add(dirty.len() as u64);
             dirty.sort_unstable();
             dirty
         }
@@ -678,31 +640,6 @@ pub(crate) mod oracle {
         /// Lines currently resident.
         pub fn resident_lines(&self) -> usize {
             self.sets.iter().map(Vec::len).sum()
-        }
-
-        /// Hits so far.
-        pub fn hits(&self) -> u64 {
-            self.hits.get()
-        }
-
-        /// Misses so far.
-        pub fn misses(&self) -> u64 {
-            self.misses.get()
-        }
-
-        /// Dirty-victim writebacks so far (including flushes).
-        pub fn writebacks(&self) -> u64 {
-            self.writebacks.get()
-        }
-
-        /// Hit ratio over all accesses (0 when untouched).
-        pub fn hit_ratio(&self) -> f64 {
-            let total = self.hits.get() + self.misses.get();
-            if total == 0 {
-                0.0
-            } else {
-                self.hits.get() as f64 / total as f64
-            }
         }
     }
 
@@ -726,7 +663,7 @@ mod tests {
     use cohfree_sim::Rng;
 
     /// The flat cache matches the `Vec<Vec<Line>>` oracle on every return
-    /// value and on the hit, miss and write-back counters. The stream is
+    /// value and on the resident-line count. The stream is
     /// mostly same-line and same-page bursts (the MRU memo) with random
     /// jumps over four times the capacity, interleaved with
     /// `install_dirty` (which can evict the memo line in a 1-way set),
@@ -784,11 +721,7 @@ mod tests {
                         }
                         _ => assert_eq!(c.flush_all(), o.flush_all(), "{}", ctx()),
                     }
-                    assert_eq!(c.hits(), o.hits(), "{}", ctx());
-                    assert_eq!(c.misses(), o.misses(), "{}", ctx());
-                    assert_eq!(c.writebacks(), o.writebacks(), "{}", ctx());
                     assert_eq!(c.resident_lines(), o.resident_lines(), "{}", ctx());
-                    assert_eq!(c.hit_ratio(), o.hit_ratio(), "{}", ctx());
                 }
             }
         }
@@ -899,8 +832,6 @@ mod tests {
                 victim_writeback: None
             }
         );
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
     }
 
     #[test]
@@ -933,7 +864,6 @@ mod tests {
                 victim_writeback: Some(0)
             }
         );
-        assert_eq!(c.writebacks(), 1);
     }
 
     #[test]
@@ -983,17 +913,6 @@ mod tests {
         c.access(64, true);
         assert!(c.flush_range(100, 0).is_empty());
         assert!(c.probe(64));
-    }
-
-    #[test]
-    fn hit_ratio() {
-        let mut c = tiny();
-        assert_eq!(c.hit_ratio(), 0.0);
-        c.access(0, false);
-        c.access(0, false);
-        c.access(0, false);
-        c.access(0, false);
-        assert!((c.hit_ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -7,8 +7,16 @@
 //! the L2, and only L2 dirty victims reach memory. With `l1: None` the
 //! hierarchy degenerates *exactly* to the single-cache baseline, so the
 //! refinement is opt-in and never perturbs existing calibration.
+//!
+//! An access allocates nothing: the dirty lines it pushes out of the
+//! hierarchy come back in a two-slot [`Writebacks`] value. Two is the bound.
+//! An L1 miss displaces at most one L1 victim, whose `install_dirty` into
+//! the L2 spills at most one dirty L2 line; the L2's own demand miss then
+//! displaces at most one more. `access` is inlined into its caller, and so
+//! are the hit halves of both caches' lookups.
 
 use crate::cache::{Cache, CacheConfig, CacheOutcome};
+use std::ops::Deref;
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,14 +29,46 @@ pub enum Level {
     Memory,
 }
 
+/// The dirty lines one access displaced out of the hierarchy, in the order
+/// they were displaced: at most two (see the module docs). Reads as a
+/// slice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Writebacks {
+    /// Line addresses; only the first `len` are meaningful, and the rest
+    /// stay 0 so the derived equality compares the slices.
+    lines: [u64; 2],
+    len: u8,
+}
+
+impl Writebacks {
+    /// Append one displaced line.
+    ///
+    /// # Panics
+    /// Panics on a third line, which no access can displace.
+    #[inline]
+    fn push(&mut self, line: u64) {
+        self.lines[self.len as usize] = line;
+        self.len += 1;
+    }
+}
+
+impl Deref for Writebacks {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        &self.lines[..self.len as usize]
+    }
+}
+
 /// Outcome of a hierarchy access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyOutcome {
     /// Level that satisfied the access.
     pub level: Level,
     /// Dirty lines displaced all the way out of the hierarchy; the owner
     /// must write them back to their home memory.
-    pub memory_writebacks: Vec<u64>,
+    pub memory_writebacks: Writebacks,
 }
 
 /// A two-level (or degenerate single-level) write-back cache hierarchy.
@@ -63,8 +103,9 @@ impl CacheHierarchy {
     }
 
     /// Access the line containing `addr`; `write` dirties it.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> HierarchyOutcome {
-        let mut memory_writebacks = Vec::new();
+        let mut memory_writebacks = Writebacks::default();
         // L1 first (when present).
         if let Some(l1) = self.l1.as_mut() {
             match l1.access(addr, write) {
@@ -85,20 +126,18 @@ impl CacheHierarchy {
             }
         }
         // L2 (the demand access; on an L1 hit we never get here).
-        match self.l2.access(addr, write) {
-            CacheOutcome::Hit => HierarchyOutcome {
-                level: Level::L2,
-                memory_writebacks,
-            },
+        let level = match self.l2.access(addr, write) {
+            CacheOutcome::Hit => Level::L2,
             CacheOutcome::Miss { victim_writeback } => {
                 if let Some(v) = victim_writeback {
                     memory_writebacks.push(v);
                 }
-                HierarchyOutcome {
-                    level: Level::Memory,
-                    memory_writebacks,
-                }
+                Level::Memory
             }
+        };
+        HierarchyOutcome {
+            level,
+            memory_writebacks,
         }
     }
 
@@ -127,26 +166,6 @@ impl CacheHierarchy {
         dirty.dedup();
         dirty
     }
-
-    /// L1 hits so far (0 without an L1).
-    pub fn l1_hits(&self) -> u64 {
-        self.l1.as_ref().map_or(0, Cache::hits)
-    }
-
-    /// L2 demand hits so far.
-    pub fn l2_hits(&self) -> u64 {
-        self.l2.hits()
-    }
-
-    /// Full-hierarchy misses so far.
-    pub fn misses(&self) -> u64 {
-        self.l2.misses()
-    }
-
-    /// The L2 (aggregate) cache, for geometry queries.
-    pub fn l2(&self) -> &Cache {
-        &self.l2
-    }
 }
 
 #[cfg(test)]
@@ -163,16 +182,13 @@ mod tests {
     }
 
     impl OracleHierarchy {
-        fn access(&mut self, addr: u64, write: bool) -> HierarchyOutcome {
+        /// The level that served the access and the lines it displaced out
+        /// of the hierarchy, in displacement order, in a `Vec`.
+        fn access(&mut self, addr: u64, write: bool) -> (Level, Vec<u64>) {
             let mut memory_writebacks = Vec::new();
             if let Some(l1) = self.l1.as_mut() {
                 match l1.access(addr, write) {
-                    CacheOutcome::Hit => {
-                        return HierarchyOutcome {
-                            level: Level::L1,
-                            memory_writebacks,
-                        };
-                    }
+                    CacheOutcome::Hit => return (Level::L1, memory_writebacks),
                     CacheOutcome::Miss { victim_writeback } => {
                         if let Some(v) = victim_writeback {
                             memory_writebacks.extend(self.l2.install_dirty(v));
@@ -187,10 +203,7 @@ mod tests {
                     Level::Memory
                 }
             };
-            HierarchyOutcome {
-                level,
-                memory_writebacks,
-            }
+            (level, memory_writebacks)
         }
 
         fn flush(&mut self, range: Option<(u64, u64)>) -> Vec<u64> {
@@ -208,10 +221,11 @@ mod tests {
     }
 
     /// Through [`CacheHierarchy`], with and without an L1, the flat caches
-    /// match the oracle caches on every outcome, write-back list, flush
-    /// result and per-level counter. The stream mixes same-line and
-    /// same-page bursts with random jumps, so L1 dirty victims land in the
-    /// L2 (`install_dirty`) between repeat accesses.
+    /// match the oracle caches on every level, write-back list (the
+    /// two-slot [`Writebacks`] against the oracle's `Vec`, in order) and
+    /// flush result. The stream mixes same-line and same-page bursts with
+    /// random jumps, so L1 dirty victims land in the L2 (`install_dirty`)
+    /// between repeat accesses.
     #[test]
     fn hierarchy_matches_oracle_caches() {
         let c = |sets, ways| CacheConfig {
@@ -241,7 +255,10 @@ mod tests {
                         0..=97 => {
                             addr = next_addr(&mut rng, addr, span);
                             let write = rng.chance(0.3);
-                            assert_eq!(h.access(addr, write), o.access(addr, write), "{}", ctx());
+                            let out = h.access(addr, write);
+                            let (level, writebacks) = o.access(addr, write);
+                            assert_eq!(out.level, level, "{}", ctx());
+                            assert_eq!(*out.memory_writebacks, writebacks[..], "{}", ctx());
                         }
                         98 => {
                             let base = addr & !4095;
@@ -254,11 +271,6 @@ mod tests {
                         }
                         _ => assert_eq!(h.flush_all(), o.flush(None), "{}", ctx()),
                     }
-                    let l1_hits = o.l1.as_ref().map_or(0, OracleCache::hits);
-                    assert_eq!(h.l1_hits(), l1_hits, "{}", ctx());
-                    assert_eq!(h.l2_hits(), o.l2.hits(), "{}", ctx());
-                    assert_eq!(h.misses(), o.l2.misses(), "{}", ctx());
-                    assert_eq!(h.l2().writebacks(), o.l2.writebacks(), "{}", ctx());
                 }
             }
         }
@@ -284,7 +296,6 @@ mod tests {
         let mut h = small();
         assert_eq!(h.access(0, false).level, Level::Memory);
         assert_eq!(h.access(0, false).level, Level::L1);
-        assert_eq!(h.l1_hits(), 1);
     }
 
     #[test]
@@ -333,15 +344,10 @@ mod tests {
                 }
                 CacheOutcome::Miss { victim_writeback } => {
                     assert_eq!(hout.level, Level::Memory);
-                    assert_eq!(
-                        hout.memory_writebacks,
-                        victim_writeback.into_iter().collect::<Vec<_>>()
-                    );
+                    assert_eq!(&*hout.memory_writebacks, victim_writeback.as_slice());
                 }
             }
         }
-        assert_eq!(h.l2_hits(), c.hits());
-        assert_eq!(h.misses(), c.misses());
         assert_eq!(h.flush_all(), c.flush_all());
     }
 
@@ -357,7 +363,7 @@ mod tests {
             let addr = rng.below(1 << 12) & !63;
             let write = rng.chance(0.5);
             let out = h.access(addr, write);
-            written_back.extend(out.memory_writebacks);
+            written_back.extend(out.memory_writebacks.iter());
             if write {
                 dirtied.insert(addr);
             }
@@ -379,14 +385,48 @@ mod tests {
                 ways: 2,
             },
         );
-        // Hammer one hot line.
-        for _ in 0..100 {
-            with_l1.access(0, false);
-            without.access(0, false);
+        // Hammer one hot line: after the first miss, the L1 serves every
+        // access and the L2 sees none of them.
+        for i in 0..100 {
+            let (a, b) = (with_l1.access(0, false), without.access(0, false));
+            let (want_a, want_b) = if i == 0 {
+                (Level::Memory, Level::Memory)
+            } else {
+                (Level::L1, Level::L2)
+            };
+            assert_eq!((a.level, b.level), (want_a, want_b), "access {i}");
         }
-        assert!(with_l1.l1_hits() >= 99);
-        assert_eq!(with_l1.l2_hits(), 0, "L1 absorbed the stream");
-        assert_eq!(without.l2_hits(), 99);
+    }
+
+    /// One access can push two dirty lines out of the hierarchy: the L2
+    /// line the L1's dirty victim displaces when the L2 absorbs it, then
+    /// the L2's own demand victim, in that order.
+    #[test]
+    fn one_access_returns_two_write_backs_in_displacement_order() {
+        // L1: 2 sets x 1 way (lines 0 and 128 share set 0; 64 and 192
+        // share set 1). L2: 1 set x 2 ways.
+        let mut h = CacheHierarchy::new(
+            Some(CacheConfig {
+                line_bytes: 64,
+                sets: 2,
+                ways: 1,
+            }),
+            CacheConfig {
+                line_bytes: 64,
+                sets: 1,
+                ways: 2,
+            },
+        );
+        let wb = |out: HierarchyOutcome| (out.level, out.memory_writebacks.to_vec());
+        assert_eq!(wb(h.access(0, true)), (Level::Memory, vec![]));
+        assert_eq!(wb(h.access(64, true)), (Level::Memory, vec![]));
+        // The L1 absorbs 64's eviction into the L2, and 192's demand miss
+        // displaces dirty line 0 from the L2; the L1 still holds 0, dirty.
+        assert_eq!(wb(h.access(192, true)), (Level::Memory, vec![0]));
+        // 128 evicts 0 from the L1; installing 0 in the full L2 spills its
+        // LRU line 64, and 128's demand miss then displaces 192.
+        assert_eq!(wb(h.access(128, false)), (Level::Memory, vec![64, 192]));
+        assert_eq!(h.flush_all(), vec![0, 192]);
     }
 
     #[test]

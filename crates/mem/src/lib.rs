@@ -36,5 +36,5 @@ pub mod store;
 
 pub use cache::{Cache, CacheConfig, CacheOutcome};
 pub use dram::{DramConfig, NodeMemory};
-pub use hierarchy::{CacheHierarchy, HierarchyOutcome, Level};
+pub use hierarchy::{CacheHierarchy, HierarchyOutcome, Level, Writebacks};
 pub use store::{SparseStore, PAGE_BYTES};

@@ -10,6 +10,11 @@
 //! page-number index. A page is never dropped, so an index into that `Vec`
 //! stays valid for the store's life, and a one-page memo of the last page
 //! found lets runs of accesses to one page skip the index probe.
+//!
+//! `read` and `write` are inlined into their callers and copy an access
+//! that fits in one page directly: one page lookup and one copy. Only an
+//! access that straddles a page boundary (or is empty) takes the cold loop
+//! that walks it page by page.
 
 use cohfree_sim::FastMap;
 use std::cell::Cell;
@@ -19,6 +24,15 @@ pub const PAGE_BYTES: u64 = 4096;
 
 /// One materialized page.
 type Page = Box<[u8; PAGE_BYTES as usize]>;
+
+/// The offset in its page of a `len`-byte access at `addr` that touches
+/// bytes of exactly one page; `None` for an empty access or one that
+/// crosses a page boundary.
+#[inline]
+fn in_page(addr: u64, len: usize) -> Option<usize> {
+    let off = (addr % PAGE_BYTES) as usize;
+    (len != 0 && len <= PAGE_BYTES as usize - off).then_some(off)
+}
 
 /// Sparse byte-addressable memory.
 ///
@@ -65,45 +79,66 @@ impl SparseStore {
     }
 
     /// Read `buf.len()` bytes starting at `addr`.
+    #[inline]
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
-        let mut addr = addr;
-        let mut rest = buf;
+        let Some(off) = in_page(addr, buf.len()) else {
+            return self.read_pages(addr, buf);
+        };
+        match self.find(addr / PAGE_BYTES) {
+            Some(i) => buf.copy_from_slice(&self.pages[i][off..off + buf.len()]),
+            None => buf.fill(0),
+        }
+    }
+
+    /// [`SparseStore::read`] of an access that is not inside one page: one
+    /// read per page it touches.
+    #[cold]
+    fn read_pages(&self, mut addr: u64, mut rest: &mut [u8]) {
         while !rest.is_empty() {
-            let page = addr / PAGE_BYTES;
-            let off = (addr % PAGE_BYTES) as usize;
-            let n = rest.len().min(PAGE_BYTES as usize - off);
+            let n = rest.len().min((PAGE_BYTES - addr % PAGE_BYTES) as usize);
             let (chunk, tail) = rest.split_at_mut(n);
-            match self.find(page) {
-                Some(i) => chunk.copy_from_slice(&self.pages[i][off..off + n]),
-                None => chunk.fill(0),
-            }
+            self.read(addr, chunk);
             rest = tail;
             addr += n as u64;
         }
     }
 
     /// Write `data` starting at `addr`, materializing pages as needed.
+    #[inline]
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        let mut addr = addr;
-        let mut rest = data;
+        let Some(off) = in_page(addr, data.len()) else {
+            return self.write_pages(addr, data);
+        };
+        let page = addr / PAGE_BYTES;
+        let i = match self.find(page) {
+            Some(i) => i,
+            None => self.materialize(page),
+        };
+        self.pages[i][off..off + data.len()].copy_from_slice(data);
+    }
+
+    /// [`SparseStore::write`] of an access that is not inside one page: one
+    /// write per page it touches.
+    #[cold]
+    fn write_pages(&mut self, mut addr: u64, mut rest: &[u8]) {
         while !rest.is_empty() {
-            let page = addr / PAGE_BYTES;
-            let off = (addr % PAGE_BYTES) as usize;
-            let n = rest.len().min(PAGE_BYTES as usize - off);
-            let i = match self.find(page) {
-                Some(i) => i,
-                None => {
-                    let i = self.pages.len();
-                    self.pages.push(Box::new([0u8; PAGE_BYTES as usize]));
-                    self.index.insert(page, i);
-                    self.last.set(Some((page, i)));
-                    i
-                }
-            };
-            self.pages[i][off..off + n].copy_from_slice(&rest[..n]);
-            rest = &rest[n..];
+            let n = rest.len().min((PAGE_BYTES - addr % PAGE_BYTES) as usize);
+            let (chunk, tail) = rest.split_at(n);
+            self.write(addr, chunk);
+            rest = tail;
             addr += n as u64;
         }
+    }
+
+    /// Materialize the never-written page `page` (zeroed); returns its
+    /// index in `pages`.
+    #[cold]
+    fn materialize(&mut self, page: u64) -> usize {
+        let i = self.pages.len();
+        self.pages.push(Box::new([0u8; PAGE_BYTES as usize]));
+        self.index.insert(page, i);
+        self.last.set(Some((page, i)));
+        i
     }
 
     /// Read a little-endian `u64` at `addr`.
@@ -166,6 +201,55 @@ mod tests {
         let mut s = SparseStore::new();
         s.write_u64(PAGE_BYTES - 4, 0xDEAD_BEEF_CAFE_F00D); // straddles a page
         assert_eq!(s.read_u64(PAGE_BYTES - 4), 0xDEAD_BEEF_CAFE_F00D);
+    }
+
+    /// The single-page copy covers an access that ends exactly at a page
+    /// end; one that runs a byte past it takes the page walk and lands on
+    /// both pages.
+    #[test]
+    fn accesses_at_a_page_end() {
+        let mut s = SparseStore::new();
+        let data: Vec<u8> = (1..=8).collect();
+        s.write(PAGE_BYTES - 8, &data);
+        assert_eq!(s.resident_pages(), 1, "ends at the page end");
+        let mut back = [0u8; 8];
+        s.read(PAGE_BYTES - 8, &mut back);
+        assert_eq!(back[..], data[..]);
+
+        s.write(2 * PAGE_BYTES - 7, &data);
+        assert_eq!(s.resident_pages(), 3, "straddles by one byte");
+        let mut last = [0u8; 1];
+        s.read(2 * PAGE_BYTES, &mut last);
+        assert_eq!(last, [8], "the last byte is on the next page");
+        let mut back = [0u8; 8];
+        s.read(2 * PAGE_BYTES - 7, &mut back);
+        assert_eq!(back[..], data[..]);
+        let mut before = [0xAAu8; 2];
+        s.read(2 * PAGE_BYTES - 9, &mut before);
+        assert_eq!(before, [0, 0], "nothing before the write");
+    }
+
+    /// A read inside an untouched page returns zeros and materializes
+    /// nothing, even right after the memo found another page.
+    #[test]
+    fn untouched_page_reads_zero_after_a_memo_hit() {
+        let mut s = SparseStore::new();
+        s.write(0, &[0xFF; 64]);
+        let mut buf = [0xAAu8; 64];
+        s.read(0, &mut buf);
+        assert_eq!(buf, [0xFF; 64]);
+        s.read(PAGE_BYTES + 64, &mut buf);
+        assert_eq!(buf, [0; 64]);
+        assert_eq!(s.resident_pages(), 1);
+    }
+
+    /// An empty access touches no page.
+    #[test]
+    fn empty_accesses_touch_nothing() {
+        let mut s = SparseStore::new();
+        s.write(PAGE_BYTES + 8, &[]);
+        s.read(PAGE_BYTES + 8, &mut []);
+        assert_eq!(s.resident_pages(), 0);
     }
 
     #[test]

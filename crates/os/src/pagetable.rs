@@ -107,8 +107,6 @@ pub struct Tlb {
     head: usize,
     /// Least recently used slot, or `NIL` when empty.
     tail: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -121,8 +119,6 @@ impl Tlb {
             index: FastMap::default(),
             head: NIL,
             tail: NIL,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -155,22 +151,13 @@ impl Tlb {
     pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
         if let Some(e) = self.slots.get(self.head) {
             if e.vpn == vpn {
-                self.hits += 1;
                 return Some(e.phys);
             }
         }
-        match self.index.get(&vpn) {
-            Some(&i) => {
-                self.hits += 1;
-                self.unlink(i);
-                self.push_head(i);
-                Some(self.slots[i].phys)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let i = *self.index.get(&vpn)?;
+        self.unlink(i);
+        self.push_head(i);
+        Some(self.slots[i].phys)
     }
 
     /// Install a translation (evicting the LRU entry if full).
@@ -243,16 +230,6 @@ impl Tlb {
         self.tail = NIL;
     }
 
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Resident entries.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -269,8 +246,6 @@ impl Tlb {
 pub struct PageTable {
     ptes: FastMap<u64, Pte>,
     tlb: Tlb,
-    walks: u64,
-    major_faults: u64,
 }
 
 impl PageTable {
@@ -279,8 +254,6 @@ impl PageTable {
         PageTable {
             ptes: FastMap::default(),
             tlb: Tlb::new(tlb),
-            walks: 0,
-            major_faults: 0,
         }
     }
 
@@ -336,29 +309,15 @@ impl PageTable {
                 phys,
                 flags: PageFlags::Present,
             }) => {
-                self.walks += 1;
                 self.tlb.insert_absent(vpn, *phys);
                 Translation::Walked { phys: phys + off }
             }
             Some(Pte {
                 flags: PageFlags::Swapped,
                 ..
-            }) => {
-                self.major_faults += 1;
-                Translation::MajorFault
-            }
+            }) => Translation::MajorFault,
             None => Translation::Unmapped,
         }
-    }
-
-    /// Page walks performed (TLB misses with a valid mapping).
-    pub fn walks(&self) -> u64 {
-        self.walks
-    }
-
-    /// Major faults raised (swapped pages touched).
-    pub fn major_faults(&self) -> u64 {
-        self.major_faults
     }
 
     /// The TLB (for stats / explicit invalidation).
@@ -377,16 +336,15 @@ mod tests {
     use super::*;
     use cohfree_sim::Rng;
 
-    /// The previous `FastMap` implementation of [`Tlb`], kept verbatim as
-    /// the oracle for the differential test below.
+    /// The previous `FastMap` implementation of [`Tlb`], kept verbatim
+    /// (less the hit and miss counters, which no caller read) as the
+    /// oracle for the differential test below.
     #[derive(Debug)]
     pub struct OracleTlb {
         cfg: TlbConfig,
         /// vpn -> (phys page base, lru stamp)
         map: FastMap<u64, (u64, u64)>,
         clock: u64,
-        hits: u64,
-        misses: u64,
     }
 
     impl OracleTlb {
@@ -397,25 +355,15 @@ mod tests {
                 cfg,
                 map: FastMap::default(),
                 clock: 0,
-                hits: 0,
-                misses: 0,
             }
         }
 
         /// Look up a virtual page number; LRU-refresh on hit.
         pub fn lookup(&mut self, vpn: u64) -> Option<u64> {
             self.clock += 1;
-            match self.map.get_mut(&vpn) {
-                Some((phys, stamp)) => {
-                    *stamp = self.clock;
-                    self.hits += 1;
-                    Some(*phys)
-                }
-                None => {
-                    self.misses += 1;
-                    None
-                }
-            }
+            let (phys, stamp) = self.map.get_mut(&vpn)?;
+            *stamp = self.clock;
+            Some(*phys)
         }
 
         /// Install a translation (evicting the LRU entry if full).
@@ -437,16 +385,6 @@ mod tests {
         /// Drop everything (context switch / global shootdown).
         pub fn flush(&mut self) {
             self.map.clear();
-        }
-
-        /// Hits so far.
-        pub fn hits(&self) -> u64 {
-            self.hits
-        }
-
-        /// Misses so far.
-        pub fn misses(&self) -> u64 {
-            self.misses
         }
 
         /// Resident entries.
@@ -487,8 +425,8 @@ mod tests {
     }
 
     /// The indexed TLB matches the `FastMap` oracle on every return value,
-    /// every counter and its whole recency order (unique stamps order
-    /// entries exactly as a recency list does), at sizes 1, 2, 3, 8 and 64.
+    /// its size and its whole recency order (unique stamps order entries
+    /// exactly as a recency list does), at sizes 1, 2, 3, 8 and 64.
     ///
     /// Phase 1 mixes same-page bursts (the head check), neighbours and
     /// random jumps over four times the TLB's reach, translates like
@@ -508,8 +446,6 @@ mod tests {
                 let cfg = TlbConfig { entries };
                 let (mut tlb, mut oracle) = (Tlb::new(cfg), OracleTlb::new(cfg));
                 let check = |tlb: &Tlb, oracle: &OracleTlb, ctx: &dyn Fn() -> String| {
-                    assert_eq!(tlb.hits(), oracle.hits(), "{}", ctx());
-                    assert_eq!(tlb.misses(), oracle.misses(), "{}", ctx());
                     assert_eq!(tlb.len(), oracle.len(), "{}", ctx());
                     assert_eq!(tlb.is_empty(), oracle.is_empty(), "{}", ctx());
                     assert_eq!(recency(tlb), oracle_recency(oracle), "{}", ctx());
@@ -604,8 +540,6 @@ mod tests {
         pt.map(1, 0x8000);
         assert_eq!(pt.translate(0x1123), Translation::Walked { phys: 0x8123 });
         assert_eq!(pt.translate(0x1456), Translation::TlbHit { phys: 0x8456 });
-        assert_eq!(pt.walks(), 1);
-        assert_eq!(pt.tlb().hits(), 1);
     }
 
     #[test]
@@ -628,7 +562,6 @@ mod tests {
         let mut pt = PageTable::new(TlbConfig::default());
         pt.mark_swapped(5);
         assert_eq!(pt.translate(5 * PAGE_BYTES), Translation::MajorFault);
-        assert_eq!(pt.major_faults(), 1);
         // Fault handler maps it in; next access walks.
         pt.map(5, 0x2000);
         assert_eq!(

@@ -122,6 +122,7 @@ impl PageCache {
     /// Touch the resident `vpage` through the slot it occupies (see
     /// [`PageCache::admit`]), skipping the lookup: the same state change
     /// and accounting as a [`Touch::Hit`].
+    #[inline]
     pub fn touch_slot(&mut self, slot: usize, vpage: u64, write: bool) {
         let s = &mut self.slots[slot];
         debug_assert_eq!(s.vpage, vpage, "page-cache slot {slot} holds another page");
